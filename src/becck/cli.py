@@ -75,11 +75,19 @@ class RunConfig:
 
 def parse_quantity(raw, kappa: Optional[float] = None,
                    omega_R: Optional[float] = None, key: str = "") -> float:
-    """Parse a frequency value in rad/s.
+    """Parse a finite frequency value in rad/s.
 
     Accepts a plain number, ``<x>*kappa``, ``<x>*omegaR``, or
-    ``2pi*<value><Hz|kHz|MHz|GHz>``.
+    ``2pi*<value><Hz|kHz|MHz|GHz>``. NaN, infinities and values that
+    overflow to them are rejected.
     """
+    value = _parse_quantity(raw, kappa, omega_R, key)
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: value must be finite, got {raw!r}")
+    return value
+
+
+def _parse_quantity(raw, kappa, omega_R, key) -> float:
     if isinstance(raw, bool):
         raise ConfigError(f"{key}: expected a frequency, got a boolean")
     if isinstance(raw, (int, float)):
@@ -337,7 +345,7 @@ def cmd_steady(cfg: RunConfig, stream) -> int:
         rep = classify_stability(dd)
         obs = None
         if rep.stable and not rep.marginal:
-            obs = observable_set(dd, solve_lyapunov(dd))
+            obs = observable_set(dd, solve_lyapunov(dd, rep))
         flags = validity_flags(d, b.n_photon,
                                obs.n_incoherent if obs else None)
         branches.append(branch_report(d, b, dd, rep, obs, flags))
@@ -351,8 +359,11 @@ def cmd_steady(cfg: RunConfig, stream) -> int:
         "warnings": list(bset.warnings),
         "branches": branches,
     }
-    json.dump(report, stream, indent=2)
-    stream.write("\n")
+    try:
+        text = json.dumps(report, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise InternalConsistencyError(f"steady report: {exc}") from exc
+    stream.write(text + "\n")
     return EXIT_OK
 
 
@@ -418,7 +429,7 @@ def verify_lyapunov_ode(rng, base: SystemParams, count: int = 12):
     worst = 0.0
     worst_at = None
     for d, b, dd, rep in _random_stable_points(rng, count, base):
-        V = solve_lyapunov(dd).V
+        V = solve_lyapunov(dd, rep).V
         t_final = 50.0 / abs(rep.max_real_part)
         W = integrate_moment_ode(dd, 0.5 * np.eye(4), t_final)
         err = float(np.max(np.abs(W - V)) / np.max(np.abs(V)))

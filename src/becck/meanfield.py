@@ -10,8 +10,12 @@ close under substitution into a single scalar unknown n = |alpha|^2. Roots of
 
     f(n) = n * (Delta(n)^2 + kappa^2) - eta^2
 
-are exactly the self-consistent photon numbers, so exhaustive 1-D bracketing
-on [0, eta^2/kappa^2] enumerates every branch, including all bistable ones.
+are exactly the self-consistent photon numbers, all on [0, eta^2/kappa^2].
+Clearing the denominator den(n) = Omega_minus(n)*Omega_plus(n) + gamma^2
+turns f(n)*den(n)^4 into a polynomial of degree 9 (a cubic without
+the cross-Kerr term), so its companion-matrix eigenvalues give every branch,
+including all bistable ones. Each candidate is kept only where f changes sign
+around it and is then polished by bisection on f itself.
 """
 
 from __future__ import annotations
@@ -22,13 +26,9 @@ import numpy as np
 
 from .model import DerivedParams, omega_pm
 
-GRID_POINTS_DEFAULT = 20001
 BISECT_RTOL = 1e-12
-DEDUPE_RTOL = 1e-9
-# refinement pass triggers where |f| at both cell endpoints drops below this
-# fraction of max|f| on the initial grid (near-tangent fold suspect)
-REFINE_FRACTION = 1e-3
-REFINE_FACTOR = 10
+# companion-matrix roots kept as candidates: |Im x| <= IMAG_TOL*max(1, |x|)
+IMAG_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ def _branch_from_root(d: DerivedParams, n: float, index: int) -> MeanFieldBranch
     aI = d.eta * D / den
     om, op = omega_pm(d, n)
     resid = abs(consistency_residual(d, n))
-    if d.eta > 0.0:
+    if d.eta * d.eta > 0.0:
         resid /= d.eta * d.eta
     return MeanFieldBranch(
         n_photon=n,
@@ -135,74 +135,78 @@ def _bisect(d: DerivedParams, lo: float, hi: float, flo: float, fhi: float) -> f
     return 0.5 * (lo + hi)
 
 
-def _brackets_on(d, grid, fvals):
-    out = []
-    sign = np.signbit(fvals)
-    for i in range(len(grid) - 1):
-        if fvals[i] == 0.0 or sign[i] != sign[i + 1]:
-            out.append((grid[i], grid[i + 1], fvals[i], fvals[i + 1]))
-    if fvals[-1] == 0.0:
-        out.append((grid[-1], grid[-1], fvals[-1], fvals[-1]))
-    return out
+def _branch_polynomial(d: DerivedParams, n_hi: float) -> np.ndarray:
+    """Coefficients (highest power first) of a positive multiple of
+    f(n_hi*x)*den^4 as a polynomial in x.
+
+    Rates are taken in units of kappa and the dressed frequencies
+    Omega_pm(x) in units of s = max(|g|*n_hi, Omega_minus(0)), which keeps
+    the coefficients finite far outside the physical parameter range. With
+    P = Delta*den^2 (a quartic) the product is
+    x*(P^2 + den^4)*n_hi/eta^2 - den^4.
+    """
+    k = d.kappa
+    gx = d.g * n_hi / k
+    om0 = (d.Omega_c - 0.5 * d.omega_sw) / k
+    s = max(abs(gx), om0)
+    om = np.array([gx, om0]) / s
+    op = np.array([gx, (d.Omega_c + 0.5 * d.omega_sw) / k]) / s
+    gam2 = (d.gamma / (k * s)) ** 2
+    zx = (d.zeta / k) ** 2 * n_hi / s
+    x = np.array([1.0, 0.0])
+    den = np.polyadd(np.convolve(om, op), [gam2])
+    den2 = np.convolve(den, den)
+    den4 = np.convolve(den2, den2)
+    # P = delta_c*den^2 - 2*zeta^2*n*om*den + g*zeta^2*n^2*(om^2 + gamma^2)
+    cross = np.convolve(x, np.convolve(om, den))
+    kerr = np.convolve(np.convolve(x, x), np.polyadd(np.convolve(om, om), [gam2]))
+    P = np.polyadd(d.delta_c / k * den2,
+                   np.polysub(zx * gx / s * kerr, 2.0 * zx * cross))
+    c = n_hi / (d.eta / k) ** 2
+    return np.polysub(c * np.convolve(x, np.polyadd(np.convolve(P, P), den4)), den4)
 
 
-def enumerate_branches(d: DerivedParams,
-                       grid_points: int = GRID_POINTS_DEFAULT) -> BranchSet:
-    """Find every self-consistent branch by dense scan plus bisection.
+def enumerate_branches(d: DerivedParams) -> BranchSet:
+    """Find every self-consistent branch as a root of one polynomial.
 
-    Scans f(n) on a uniform grid over [0, n_max*(1+1e-6)], brackets each sign
-    change, bisects to relative tolerance 1e-12 in n, then deduplicates roots
-    closer than 1e-9 relative. A second scan at 10x density runs inside any
-    cell whose endpoints both have |f| below 1e-3 * max|f| (possible
-    near-tangent fold). Warnings are attached rather than raised:
+    With den(n) = Omega_minus(n)*Omega_plus(n) + gamma^2, the product
+    P(n) = Delta(n)*den(n)^2 is a quartic, so f(n)*den(n)^4 is a polynomial
+    of degree 9 whose roots on n >= 0 are exactly those of f (where den = 0
+    it equals n*P^2 != 0); it is a cubic when the cross-Kerr term is off
+    (g = 0). Its roots in the scaled variable
+    x = n/n_hi, n_hi = (eta/kappa)^2*(1+1e-6), come from companion-matrix
+    eigenvalues (``np.roots``). Candidates with |Im x| <= 1e-6*max(1, |x|)
+    and Re x in [0, 1] are sorted; separators sit at 0, midway between
+    neighbouring candidates and at n_hi. A root is accepted only where f
+    changes sign between two neighbouring separators, so a near-fold
+    complex pair adds nothing, and it is polished by bisection on f to
+    floating-point exhaustion (relative residual well under 1e-12). Since
+    f(0) < 0 < f(n_hi), at least one branch is always found.
 
-    * ``adjacent-brackets``: two sign changes in adjacent cells (a root pair
-      near a fold may sit below grid resolution);
+    A warning is attached rather than raised:
+
     * ``branch-count=<k>``: branch count outside {1, 3}.
     """
-    if d.eta == 0.0:
-        return BranchSet(branches=(_branch_from_root(d, 0.0, 0),))
-
     n_hi = upper_bound_photons(d) * (1.0 + 1e-6)
-    grid = np.linspace(0.0, n_hi, grid_points)
-    fvals = consistency_residual(d, grid)
-
-    brackets = _brackets_on(d, grid, fvals)
-    warnings: list[str] = []
-
-    # collapse-risk flag: two sign changes in adjacent coarse cells, or an
-    # unresolved root pair surfacing inside a single coarse cell below
-    sign = np.signbit(fvals)
-    change = (fvals[:-1] == 0.0) | (sign[:-1] != sign[1:])
-    adjacent = bool(np.any(change[:-1] & change[1:]))
-
-    # near-tangent refinement pass
-    fmax = float(np.max(np.abs(fvals)))
-    low = np.abs(fvals) < REFINE_FRACTION * fmax
-    for i in np.nonzero(low[:-1] & low[1:])[0]:
-        sub = np.linspace(grid[i], grid[i + 1], REFINE_FACTOR + 1)
-        found = _brackets_on(d, sub, consistency_residual(d, sub))
-        if len(found) >= 2:
-            adjacent = True
-        brackets.extend(found)
-
-    if adjacent:
-        warnings.append("adjacent-brackets")
+    if n_hi == 0.0:  # no drive, or one too weak to lift n above underflow
+        return BranchSet(branches=(_branch_from_root(d, 0.0, 0),))
+    x = np.roots(_branch_polynomial(d, n_hi))
+    keep = ((np.abs(x.imag) <= IMAG_TOL * np.maximum(1.0, np.abs(x)))
+            & (x.real >= 0.0) & (x.real <= 1.0))
+    cand = np.sort(x.real[keep])
+    seps = n_hi * np.concatenate(([0.0], 0.5 * (cand[:-1] + cand[1:]), [1.0]))
+    fs = consistency_residual(d, seps)
 
     roots: list[float] = []
-    for lo, hi, flo, fhi in brackets:
-        roots.append(_bisect(d, lo, hi, flo, fhi))
-    roots.sort()
-    unique: list[float] = []
-    for r in roots:
-        if unique and abs(r - unique[-1]) <= DEDUPE_RTOL * max(abs(r), 1e-300):
-            continue
-        unique.append(r)
+    seps, fs = seps.tolist(), fs.tolist()
+    for lo, hi, flo, fhi in zip(seps, seps[1:], fs, fs[1:]):
+        if flo == 0.0:
+            roots.append(lo)
+        elif fhi != 0.0 and (flo < 0.0) != (fhi < 0.0):
+            roots.append(_bisect(d, lo, hi, flo, fhi))
 
-    if len(unique) not in (1, 3):
-        warnings.append(f"branch-count={len(unique)}")
-
-    branches = tuple(
-        _branch_from_root(d, r, i) for i, r in enumerate(unique)
-    )
-    return BranchSet(branches=branches, warnings=tuple(warnings))
+    warnings: tuple[str, ...] = ()
+    if len(roots) not in (1, 3):
+        warnings = (f"branch-count={len(roots)}",)
+    branches = tuple(_branch_from_root(d, r, i) for i, r in enumerate(roots))
+    return BranchSet(branches=branches, warnings=warnings)

@@ -68,6 +68,10 @@ class SystemParams:
     ck_enabled: bool = True
 
     def __post_init__(self):
+        for name in ("g0", "delta_a", "omega_R", "omega_sw", "kappa",
+                     "gamma", "delta_c", "eta", "T"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         if self.delta_a == 0.0:
             raise DomainError("delta_a must be nonzero")
         if self.kappa <= 0.0:

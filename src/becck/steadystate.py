@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from .dynamics import DriftDiffusion, InternalConsistencyError, classify_stability
+from .dynamics import (DriftDiffusion, InternalConsistencyError,
+                       StabilityReport, classify_stability)
 
 RESIDUAL_BOUND = 1e-10      # times ||D||_max
 PHYSICALITY_SLACK = 1e-9    # allowed dip of symplectic eigenvalues below 1/2
@@ -68,14 +70,18 @@ def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
     return L
 
 
-def solve_lyapunov(dd: DriftDiffusion) -> CovarianceMatrix:
+def solve_lyapunov(dd: DriftDiffusion,
+                   report: Optional[StabilityReport] = None) -> CovarianceMatrix:
     """Unique symmetric solution of A V + V A^T = -D for a stable drift.
 
-    Refuses unstable or marginal drift matrices. The system is scaled by
-    ||A||_max before solving and one iterative-refinement pass is applied,
-    keeping the residual well under 1e-10*||D||_max.
+    Refuses unstable or marginal drift matrices, judged by ``report`` (the
+    caller's ``classify_stability(dd)``) or, when it is None, by classifying
+    ``dd`` here. The system is scaled by ||A||_max before solving and one
+    iterative-refinement pass is applied, keeping the residual well under
+    1e-10*||D||_max.
     """
-    report = classify_stability(dd)
+    if report is None:
+        report = classify_stability(dd)
     if not report.stable or report.marginal:
         kind = "marginal" if report.marginal else "unstable"
         raise UnstableDriftError(

@@ -199,7 +199,7 @@ def _rows_for_point(spec: SweepSpec, value: float, ck: bool) -> list:
         obs = None
         cov = None
         if stable:
-            cov = solve_lyapunov(dd)
+            cov = solve_lyapunov(dd, rep)
             obs = observable_set(dd, cov)
         omega_b = dd.omega_B
         flags = validity_flags(d, b.n_photon,

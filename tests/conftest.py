@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -11,14 +12,18 @@ def _worker_count() -> int:
 
 @pytest.fixture(scope="session")
 def preset_rows():
-    """Memoized preset sweeps; several suites share the same row sets."""
+    """Memoized preset sweeps; several suites share the same row sets.
+
+    The cache is keyed on the spec without its preset name, so presets
+    that describe the same sweep (fig2b and fig4) run it once.
+    """
     cache: dict = {}
 
     def get(name: str):
-        if name not in cache:
-            cache[name] = run_sweep(preset_spec(name),
-                                    workers=_worker_count())
-        return cache[name]
+        spec = replace(preset_spec(name), preset=None)
+        if spec not in cache:
+            cache[spec] = run_sweep(spec, workers=_worker_count())
+        return cache[spec]
 
     return get
 

@@ -1,8 +1,12 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import becck
 from becck import paper_base_params
 from becck.cli import (CSV_HEADER, ConfigError, build_config, dump_config,
                        main, parse_quantity, row_to_csv, sweep_spec_from_config)
@@ -132,6 +136,35 @@ def test_steady_config_error_names_key(tmp_path, capsys):
     cfg = _write(tmp_path, {"delta_a": 0})
     assert main(["steady", "--config", cfg]) == 2
     assert "delta_a" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("data", [
+    {"eta": math.nan}, {"eta": math.inf}, {"delta_c": math.inf},
+    {"eta": "1e400*kappa"},
+], ids=["eta-nan", "eta-inf", "delta_c-inf", "eta-overflow"])
+def test_steady_rejects_nonfinite_values(tmp_path, data):
+    # json.dumps writes the non-standard NaN/Infinity tokens json.load accepts
+    cfg = _write(tmp_path, data)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(becck.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "becck", "steady",
+                           "--config", cfg], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("config error: ")
+    assert proc.stdout == ""
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_steady_nonfinite_result_is_internal_error(tmp_path, capsys):
+    # n*Delta^2 overflows at this drive; strict JSON refuses the NaN residual
+    cfg = _write(tmp_path, {"eta": "1e150*kappa", "delta_c": "1*kappa"})
+    assert main(["steady", "--config", cfg]) == 3
+    captured = capsys.readouterr()
+    assert "NaN" not in captured.out
+    assert captured.err.startswith("internal consistency error: ")
 
 
 def test_sweep_csv_schema_and_nulls(tmp_path):

@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from becck import (consistency_residual, derive_params, enumerate_branches,
                    paper_base_params, upper_bound_photons)
 from becck.meanfield import BISECT_RTOL
+from scan_oracle import scan_roots
 
 KAPPA = paper_base_params().kappa
 
@@ -17,6 +20,14 @@ def test_undriven_cavity_single_vacuum_branch():
     assert b.alpha == 0.0
     assert b.beta == 0.0
     assert b.Delta == d.delta_c
+    assert bs.warnings == ()
+
+
+def test_underflowing_drive_single_vacuum_branch():
+    # eta^2 underflows to 0: the vacuum branch, not a division by zero
+    d = derive_params(paper_base_params(delta_c=KAPPA, eta=1e-200 * KAPPA))
+    bs = enumerate_branches(d)
+    assert [b.n_photon for b in bs] == [0.0]
     assert bs.warnings == ()
 
 
@@ -98,19 +109,38 @@ def test_consistency_residual_vectorized():
         assert consistency_residual(d, float(g)) == pytest.approx(v)
 
 
-def test_refinement_rescues_subcell_root_pair():
-    # near a fold two roots sit inside one coarse cell; the 10x refinement
-    # pass must still find them and flag the resolution risk
+def test_near_fold_root_pair_matches_scan_oracle():
+    # near a fold two roots sit closer than one cell of a 101-point scan
+    # (the scan needs its refinement pass and flags the pair); the
+    # polynomial enumeration must find all three without a warning
     d = derive_params(paper_base_params(delta_c=5 * KAPPA,
                                         eta=1.4789473 * KAPPA))
-    fine = enumerate_branches(d)
-    assert len(fine) == 3
-    assert fine.warnings == ()
-    coarse = enumerate_branches(d, grid_points=101)
-    assert len(coarse) == 3
-    assert "adjacent-brackets" in coarse.warnings
-    for a, b in zip(fine, coarse):
-        assert b.n_photon == pytest.approx(a.n_photon, rel=1e-9)
+    _, coarse_warnings = scan_roots(d, grid_points=101)
+    assert "adjacent-brackets" in coarse_warnings
+    ref, ref_warnings = scan_roots(d)
+    assert len(ref) == 3 and ref_warnings == ()
+    bs = enumerate_branches(d)
+    assert len(bs) == 3
+    assert bs.warnings == ()
+    for b, r in zip(bs, ref):
+        assert b.n_photon == pytest.approx(r, rel=1e-9)
+        assert b.residual <= BISECT_RTOL
+
+
+def test_random_points_match_scan_oracle():
+    base = paper_base_params()
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        p = replace(base, delta_c=float(rng.uniform(-20.0, 20.0)) * KAPPA,
+                    eta=float(rng.uniform(0.0, 8.0)) * KAPPA,
+                    omega_sw=float(rng.uniform(0.0, 40.0)) * base.omega_R)
+        for ck in (False, True):
+            d = derive_params(p.with_ck(ck))
+            ref, _ = scan_roots(d)
+            mine = [b.n_photon for b in enumerate_branches(d)]
+            assert len(mine) == len(ref), (p, ck)
+            for a, r in zip(mine, ref):
+                assert a == pytest.approx(r, rel=1e-9), (p, ck)
 
 
 def test_branch_set_sequence_protocol():

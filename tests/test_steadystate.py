@@ -65,6 +65,15 @@ def test_lyapunov_refuses_marginal():
         solve_lyapunov(dd)
 
 
+def test_lyapunov_uses_the_callers_report():
+    _, _, dd = _stable_dd()
+    rep = classify_stability(dd)
+    assert np.array_equal(solve_lyapunov(dd, rep).V, solve_lyapunov(dd).V)
+    _, _, middle = _stable_dd(index=1)
+    with pytest.raises(UnstableDriftError, match="unstable"):
+        solve_lyapunov(middle, classify_stability(middle))
+
+
 def test_composed_rk4_equals_literal_recursion():
     _, _, dd = _stable_dd()
     scale = float(np.max(np.abs(dd.A)))

@@ -1,0 +1,152 @@
+"""Per-layer and per-preset timings of becck, written to one JSON file.
+
+    python scripts/bench.py --out REPORT.json [--before CHECKOUT]
+                            [--repeats N]
+
+Measures the package in this checkout's ``src/`` ("after") and, with
+``--before``, the ``src/`` of another checkout, such as an export of the
+parent commit ("before"). Each side runs in a fresh interpreter with one
+BLAS thread. Recorded per side:
+
+* per-layer medians at three fixed points (monostable, bistable, and the
+  strong drive eta = 7 kappa), each in microseconds per call:
+  ``enumerate_branches``; ``build_drift_diffusion`` and
+  ``classify_stability`` per branch; ``solve_lyapunov`` and
+  ``observable_set`` per stable branch; ``row_to_csv``/``row_to_json`` per
+  row; and a two-point paired sweep at the point;
+* the serial wall time of each of the nine presets (median of
+  ``--repeats`` runs, in seconds).
+
+Timings on a shared machine swing by up to 2x; compare sides measured in
+one invocation. Nothing here asserts a time.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import timeit
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# name: (delta_c, eta) in units of kappa, cross-Kerr on
+POINTS = {"monostable": (-5.0, 2.0), "bistable": (5.0, 2.0),
+          "strong": (0.0, 7.0)}
+
+
+def _median_us(fn, number: int = 200, repeat: int = 7) -> float:
+    runs = timeit.Timer(fn).repeat(repeat=repeat, number=number)
+    return statistics.median(runs) / number * 1e6
+
+
+def _per_item_us(fn, items):
+    """Median time of ``fn`` per item, over all items in one timed call."""
+    if not items:
+        return None
+    return _median_us(lambda: [fn(*it) for it in items]) / len(items)
+
+
+def measure(repeats: int) -> dict:
+    """Timings of the becck package found first on sys.path."""
+    import dataclasses
+
+    import numpy
+
+    import becck
+    from becck.cli import row_to_csv, row_to_json
+
+    base = becck.paper_base_params()
+    k = base.kappa
+    layers = {}
+    for name, (dc, eta) in POINTS.items():
+        d = becck.derive_params(dataclasses.replace(base, delta_c=dc * k,
+                                                    eta=eta * k))
+        branches = list(becck.enumerate_branches(d))
+        dds = [becck.build_drift_diffusion(d, b) for b in branches]
+        reps = [becck.classify_stability(dd) for dd in dds]
+        stable = [(dd, r) for dd, r in zip(dds, reps)
+                  if r.stable and not r.marginal]
+        covs = [(dd, becck.solve_lyapunov(dd, r)) for dd, r in stable]
+        spec = becck.SweepSpec(var="delta_c", start=dc * k,
+                               stop=(dc + 0.01) * k, count=2,
+                               base=dataclasses.replace(base, eta=eta * k))
+        rows = becck.run_sweep(spec, workers=1)
+        layers[name] = {
+            "branches": len(branches), "stable": len(stable),
+            "enumerate_us": _median_us(lambda: becck.enumerate_branches(d),
+                                       number=50),
+            "build_us": _per_item_us(becck.build_drift_diffusion,
+                                     [(d, b) for b in branches]),
+            "classify_us": _per_item_us(becck.classify_stability,
+                                        [(dd,) for dd in dds]),
+            "lyapunov_us": _per_item_us(becck.solve_lyapunov, stable),
+            "observables_us": _per_item_us(becck.observable_set, covs),
+            "row_to_csv_us": _per_item_us(row_to_csv, [(r,) for r in rows]),
+            "row_to_json_us": _per_item_us(row_to_json, [(r,) for r in rows]),
+            "sweep_2_points_us": _median_us(
+                lambda: becck.run_sweep(spec, workers=1), number=20),
+        }
+    presets = {}
+    for name in becck.preset_names():
+        spec = becck.preset_spec(name)
+        presets[name] = statistics.median(
+            timeit.Timer(lambda: becck.run_sweep(spec, workers=1)).repeat(
+                repeat=repeats, number=1))
+    return {"python": platform.python_version(), "numpy": numpy.__version__,
+            "per_layer": layers, "preset_wall_s": presets}
+
+
+def cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def run_side(checkout: Path, repeats: int) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, __file__, "--measure",
+                           "--repeats", str(repeats)],
+                          capture_output=True, text=True, env=env, check=True)
+    return json.loads(proc.stdout)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--before", type=Path,
+                        help="another checkout to measure as 'before'")
+    parser.add_argument("--out", type=Path, help="path of the JSON report")
+    parser.add_argument("--repeats", type=int, default=3,
+                        help="runs per preset (median reported)")
+    parser.add_argument("--measure", action="store_true",
+                        help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.measure:
+        print(json.dumps(measure(args.repeats)))
+        return 0
+    if args.out is None:
+        parser.error("--out is required")
+    report = {"machine": {"cpu": cpu_model(), "cpu_count": os.cpu_count(),
+                          "platform": platform.platform()},
+              "after": run_side(ROOT, args.repeats)}
+    if args.before is not None:
+        report["before"] = run_side(args.before.resolve(), args.repeats)
+    args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -18,14 +19,14 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import (DriftDiffusion, InternalConsistencyError,
-                       build_drift_diffusion, classify_stability,
-                       finite_difference_jacobian, quadrature_fixed_point)
-from .meanfield import consistency_residual, enumerate_branches
-from .model import DerivedParams, DomainError, SystemParams, derive_params
-from .steadystate import (UnstableDriftError, integrate_moment_ode,
-                          logarithmic_negativity, observable_set,
-                          solve_lyapunov, squeezing_and_excitation,
-                          symplectic_eigenvalues)
+                       build_drift_diffusion, classify_batch,
+                       classify_stability, finite_difference_jacobian,
+                       quadrature_fixed_point)
+from .meanfield import enumerate_branches
+from .model import DomainError, SystemParams, derive_params, validity_flags
+from .steadystate import (UnstableDriftError, gaussian_states,
+                          integrate_moment_ode, logarithmic_negativity,
+                          solve_lyapunov)
 from .sweep import (SweepSpec, SweepRow, preset_names, preset_spec,
                     resolve_workers, run_sweep)
 
@@ -38,6 +39,7 @@ EXIT_VERIFY = 5
 CSV_HEADER = ("sweep_var,sweep_value,ck,branch,n_photon,alpha_re,alpha_im,"
               "beta_re,beta_im,delta_eff,omega_b,omega_b_ratio,stable,"
               "e_n,s_q,s_p,n_incoh,lattice_ok,bogoliubov_ok")
+CSV_COLUMNS = tuple(CSV_HEADER.split(","))
 
 PARAM_KEYS = ("N", "g0", "delta_a", "omega_R", "omega_sw", "kappa", "gamma",
               "delta_c", "eta", "T", "ck_enabled")
@@ -117,7 +119,7 @@ def build_config(data: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
-    base = paper_defaults()
+    base = dataclasses.asdict(SystemParams())
     # kappa and omega_R resolve first so '*kappa'/'*omegaR' can reference them
     kappa = parse_quantity(data.get("kappa", base["kappa"]), key="kappa")
     omega_R = parse_quantity(data.get("omega_R", base["omega_R"]),
@@ -171,23 +173,6 @@ def build_config(data: dict) -> RunConfig:
     return RunConfig(params=params, **extras)
 
 
-def paper_defaults() -> dict:
-    kappa = 2.0 * math.pi * 1.3e6
-    return dict(
-        N=100_000,
-        g0=2.0 * math.pi * 14.1e6,
-        delta_a=7.5e11,
-        omega_R=2.37e4,
-        omega_sw=2.37e4,
-        kappa=kappa,
-        gamma=1e-3 * kappa,
-        delta_c=0.0,
-        eta=0.0,
-        T=1e-7,
-        ck_enabled=True,
-    )
-
-
 def dump_config(cfg: RunConfig) -> str:
     """Canonical JSON form; re-parsing it reproduces the same RunConfig."""
     data: dict = {k: getattr(cfg.params, k) for k in PARAM_KEYS}
@@ -195,9 +180,6 @@ def dump_config(cfg: RunConfig) -> str:
         val = getattr(cfg, key)
         if val is not None:
             data[key] = val
-    if cfg.format == "csv":
-        data.pop("format", None)
-        data["format"] = "csv"
     return json.dumps(data, indent=2, sort_keys=True)
 
 
@@ -246,54 +228,30 @@ def _fmt(x) -> str:
         return ""
     if isinstance(x, bool):
         return "true" if x else "false"
+    if isinstance(x, str):
+        return x
     return f"{x:.17g}"
 
 
+def _row_cells(row: SweepRow) -> tuple:
+    """The 19 column values of a row, in CSV_HEADER order."""
+    return (row.sweep_var, row.sweep_value, "on" if row.ck_enabled else "off",
+            row.branch_index, row.n_photon, row.alpha.real, row.alpha.imag,
+            row.beta.real, row.beta.imag, row.Delta, row.omega_B,
+            row.omega_B_ratio, row.stable, row.E_N, row.S_Q, row.S_P,
+            row.n_incoherent, row.lattice_ok, row.bogoliubov_ok)
+
+
 def row_to_csv(row: SweepRow) -> str:
-    cells = [
-        row.sweep_var,
-        _fmt(row.sweep_value),
-        "on" if row.ck_enabled else "off",
-        str(row.branch_index),
-        _fmt(row.n_photon),
-        _fmt(row.alpha.real),
-        _fmt(row.alpha.imag),
-        _fmt(row.beta.real),
-        _fmt(row.beta.imag),
-        _fmt(row.Delta),
-        _fmt(row.omega_B),
-        _fmt(row.omega_B_ratio),
-        _fmt(row.stable),
-        _fmt(row.E_N),
-        _fmt(row.S_Q),
-        _fmt(row.S_P),
-        _fmt(row.n_incoherent),
-        _fmt(row.lattice_ok),
-        _fmt(row.bogoliubov_ok),
-    ]
-    return ",".join(cells)
+    return ",".join(map(_fmt, _row_cells(row)))
 
 
 def row_to_json(row: SweepRow) -> str:
-    names = CSV_HEADER.split(",")
-    cells = row_to_csv(row).split(",")
-    obj = {}
-    for name, cell in zip(names, cells):
-        if cell == "":
-            obj[name] = None
-        elif name in ("sweep_var", "ck"):
-            obj[name] = cell
-        elif name == "branch":
-            obj[name] = int(cell)
-        elif cell in ("true", "false"):
-            obj[name] = cell == "true"
-        else:
-            obj[name] = float(cell)
-    return json.dumps(obj, sort_keys=False)
+    # %.17g round-trips a float, so the JSON numbers equal the CSV cells
+    return json.dumps(dict(zip(CSV_COLUMNS, _row_cells(row))))
 
 
-def branch_report(d: DerivedParams, b, dd: DriftDiffusion, rep,
-                  obs, flags_ok) -> dict:
+def branch_report(b, rep, obs, flags_ok) -> dict:
     rec = {
         "branch_index": b.branch_index,
         "n_photon": b.n_photon,
@@ -335,20 +293,17 @@ def branch_report(d: DerivedParams, b, dd: DriftDiffusion, rep,
 # subcommands
 
 def cmd_steady(cfg: RunConfig, stream) -> int:
-    from .model import validity_flags
-
     d = derive_params(cfg.params)
     bset = enumerate_branches(d)
+    dds = [build_drift_diffusion(d, b) for b in bset]
+    names = [f"branch {b.branch_index}" for b in bset]
+    reports = classify_batch(dds, names)
     branches = []
-    for b in bset:
-        dd = build_drift_diffusion(d, b)
-        rep = classify_stability(dd)
-        obs = None
-        if rep.stable and not rep.marginal:
-            obs = observable_set(dd, solve_lyapunov(dd, rep))
+    for b, rep, state in zip(bset, reports, gaussian_states(dds, reports, names)):
+        obs = state[1] if state else None
         flags = validity_flags(d, b.n_photon,
                                obs.n_incoherent if obs else None)
-        branches.append(branch_report(d, b, dd, rep, obs, flags))
+        branches.append(branch_report(b, rep, obs, flags))
     report = {
         "params": {
             "U0": d.U0, "Omega_c": d.Omega_c, "zeta": d.zeta, "g": d.g,
@@ -548,7 +503,9 @@ def cmd_verify(cfg: RunConfig, stream, seed: int = 20260813,
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (it is only read)."""
     parser = argparse.ArgumentParser(
         prog="becck",
         description="Steady states and Gaussian fluctuations of a driven "
@@ -564,8 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="figure preset name")
         s.add_argument("--out", help="output path (default stdout)")
         s.add_argument("--workers", type=int,
-                       help="process count for sweeps (default "
-                            "BECCK_WORKERS or 1)")
+                       help="validated for compatibility; sweeps run in "
+                            "one process (default BECCK_WORKERS or 1)")
         s.add_argument("--seed", type=int, default=20260813,
                        help="seed for randomized verification draws")
         s.add_argument("--dump-config", action="store_true",

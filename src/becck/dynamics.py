@@ -13,13 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .meanfield import MeanFieldBranch
-from .model import DerivedParams, bogoliubov_frequency, thermal_occupation
+from .model import (DerivedParams, InternalConsistencyError,
+                    bogoliubov_frequency, thermal_occupation)
 
 MARGINAL_BAND = 1e-6  # in units of kappa
-
-
-class InternalConsistencyError(RuntimeError):
-    """Two independent computations of the same quantity disagree."""
 
 
 @dataclass(frozen=True)
@@ -129,32 +126,77 @@ def finite_difference_jacobian(d: DerivedParams, state,
     return J
 
 
-def characteristic_coefficients(A: np.ndarray) -> tuple[float, float, float, float]:
+def _trace(M: np.ndarray) -> np.ndarray:
+    # elementwise, so a stacked trace is bitwise that of each matrix alone
+    return M[..., 0, 0] + M[..., 1, 1] + M[..., 2, 2] + M[..., 3, 3]
+
+
+def characteristic_coefficients(A: np.ndarray) -> tuple:
     """Coefficients (a3, a2, a1, a0) of det(sI - A) via Faddeev-LeVerrier.
 
     Uses traces of matrix powers only, keeping the result independent of any
-    eigensolver.
+    eigensolver. A stack of matrices (..., 4, 4) gives arrays of coefficients.
     """
-    p1 = np.trace(A)
+    p1 = _trace(A)
     A2 = A @ A
-    p2 = np.trace(A2)
+    p2 = _trace(A2)
     A3 = A2 @ A
-    p3 = np.trace(A3)
-    p4 = np.trace(A3 @ A)
+    p3 = _trace(A3)
+    p4 = _trace(A3 @ A)
     a3 = -p1
     a2 = (p1 * p1 - p2) / 2.0
     a1 = -(p1 ** 3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
     a0 = (p1 ** 4 - 6.0 * p1 * p1 * p2 + 3.0 * p2 * p2
           + 8.0 * p1 * p3 - 6.0 * p4) / 24.0
-    return float(a3), float(a2), float(a1), float(a0)
+    return a3, a2, a1, a0
 
 
-def routh_hurwitz_quartic(a3: float, a2: float, a1: float, a0: float) -> bool:
-    """Hurwitz conditions for s^4 + a3 s^3 + a2 s^2 + a1 s + a0."""
+def routh_hurwitz_quartic(a3, a2, a1, a0):
+    """Hurwitz conditions for s^4 + a3 s^3 + a2 s^2 + a1 s + a0.
+
+    Elementwise on arrays of coefficients.
+    """
     c1 = a3
     c2 = a3 * a2 - a1
     c3 = c2 * a1 - a3 * a3 * a0
-    return c1 > 0.0 and c2 > 0.0 and c3 > 0.0 and a0 > 0.0
+    return (c1 > 0.0) & (c2 > 0.0) & (c3 > 0.0) & (a0 > 0.0)
+
+
+def _labelled(names, i: int, message: str) -> str:
+    """``message`` prefixed with the name of batch item ``i``, if named."""
+    return f"{names[i]}: {message}" if names else message
+
+
+def classify_batch(dds, names=None) -> list:
+    """``classify_stability`` of every drift matrix in ``dds`` at once.
+
+    ``names`` (optional) label the first failing item in an exception.
+    """
+    A = np.stack([dd.A for dd in dds])
+    kappa = np.array([dd.kappa for dd in dds])
+    # scale out the rate magnitude so the quartic coefficients stay O(1)
+    scale = np.max(np.abs(A), axis=(1, 2))
+    bad = np.flatnonzero((scale == 0.0) | ~np.isfinite(scale))
+    if bad.size:
+        raise ValueError(_labelled(names, bad[0],
+                                  "drift matrix must be finite and nonzero"))
+    eigs = np.linalg.eigvals(A).astype(complex)
+    max_real = eigs.real.max(axis=1)
+    rh = routh_hurwitz_quartic(
+        *characteristic_coefficients(A / scale[:, None, None]))
+    stable = max_real < 0.0
+    marginal = np.abs(max_real) <= MARGINAL_BAND * kappa
+    bad = np.flatnonzero(~marginal & (rh != stable))
+    if bad.size:
+        i = bad[0]
+        raise InternalConsistencyError(_labelled(
+            names, i, f"Routh-Hurwitz verdict {rh[i]} contradicts eigenvalue "
+            f"verdict {stable[i]} (max_real_part={max_real[i]:.6e} rad/s)"))
+    return [StabilityReport(eigenvalues=tuple(e), max_real_part=m,
+                            routh_hurwitz_pass=r, stable=s, marginal=g)
+            for e, m, r, s, g in zip(eigs.tolist(), max_real.tolist(),
+                                     rh.tolist(), stable.tolist(),
+                                     marginal.tolist())]
 
 
 def classify_stability(dd: DriftDiffusion) -> StabilityReport:
@@ -164,24 +206,4 @@ def classify_stability(dd: DriftDiffusion) -> StabilityReport:
     the imaginary axis by more than 1e-6*kappa; a disagreement outside that
     band raises InternalConsistencyError.
     """
-    # scale out the rate magnitude so the quartic coefficients stay O(1)
-    scale = float(np.max(np.abs(dd.A)))
-    if scale == 0.0 or not np.isfinite(scale):
-        raise ValueError("drift matrix must be finite and nonzero")
-    An = dd.A / scale
-    eigs = np.linalg.eigvals(dd.A)
-    max_real = float(np.max(eigs.real))
-    rh = routh_hurwitz_quartic(*characteristic_coefficients(An))
-    stable = max_real < 0.0
-    marginal = abs(max_real) <= MARGINAL_BAND * dd.kappa
-    if not marginal and rh != stable:
-        raise InternalConsistencyError(
-            f"Routh-Hurwitz verdict {rh} contradicts eigenvalue verdict "
-            f"{stable} (max_real_part={max_real:.6e} rad/s)")
-    return StabilityReport(
-        eigenvalues=tuple(complex(z) for z in eigs),
-        max_real_part=max_real,
-        routh_hurwitz_pass=rh,
-        stable=stable,
-        marginal=marginal,
-    )
+    return classify_batch([dd])[0]

@@ -20,13 +20,14 @@ around it and is then polished by bisection on f itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedParams, omega_pm
+from .model import DerivedParams, InternalConsistencyError, omega_pm
 
-BISECT_RTOL = 1e-12
+BISECT_RTOL = 1e-12  # residual reached at the paper's parameters, not a bound
 # companion-matrix roots kept as candidates: |Im x| <= IMAG_TOL*max(1, |x|)
 IMAG_TOL = 1e-6
 
@@ -87,8 +88,9 @@ def consistency_residual(d: DerivedParams, n):
 
 
 def upper_bound_photons(d: DerivedParams) -> float:
-    """Rigorous bound n = eta^2/(Delta^2+kappa^2) <= eta^2/kappa^2."""
-    return (d.eta / d.kappa) ** 2
+    """Rigorous bound n = eta^2/(Delta^2+kappa^2) <= eta^2/kappa^2 (or inf)."""
+    r = d.eta / d.kappa
+    return r * r
 
 
 def _branch_from_root(d: DerivedParams, n: float, index: int) -> MeanFieldBranch:
@@ -116,7 +118,7 @@ def _branch_from_root(d: DerivedParams, n: float, index: int) -> MeanFieldBranch
 
 def _bisect(d: DerivedParams, lo: float, hi: float, flo: float, fhi: float) -> float:
     # endpoints guaranteed to straddle a sign change (flo*fhi <= 0);
-    # runs to floating-point exhaustion, well past the documented 1e-12
+    # runs to floating-point exhaustion
     if flo == 0.0:
         return lo
     if fhi == 0.0:
@@ -180,17 +182,31 @@ def enumerate_branches(d: DerivedParams) -> BranchSet:
     neighbouring candidates and at n_hi. A root is accepted only where f
     changes sign between two neighbouring separators, so a near-fold
     complex pair adds nothing, and it is polished by bisection on f to
-    floating-point exhaustion (relative residual well under 1e-12). Since
-    f(0) < 0 < f(n_hi), at least one branch is always found.
+    floating-point exhaustion. Since f(0) < 0 < f(n_hi), at least one branch
+    is always found.
+
+    The relative residual |f(n)|/eta^2 left at a root is the rounding error
+    of f there, about eps*n*(2|Delta|*S + Delta^2 + kappa^2)/eta^2 with S
+    the sum of the magnitudes of the three terms of Delta(n). It grows where
+    they cancel: at delta_a = -7.5e8 rad/s, delta_c = -5 kappa, eta = 2 kappa
+    S/|Delta| = 2.9e4 on the upper branches, whose residuals are 7.8e-12
+    and 3.0e-12 (estimate 1.3e-11).
 
     A warning is attached rather than raised:
 
     * ``branch-count=<k>``: branch count outside {1, 3}.
+
+    Raises InternalConsistencyError when eta^2/kappa^2 or a coefficient of
+    the polynomial overflows (from about eta = 1e150 kappa).
     """
     n_hi = upper_bound_photons(d) * (1.0 + 1e-6)
     if n_hi == 0.0:  # no drive, or one too weak to lift n above underflow
         return BranchSet(branches=(_branch_from_root(d, 0.0, 0),))
-    x = np.roots(_branch_polynomial(d, n_hi))
+    poly = _branch_polynomial(d, n_hi) if math.isfinite(n_hi) else [n_hi]
+    if not np.isfinite(poly).all():
+        raise InternalConsistencyError(
+            f"branch polynomial overflows at eta = {d.eta:.6e} rad/s")
+    x = np.roots(poly)
     keep = ((np.abs(x.imag) <= IMAG_TOL * np.maximum(1.0, np.abs(x)))
             & (x.real >= 0.0) & (x.real <= 1.0))
     cand = np.sort(x.real[keep])

@@ -25,6 +25,11 @@ class DomainError(ValueError):
     """An input violates a declared precondition."""
 
 
+class InternalConsistencyError(RuntimeError):
+    """Two independent computations of the same quantity disagree, or a
+    result is not representable."""
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Microscopic inputs.

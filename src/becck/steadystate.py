@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import (DriftDiffusion, InternalConsistencyError,
-                       StabilityReport, classify_stability)
+                       StabilityReport, _labelled, classify_stability)
 
 RESIDUAL_BOUND = 1e-10      # times ||D||_max
 PHYSICALITY_SLACK = 1e-9    # allowed dip of symplectic eigenvalues below 1/2
@@ -47,27 +47,64 @@ class ObservableSet:
     n_c: float
 
 
+_ROWS, _COLS = np.array(_PAIRS).T
+
+
 def _sym_vec(M: np.ndarray) -> np.ndarray:
-    return np.array([M[i, j] for i, j in _PAIRS])
+    return M[..., _ROWS, _COLS]
 
 
 def _sym_unvec(v: np.ndarray) -> np.ndarray:
-    M = np.empty((4, 4))
-    for val, (i, j) in zip(v, _PAIRS):
-        M[i, j] = val
-        M[j, i] = val
+    M = np.empty(v.shape[:-1] + (4, 4))
+    M[..., _ROWS, _COLS] = v
+    M[..., _COLS, _ROWS] = v
     return M
 
 
+# the ten unit symmetric matrices E_k, one per pair
+_UNITS = np.zeros((10, 4, 4))
+_UNITS[np.arange(10), _ROWS, _COLS] = 1.0
+_UNITS[np.arange(10), _COLS, _ROWS] = 1.0
+
+
 def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
-    """Matrix of V -> A V + V A^T acting on sym-vectorized V (10x10)."""
-    L = np.empty((10, 10))
-    for col, (i, j) in enumerate(_PAIRS):
-        E = np.zeros((4, 4))
-        E[i, j] = 1.0
-        E[j, i] = 1.0
-        L[:, col] = _sym_vec(A @ E + E @ A.T)
-    return L
+    """Matrix of V -> A V + V A^T acting on sym-vectorized V (10x10).
+
+    Accepts one drift matrix or a stack (..., 4, 4). Column k is
+    A E_k + (A E_k)^T; each entry is a sum of at most two entries of A.
+    """
+    AE = A[..., None, :, :] @ _UNITS
+    return _sym_vec(AE + AE.swapaxes(-1, -2)).swapaxes(-1, -2)
+
+
+def lyapunov_batch(dds, reports, names=None) -> list:
+    """``solve_lyapunov`` of every item in one stacked solve, given each
+    item's StabilityReport; ``names`` label a failing item."""
+    for i, report in enumerate(reports):
+        if not report.stable or report.marginal:
+            kind = "marginal" if report.marginal else "unstable"
+            raise UnstableDriftError(_labelled(
+                names, i, f"drift matrix is {kind} (max_real_part="
+                f"{report.max_real_part:.6e} rad/s); no stationary covariance"))
+    A = np.stack([dd.A for dd in dds])
+    D = np.stack([dd.D for dd in dds])
+    scale = np.max(np.abs(A), axis=(1, 2))[:, None, None]
+    L = _lyapunov_operator(A / scale)
+    rhs = -_sym_vec(D / scale)[..., None]
+    v = np.linalg.solve(L, rhs)
+    v += np.linalg.solve(L, rhs - L @ v)  # one refinement pass
+    V = _sym_unvec(v[..., 0])
+
+    resid = np.max(np.abs(A @ V + V @ A.transpose(0, 2, 1) + D), axis=(1, 2))
+    bound = RESIDUAL_BOUND * np.max(np.abs(D), axis=(1, 2))
+    bad = np.flatnonzero(resid > bound)
+    if bad.size:
+        i = bad[0]
+        raise InternalConsistencyError(_labelled(
+            names, i, f"Lyapunov residual {resid[i]:.3e} exceeds bound "
+            f"{bound[i]:.3e}"))
+    return [CovarianceMatrix(V=Vi, residual=r)
+            for Vi, r in zip(V, resid.tolist())]
 
 
 def solve_lyapunov(dd: DriftDiffusion,
@@ -82,27 +119,7 @@ def solve_lyapunov(dd: DriftDiffusion,
     """
     if report is None:
         report = classify_stability(dd)
-    if not report.stable or report.marginal:
-        kind = "marginal" if report.marginal else "unstable"
-        raise UnstableDriftError(
-            f"drift matrix is {kind} (max_real_part="
-            f"{report.max_real_part:.6e} rad/s); no stationary covariance")
-
-    scale = float(np.max(np.abs(dd.A)))
-    An = dd.A / scale
-    Dn = dd.D / scale
-    L = _lyapunov_operator(An)
-    rhs = -_sym_vec(Dn)
-    v = np.linalg.solve(L, rhs)
-    v += np.linalg.solve(L, rhs - L @ v)  # one refinement pass
-    V = _sym_unvec(v)
-
-    resid = float(np.max(np.abs(dd.A @ V + V @ dd.A.T + dd.D)))
-    bound = RESIDUAL_BOUND * float(np.max(np.abs(dd.D)))
-    if resid > bound:
-        raise InternalConsistencyError(
-            f"Lyapunov residual {resid:.3e} exceeds bound {bound:.3e}")
-    return CovarianceMatrix(V=V, residual=resid)
+    return lyapunov_batch([dd], [report])[0]
 
 
 def integrate_moment_ode(dd: DriftDiffusion, V0: np.ndarray,
@@ -149,92 +166,109 @@ def integrate_moment_ode(dd: DriftDiffusion, V0: np.ndarray,
     return _sym_unvec(v)
 
 
-def _rk4_literal(dd: DriftDiffusion, V0: np.ndarray, t_final: float,
-                 n_steps: int) -> np.ndarray:
-    """Plain step-by-step RK4 on the 4x4 matrix ODE (test reference)."""
-    A, D = dd.A, dd.D
-    V = np.array(V0, dtype=float)
-    h = t_final / n_steps
-
-    def f(M):
-        return A @ M + M @ A.T + D
-
-    for _ in range(n_steps):
-        k1 = f(V)
-        k2 = f(V + 0.5 * h * k1)
-        k3 = f(V + 0.5 * h * k2)
-        k4 = f(V + h * k3)
-        V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return V
+# i times the two-mode symplectic form
+_I_OMEGA = 1j * np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
 
 def symplectic_eigenvalues(V: np.ndarray) -> np.ndarray:
     """Both symplectic eigenvalues of a two-mode covariance matrix.
 
     Computed as the absolute values of the (pairwise) eigenvalues of
-    i*Omega*V with the standard two-mode symplectic form Omega.
+    i*Omega*V with the standard two-mode symplectic form Omega. A stack
+    (..., 4, 4) gives (..., 2).
     """
-    J = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    Omega = np.block([[J, np.zeros((2, 2))], [np.zeros((2, 2)), J]])
-    ev = np.linalg.eigvals(1j * Omega @ V)
-    nu = np.sort(np.abs(ev.real))  # spectrum is {+nu1, -nu1, +nu2, -nu2}
-    return np.array([0.5 * (nu[0] + nu[1]), 0.5 * (nu[2] + nu[3])])
+    ev = np.linalg.eigvals(_I_OMEGA @ V)
+    # spectrum is {+nu1, -nu1, +nu2, -nu2}
+    nu = np.sort(np.abs(ev.real), axis=-1)
+    return 0.5 * np.stack([nu[..., 0] + nu[..., 1], nu[..., 2] + nu[..., 3]],
+                          axis=-1)
 
 
-def check_physical(V: np.ndarray) -> np.ndarray:
-    """Validate the uncertainty relation; returns the symplectic eigenvalues."""
+def check_physical(V: np.ndarray, names=None) -> np.ndarray:
+    """Validate the uncertainty relation; returns the symplectic eigenvalues.
+
+    Accepts one covariance matrix or a stack, labelled by ``names``.
+    """
     nus = symplectic_eigenvalues(V)
-    if np.any(nus < 0.5 - PHYSICALITY_SLACK):
-        raise InternalConsistencyError(
-            f"covariance violates the uncertainty relation: "
-            f"symplectic eigenvalues {nus}")
+    bad = np.flatnonzero(np.any(nus < 0.5 - PHYSICALITY_SLACK, axis=-1))
+    if bad.size:
+        raise InternalConsistencyError(_labelled(
+            names, bad[0], f"covariance violates the uncertainty relation: "
+            f"symplectic eigenvalues {nus.reshape(-1, 2)[bad[0]]}"))
     return nus
 
 
-def logarithmic_negativity(V: np.ndarray) -> tuple[float, float]:
+def logarithmic_negativity(V: np.ndarray, names=None) -> tuple:
     """(E_N, eta_minus) from the 2x2 block determinants of V.
 
     Sigma = det V_oo + det V_aa - 2 det V_oa, and eta_minus is the lowest
     symplectic eigenvalue of the partial transpose,
     eta_minus = 2^{-1/2} * sqrt(Sigma - sqrt(Sigma^2 - 4 det V)).
-    E_N = max(0, -ln(2*eta_minus)).
+    E_N = max(0, -ln(2*eta_minus)). A stack (..., 4, 4), labelled by
+    ``names``, gives arrays.
     """
-    Voo = V[:2, :2]
-    Vaa = V[2:, 2:]
-    Voa = V[:2, 2:]
-    sigma = (np.linalg.det(Voo) + np.linalg.det(Vaa)
-             - 2.0 * np.linalg.det(Voa))
-    detV = np.linalg.det(V)
-    disc = sigma * sigma - 4.0 * detV
-    if disc < -1e-12:
-        raise InternalConsistencyError(
-            f"negative discriminant {disc:.3e} in symplectic spectrum")
-    disc = max(disc, 0.0)
-    inner = sigma - math.sqrt(disc)
-    if inner <= 0.0:
-        raise InternalConsistencyError(
-            f"nonpositive partial-transpose eigenvalue (inner={inner:.3e})")
-    eta_minus = math.sqrt(inner) / math.sqrt(2.0)
-    e_n = max(0.0, -math.log(2.0 * eta_minus))
-    return e_n, eta_minus
+    det = np.linalg.det
+    sigma = (det(V[..., :2, :2]) + det(V[..., 2:, 2:])
+             - 2.0 * det(V[..., :2, 2:]))
+    disc = sigma * sigma - 4.0 * det(V)
+    bad = np.flatnonzero(disc < -1e-12)
+    if bad.size:
+        raise InternalConsistencyError(_labelled(
+            names, bad[0], f"negative discriminant "
+            f"{np.ravel(disc)[bad[0]]:.3e} in symplectic spectrum"))
+    inner = sigma - np.sqrt(np.maximum(disc, 0.0))
+    bad = np.flatnonzero(inner <= 0.0)
+    if bad.size:
+        raise InternalConsistencyError(_labelled(
+            names, bad[0], "nonpositive partial-transpose eigenvalue "
+            f"(inner={np.ravel(inner)[bad[0]]:.3e})"))
+    eta_minus = np.sqrt(inner) / math.sqrt(2.0)
+    return np.maximum(0.0, -np.log(2.0 * eta_minus)), eta_minus
 
 
 def squeezing_and_excitation(V: np.ndarray) -> tuple[float, float]:
     """(S_Q, n_incoherent) with S_Q = 2 V_33 - 1, n_inc = (V_33 + V_44 - 1)/2.
 
     Indices are 1-based on the (dX, dY, dQ, dP) ordering, so V_33 is the dQ
-    variance. Squeezing of dQ is declared when S_Q < 0.
+    variance. Squeezing of dQ is declared when S_Q < 0. Elementwise on a
+    stack of covariance matrices.
     """
-    s_q = 2.0 * V[2, 2] - 1.0
-    n_inc = 0.5 * (V[2, 2] + V[3, 3] - 1.0)
+    s_q = 2.0 * V[..., 2, 2] - 1.0
+    n_inc = 0.5 * (V[..., 2, 2] + V[..., 3, 3] - 1.0)
     return s_q, n_inc
+
+
+def observables_batch(dds, covs, names=None) -> list:
+    """``observable_set`` of every (drift, covariance) pair at once."""
+    V = np.stack([cov.V for cov in covs])
+    check_physical(V, names)
+    e_n, eta_minus = logarithmic_negativity(V, names)
+    s_q, n_inc = squeezing_and_excitation(V)
+    s_p = 2.0 * V[:, 3, 3] - 1.0
+    return [ObservableSet(E_N=e, eta_minus=m, S_Q=q, S_P=p, n_incoherent=n,
+                          omega_B=dd.omega_B, n_c=dd.n_c)
+            for dd, e, m, q, p, n in zip(dds, e_n.tolist(), eta_minus.tolist(),
+                                         s_q.tolist(), s_p.tolist(),
+                                         n_inc.tolist())]
 
 
 def observable_set(dd: DriftDiffusion, cov: CovarianceMatrix) -> ObservableSet:
     """All Gaussian observables for one stable branch."""
-    check_physical(cov.V)
-    e_n, eta_minus = logarithmic_negativity(cov.V)
-    s_q, n_inc = squeezing_and_excitation(cov.V)
-    s_p = 2.0 * cov.V[3, 3] - 1.0
-    return ObservableSet(E_N=e_n, eta_minus=eta_minus, S_Q=s_q, S_P=s_p,
-                         n_incoherent=n_inc, omega_B=dd.omega_B, n_c=dd.n_c)
+    return observables_batch([dd], [cov])[0]
+
+
+def gaussian_states(dds, reports, names=None) -> list:
+    """Covariance and observables of every strictly stable branch, batched.
+
+    Returns, per item, a (CovarianceMatrix, ObservableSet) pair when its
+    report is stable and outside the marginal band, and None otherwise.
+    """
+    solved = [i for i, r in enumerate(reports) if r.stable and not r.marginal]
+    out: list = [None] * len(dds)
+    if solved:
+        pick = [dds[i] for i in solved]
+        label = [names[i] for i in solved] if names else None
+        covs = lyapunov_batch(pick, [reports[i] for i in solved], label)
+        for i, cov, obs in zip(solved, covs, observables_batch(pick, covs, label)):
+            out[i] = (cov, obs)
+    return out

@@ -3,26 +3,24 @@
 A sweep varies one of (delta_c, eta, omega_sw) over a uniform grid, optionally
 for both cross-Kerr settings (paired mode), enumerates every mean-field
 branch at each point, classifies stability, and computes Gaussian observables
-on stable branches. Points are independent; the engine may fan them out to a
-process pool, and the assembled row list is deterministic (bitwise) for a
-given spec regardless of worker count.
+on stable branches. All branches of a sweep are evaluated as one array batch
+in one process; the row list is deterministic (bitwise) for a given spec.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .dynamics import build_drift_diffusion, classify_stability
+from .dynamics import build_drift_diffusion, classify_batch
 from .meanfield import enumerate_branches
 from .model import (SystemParams, bogoliubov_frequency, derive_params,
                     validity_flags)
-from .steadystate import observable_set, solve_lyapunov
+from .steadystate import gaussian_states
 
 SWEEP_VARS = ("delta_c", "eta", "omega_sw")
 CK_MODES = ("on", "off", "paired")
@@ -90,29 +88,34 @@ class SweepRow:
 
 
 def paper_base_params(**overrides) -> SystemParams:
-    """The experimental parameter set used by all figure presets."""
-    kappa = 2.0 * math.pi * 1.3e6
-    defaults = dict(
-        N=100_000,
-        g0=2.0 * math.pi * 14.1e6,
-        delta_a=7.5e11,
-        omega_R=2.37e4,
-        omega_sw=2.37e4,
-        kappa=kappa,
-        gamma=1e-3 * kappa,
-        delta_c=0.0,
-        eta=kappa,
-        T=1e-7,
-        ck_enabled=True,
-    )
-    defaults.update(overrides)
-    return SystemParams(**defaults)
+    """The experimental parameter set used by all figure presets: the
+    ``SystemParams`` defaults with the drive eta = kappa."""
+    base = SystemParams()
+    return replace(base, **{"eta": base.kappa, **overrides})
 
 
-def _preset(var, lo, hi, policy, **base_overrides) -> "SweepSpec":
-    base = paper_base_params(**base_overrides)
-    return SweepSpec(var=var, start=lo, stop=hi, count=DEFAULT_GRID_COUNT,
-                     base=base, ck_mode="paired", branch_policy=policy)
+_K, _WR = SystemParams().kappa, SystemParams().omega_R
+# name: (sweep variable, start, stop, branch policy, base-parameter overrides)
+_PRESETS = {
+    "fig2a": ("delta_c", -10 * _K, 15 * _K, "lowest",
+              {"eta": _K, "omega_sw": _WR}),
+    "fig2b": ("delta_c", -10 * _K, 15 * _K, "all",
+              {"eta": 2 * _K, "omega_sw": _WR}),
+    "fig3a": ("delta_c", -10 * _K, 15 * _K, "lowest",
+              {"eta": 2 * _K, "omega_sw": 5 * _WR}),
+    "fig3b": ("delta_c", -10 * _K, 15 * _K, "lowest",
+              {"eta": 2 * _K, "omega_sw": 10 * _WR}),
+    "fig4": ("delta_c", -10 * _K, 15 * _K, "all",
+             {"eta": 2 * _K, "omega_sw": _WR}),
+    "fig5": ("eta", 0.0, 3 * _K, "highest",
+             {"delta_c": 5 * _K, "omega_sw": _WR}),
+    "fig6": ("delta_c", -10 * _K, 9 * _K, "lowest",
+             {"eta": 7 * _K, "omega_sw": _WR}),
+    "fig7": ("delta_c", -20 * _K, 20 * _K, "all",
+             {"eta": 2 * _K, "omega_sw": _WR}),
+    "fig8": ("omega_sw", 0.0, 40 * _WR, "lowest",
+             {"delta_c": -15 * _K, "eta": 5 * _K}),
+}
 
 
 def preset_spec(name: str) -> SweepSpec:
@@ -124,123 +127,90 @@ def preset_spec(name: str) -> SweepSpec:
     cross-Kerr settings have a unique stable branch, since observables there
     are compared pointwise between the two settings.
     """
-    k = 2.0 * math.pi * 1.3e6
-    wr = 2.37e4
-    table = {
-        "fig2a": lambda: _preset("delta_c", -10 * k, 15 * k, "lowest",
-                                 eta=1 * k, omega_sw=wr),
-        "fig2b": lambda: _preset("delta_c", -10 * k, 15 * k, "all",
-                                 eta=2 * k, omega_sw=wr),
-        "fig3a": lambda: _preset("delta_c", -10 * k, 15 * k, "lowest",
-                                 eta=2 * k, omega_sw=5 * wr),
-        "fig3b": lambda: _preset("delta_c", -10 * k, 15 * k, "lowest",
-                                 eta=2 * k, omega_sw=10 * wr),
-        "fig4": lambda: _preset("delta_c", -10 * k, 15 * k, "all",
-                                eta=2 * k, omega_sw=wr),
-        "fig5": lambda: _preset("eta", 0.0, 3 * k, "highest",
-                                delta_c=5 * k, omega_sw=wr),
-        "fig6": lambda: _preset("delta_c", -10 * k, 9 * k, "lowest",
-                                eta=7 * k, omega_sw=wr),
-        "fig7": lambda: _preset("delta_c", -20 * k, 20 * k, "all",
-                                eta=2 * k, omega_sw=wr),
-        "fig8": lambda: _preset("omega_sw", 0.0, 40 * wr, "lowest",
-                                delta_c=-15 * k, eta=5 * k),
-    }
-    if name not in table:
+    if name not in _PRESETS:
         raise ValueError(f"unknown preset {name!r}; "
-                         f"choose from {sorted(table)}")
-    spec = table[name]()
-    return replace(spec, preset=name)
+                         f"choose from {sorted(_PRESETS)}")
+    var, lo, hi, policy, overrides = _PRESETS[name]
+    return SweepSpec(var=var, start=lo, stop=hi, count=DEFAULT_GRID_COUNT,
+                     base=paper_base_params(**overrides), ck_mode="paired",
+                     branch_policy=policy, preset=name)
 
 
 def preset_names() -> tuple:
-    return ("fig2a", "fig2b", "fig3a", "fig3b", "fig4",
-            "fig5", "fig6", "fig7", "fig8")
+    return tuple(_PRESETS)
 
 
 def _point_params(spec: SweepSpec, value: float, ck: bool) -> SystemParams:
     return replace(spec.base, ck_enabled=ck, **{spec.var: float(value)})
 
 
-def _rows_for_point(spec: SweepSpec, value: float, ck: bool) -> list:
-    p = _point_params(spec, value, ck)
-    d = derive_params(p)
-    bset = enumerate_branches(d)
-    point_warnings = bset.warnings
-    omega_c = bogoliubov_frequency(d, 0.0)
-
-    reports = []
-    for b in bset:
-        dd = build_drift_diffusion(d, b)
-        rep = classify_stability(dd)
-        reports.append((b, dd, rep))
+def _rows_for_points(spec: SweepSpec, values) -> list:
+    """Rows of the grid ``values``, in grid order: one branch enumeration
+    per (value, ck setting), then one batched evaluation of all branches."""
+    cks = {"on": (True,), "off": (False,), "paired": (False, True)}[spec.ck_mode]
+    points = []
+    for j, value in enumerate(values):
+        for ck in cks:
+            d = derive_params(_point_params(spec, value, ck))
+            points.append((j, float(value), ck, d, enumerate_branches(d)))
+    branches = [(point, b) for point in points for b in point[4]]
+    dds = [build_drift_diffusion(point[3], b) for point, b in branches]
+    names = [f"{spec.var}={point[1]!r} ck={point[2]} branch {b.branch_index}"
+             for point, b in branches]
+    reports = classify_batch(dds, names)
 
     # a branch only counts as stable for covariance purposes when it is
     # strictly stable and outside the near-marginal band
-    def covariance_grade(rep):
-        return rep.stable and not rep.marginal
-
-    if spec.branch_policy == "all":
-        selected = list(range(len(reports)))
-    else:
-        stable_ids = [i for i, (_, _, rep) in enumerate(reports)
-                      if covariance_grade(rep)]
-        if not stable_ids:
-            selected = [0]
-            point_warnings = point_warnings + ("no-stable-branch",)
+    grade = [r.stable and not r.marginal for r in reports]
+    pick = {"lowest": 0, "highest": -1}.get(spec.branch_policy)
+    selected, no_stable, first = [], set(), 0
+    for point in points:
+        ids = range(first, first + len(point[4]))
+        first += len(ids)
+        stable_ids = [i for i in ids if grade[i]]
+        if pick is None:
+            selected += ids
+        elif stable_ids:
+            selected.append(stable_ids[pick])
         else:
-            pick = stable_ids[0] if spec.branch_policy == "lowest" else stable_ids[-1]
-            selected = [pick]
+            selected.append(ids[0])
+            no_stable.add(ids[0])
+    states = gaussian_states([dds[i] for i in selected],
+                             [reports[i] for i in selected],
+                             [names[i] for i in selected])
 
-    rows = []
-    for i in selected:
-        b, dd, rep = reports[i]
-        stable = covariance_grade(rep)
-        obs = None
-        cov = None
-        if stable:
-            cov = solve_lyapunov(dd, rep)
-            obs = observable_set(dd, cov)
-        omega_b = dd.omega_B
-        flags = validity_flags(d, b.n_photon,
-                               obs.n_incoherent if obs else None)
-        rows.append(SweepRow(
-            sweep_var=spec.var,
-            sweep_value=float(value),
-            ck_enabled=ck,
-            branch_index=b.branch_index,
-            n_branches=len(bset),
-            n_photon=b.n_photon,
-            alpha=b.alpha,
-            beta=b.beta,
-            Delta=b.Delta,
+    keyed = []
+    for i, state in zip(selected, states):
+        (j, value, ck, d, bset), b = branches[i]
+        cov, obs = state or (None, None)
+        E_N, S_Q, S_P, n_inc = ((obs.E_N, obs.S_Q, obs.S_P, obs.n_incoherent)
+                                if obs else (None,) * 4)
+        flags = validity_flags(d, b.n_photon, n_inc)
+        omega_b = dds[i].omega_B
+        keyed.append(((j, b.branch_index, ck), SweepRow(
+            sweep_var=spec.var, sweep_value=value, ck_enabled=ck,
+            branch_index=b.branch_index, n_branches=len(bset),
+            n_photon=b.n_photon, alpha=b.alpha, beta=b.beta, Delta=b.Delta,
             omega_B=omega_b,
-            omega_B_ratio=omega_b / omega_c,
-            stable=stable,
-            E_N=obs.E_N if obs else None,
-            S_Q=obs.S_Q if obs else None,
-            S_P=obs.S_P if obs else None,
-            n_incoherent=obs.n_incoherent if obs else None,
+            omega_B_ratio=omega_b / bogoliubov_frequency(d, 0.0),
+            stable=grade[i], E_N=E_N, S_Q=S_Q, S_P=S_P, n_incoherent=n_inc,
             lattice_ok=flags["lattice_depth_ok"],
             bogoliubov_ok=flags["bogoliubov_ok"],
-            warnings=point_warnings,
+            warnings=bset.warnings + (("no-stable-branch",)
+                                      if i in no_stable else ()),
             covariance=cov.V if cov else None,
-            max_real_part=rep.max_real_part,
-        ))
-    return rows
-
-
-def _evaluate_point(args) -> list:
-    spec, value = args
-    cks = {"on": (True,), "off": (False,), "paired": (False, True)}[spec.ck_mode]
-    per_ck = {ck: _rows_for_point(spec, value, ck) for ck in cks}
-    # deterministic order: branch index, then ck off before on
-    rows = [row for ck_rows in per_ck.values() for row in ck_rows]
-    rows.sort(key=lambda r: (r.branch_index, r.ck_enabled))
-    return rows
+            max_real_part=reports[i].max_real_part,
+        )))
+    # deterministic order: grid value, then branch index, then ck off before on
+    keyed.sort(key=lambda item: item[0])
+    return [row for _, row in keyed]
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
+    """Validated worker count: ``workers``, else BECCK_WORKERS, else 1.
+
+    Accepted for compatibility only: every sweep runs in one process.
+    """
     if workers is None:
         env = os.environ.get("BECCK_WORKERS", "").strip()
         workers = int(env) if env else 1
@@ -251,15 +221,8 @@ def resolve_workers(workers: Optional[int] = None) -> int:
 
 def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> list:
     """Evaluate the sweep and return rows in deterministic grid order."""
-    workers = resolve_workers(workers)
-    tasks = [(spec, v) for v in spec.grid()]
-    if workers == 1:
-        chunks = map(_evaluate_point, tasks)
-        return [row for chunk in chunks for row in chunk]
-    chunksize = max(1, len(tasks) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        chunks = pool.map(_evaluate_point, tasks, chunksize=chunksize)
-        return [row for chunk in chunks for row in chunk]
+    resolve_workers(workers)
+    return _rows_for_points(spec, spec.grid())
 
 
 def bistable_window(rows) -> Optional[tuple]:

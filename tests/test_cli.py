@@ -7,9 +7,10 @@ import sys
 import pytest
 
 import becck
-from becck import paper_base_params
+from becck import SweepSpec, paper_base_params, run_sweep
 from becck.cli import (CSV_HEADER, ConfigError, build_config, dump_config,
-                       main, parse_quantity, row_to_csv, sweep_spec_from_config)
+                       main, parse_quantity, row_to_csv, row_to_json,
+                       sweep_spec_from_config)
 
 KAPPA = paper_base_params().kappa
 OMEGA_R = paper_base_params().omega_R
@@ -165,6 +166,17 @@ def test_steady_nonfinite_result_is_internal_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "NaN" not in captured.out
     assert captured.err.startswith("internal consistency error: ")
+    # (eta/kappa)^2 itself overflows here: one line, no traceback
+    cfg = _write(tmp_path, {"eta": "1e160*kappa"}, name="huge.json")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(becck.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "becck", "steady",
+                           "--config", cfg], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("internal consistency error: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
 
 
 def test_sweep_csv_schema_and_nulls(tmp_path):
@@ -193,6 +205,33 @@ def test_sweep_csv_schema_and_nulls(tmp_path):
         cells = ln.split(",")
         for col in ("e_n", "s_q", "s_p", "n_incoh", "bogoliubov_ok"):
             assert cells[header.index(col)] == ""
+
+
+def _json_from_csv_cells(row) -> str:
+    # reference: parse the CSV cells back into typed JSON values
+    obj = {}
+    for name, cell in zip(CSV_HEADER.split(","), row_to_csv(row).split(",")):
+        if cell == "":
+            obj[name] = None
+        elif name in ("sweep_var", "ck"):
+            obj[name] = cell
+        elif name == "branch":
+            obj[name] = int(cell)
+        elif cell in ("true", "false"):
+            obj[name] = cell == "true"
+        else:
+            obj[name] = float(cell)
+    return json.dumps(obj)
+
+
+def test_row_to_json_matches_the_csv_cells():
+    spec = SweepSpec(var="delta_c", start=4.9 * KAPPA, stop=5.1 * KAPPA,
+                     count=2, base=paper_base_params(eta=2 * KAPPA))
+    rows = run_sweep(spec)
+    assert {r.stable for r in rows} == {True, False}
+    assert any(r.E_N is None for r in rows)
+    for row in rows:
+        assert row_to_json(row) == _json_from_csv_cells(row)
 
 
 def test_sweep_preset_flag_and_count_override(tmp_path):

@@ -3,14 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from becck import (DriftDiffusion, InternalConsistencyError,
-                   UnstableDriftError, build_drift_diffusion, check_physical,
-                   classify_stability, derive_params, enumerate_branches,
-                   integrate_moment_ode, logarithmic_negativity,
-                   observable_set, omega_pm, paper_base_params,
-                   solve_lyapunov, squeezing_and_excitation,
-                   symplectic_eigenvalues)
-from becck.steadystate import RESIDUAL_BOUND, _rk4_literal
+from becck import (CovarianceMatrix, DriftDiffusion,
+                   InternalConsistencyError, UnstableDriftError,
+                   build_drift_diffusion, check_physical, classify_stability,
+                   derive_params, enumerate_branches, integrate_moment_ode,
+                   logarithmic_negativity, observable_set, omega_pm,
+                   paper_base_params, solve_lyapunov,
+                   squeezing_and_excitation, symplectic_eigenvalues)
+from becck.dynamics import classify_batch
+from becck.steadystate import (RESIDUAL_BOUND, gaussian_states,
+                               lyapunov_batch, observables_batch)
 
 KAPPA = paper_base_params().kappa
 
@@ -72,6 +74,26 @@ def test_lyapunov_uses_the_callers_report():
     _, _, middle = _stable_dd(index=1)
     with pytest.raises(UnstableDriftError, match="unstable"):
         solve_lyapunov(middle, classify_stability(middle))
+
+
+def _rk4_literal(dd: DriftDiffusion, V0: np.ndarray, t_final: float,
+                 n_steps: int) -> np.ndarray:
+    """Plain step-by-step RK4 on the 4x4 matrix ODE (reference for the
+    composed propagator of integrate_moment_ode)."""
+    A, D = dd.A, dd.D
+    V = np.array(V0, dtype=float)
+    h = t_final / n_steps
+
+    def f(M):
+        return A @ M + M @ A.T + D
+
+    for _ in range(n_steps):
+        k1 = f(V)
+        k2 = f(V + 0.5 * h * k1)
+        k3 = f(V + 0.5 * h * k2)
+        k4 = f(V + h * k3)
+        V = V + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return V
 
 
 def test_composed_rk4_equals_literal_recursion():
@@ -199,3 +221,89 @@ def test_undriven_squeezing_closed_form():
     assert obs.S_Q == pytest.approx(0.0, abs=1e-12)
     assert obs.S_P == pytest.approx(0.0, abs=1e-12)
     assert obs.n_incoherent == pytest.approx(0.0, abs=1e-12)
+
+
+# ------------------------------------------------------------ batched engine
+
+def _random_stable_dds(seed, count):
+    """Drift/diffusion pairs of strictly stable branches at seeded random
+    parameter points (both cross-Kerr settings, bistable region included)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        p = paper_base_params(delta_c=float(rng.uniform(-15.0, 15.0)) * KAPPA,
+                              eta=float(rng.uniform(0.1, 6.0)) * KAPPA,
+                              omega_sw=float(rng.uniform(0.0, 30.0)) * 2.37e4,
+                              ck_enabled=bool(rng.integers(0, 2)))
+        d = derive_params(p)
+        for b in enumerate_branches(d):
+            dd = build_drift_diffusion(d, b)
+            rep = classify_stability(dd)
+            if rep.stable and not rep.marginal:
+                out.append((dd, rep))
+    return out[:count]
+
+
+def test_batched_covariance_matches_scipy_lyapunov_solver():
+    linalg = pytest.importorskip("scipy.linalg")
+    pairs = _random_stable_dds(11, 60)
+    covs = lyapunov_batch([dd for dd, _ in pairs], [rep for _, rep in pairs])
+    for (dd, _), cov in zip(pairs, covs):
+        ref = linalg.solve_continuous_lyapunov(dd.A, -dd.D)
+        assert np.max(np.abs(cov.V - ref)) <= 1e-9 * np.max(np.abs(ref))
+
+
+def test_batch_of_k_is_bitwise_k_batches_of_one():
+    pairs = _random_stable_dds(12, 25)
+    dds = [dd for dd, _ in pairs]
+    reports = classify_batch(dds)
+    covs = lyapunov_batch(dds, reports)
+    obs = observables_batch(dds, covs)
+    for dd, rep, cov, ob in zip(dds, reports, covs, obs):
+        assert classify_stability(dd) == rep
+        single = solve_lyapunov(dd, rep)
+        assert np.array_equal(single.V, cov.V)
+        assert single.residual == cov.residual
+        assert observable_set(dd, single) == ob
+    # the batch pipeline and a loop of single-branch calls agree too
+    for dd, (cov, ob) in zip(dds, gaussian_states(dds, reports)):
+        assert np.array_equal(cov.V, solve_lyapunov(dd).V)
+        assert ob == observable_set(dd, cov)
+
+
+def test_batch_failure_raises_the_loop_exception_naming_the_branch(
+        monkeypatch):
+    _, _, low = _stable_dd(index=0)
+    _, _, middle = _stable_dd(index=1)  # unstable saddle
+    _, _, high = _stable_dd(index=2)
+    names = ["low", "middle", "high"]
+    dds = [low, middle, high]
+    reports = [classify_stability(dd) for dd in dds]
+    with pytest.raises(UnstableDriftError) as loop_exc:
+        solve_lyapunov(middle, reports[1])
+    with pytest.raises(UnstableDriftError, match="^middle: ") as batch_exc:
+        lyapunov_batch(dds, reports, names)
+    assert str(batch_exc.value) == f"middle: {loop_exc.value}"
+
+    covs = lyapunov_batch([low, high], [reports[0], reports[2]])
+    bad = CovarianceMatrix(V=0.1 * np.eye(4), residual=0.0)
+    with pytest.raises(InternalConsistencyError):
+        observable_set(low, bad)
+    with pytest.raises(InternalConsistencyError, match="^high: covariance"):
+        observables_batch([low, high], [covs[0], bad], ["low", "high"])
+
+    # a Routh-Hurwitz verdict that contradicts the eigenvalues of one item
+    import becck.dynamics
+    honest = becck.dynamics.routh_hurwitz_quartic
+
+    def flipped(*coefficients):
+        verdict = np.array(honest(*coefficients))
+        verdict[-1] = ~verdict[-1]
+        return verdict
+
+    monkeypatch.setattr(becck.dynamics, "routh_hurwitz_quartic", flipped)
+    with pytest.raises(InternalConsistencyError):
+        classify_stability(high)
+    with pytest.raises(InternalConsistencyError,
+                       match="^high: Routh-Hurwitz verdict"):
+        classify_batch(dds, names)

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from becck import (SweepSpec, StabilityReport, bistable_window,
-                   ck_comparison_metrics, paper_base_params, preset_names,
-                   preset_spec, run_sweep)
+from becck import (InternalConsistencyError, SweepSpec, StabilityReport,
+                   bistable_window, ck_comparison_metrics, paper_base_params,
+                   preset_names, preset_spec, run_sweep)
 from becck.cli import row_to_csv
-from becck.sweep import resolve_workers
+from becck.sweep import _rows_for_points, resolve_workers
 
 KAPPA = paper_base_params().kappa
 
@@ -152,12 +152,12 @@ def test_ck_comparison_rejects_multibranch_rows():
 
 
 def test_no_stable_branch_marker(monkeypatch):
-    def verdict_unstable(dd):
-        return StabilityReport(eigenvalues=(1.0 + 0j,) * 4,
-                               max_real_part=1.0, routh_hurwitz_pass=False,
-                               stable=False, marginal=False)
+    def verdict_unstable(dds, names=None):
+        return [StabilityReport(eigenvalues=(1.0 + 0j,) * 4,
+                                max_real_part=1.0, routh_hurwitz_pass=False,
+                                stable=False, marginal=False)] * len(dds)
 
-    monkeypatch.setattr("becck.sweep.classify_stability", verdict_unstable)
+    monkeypatch.setattr("becck.sweep.classify_batch", verdict_unstable)
     rows = run_sweep(_spec(-1.0, 0.0, 2, policy="lowest", ck_mode="on"),
                      workers=1)
     assert len(rows) == 2
@@ -181,3 +181,27 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.setenv("BECCK_WORKERS", "many")
     with pytest.raises(ValueError):
         resolve_workers(None)
+
+
+def test_one_batch_gives_the_rows_of_one_batch_per_point():
+    spec = _spec(3.8, 5.1, 6)
+    batched = run_sweep(spec)
+    single = [row for v in spec.grid() for row in _rows_for_points(spec, [v])]
+    assert len(batched) == len(single)
+    for a, b in zip(batched, single):
+        assert row_to_csv(a) == row_to_csv(b)
+        assert a.warnings == b.warnings
+        assert a.max_real_part == b.max_real_part
+        if a.covariance is None:
+            assert b.covariance is None
+        else:
+            assert np.array_equal(a.covariance, b.covariance)
+
+
+def test_sweep_failure_names_the_point_and_branch(monkeypatch):
+    # with no slack below 1/2 + 1 every covariance fails the physicality
+    # check; the first solved branch of the batch is named
+    monkeypatch.setattr("becck.steadystate.PHYSICALITY_SLACK", -1.0)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^delta_c=-\d.*ck=False branch 0: covariance"):
+        run_sweep(_spec(-1.0, 0.0, 2, policy="lowest"))

@@ -1,4 +1,4 @@
-"""Per-layer and per-preset timings of becck, written to one JSON file.
+"""Per-layer, per-preset and command timings of becck, in one JSON file.
 
     python scripts/bench.py --out REPORT.json [--before CHECKOUT]
                             [--repeats N]
@@ -15,7 +15,11 @@ BLAS thread. Recorded per side:
   ``observable_set`` per stable branch; ``row_to_csv``/``row_to_json`` per
   row; and a two-point paired sweep at the point;
 * the serial wall time of each of the nine presets (median of
-  ``--repeats`` runs, in seconds).
+  ``--repeats`` runs, in seconds);
+* end to end through the command line (``becck.cli.main`` in process,
+  stdout discarded): one ``steady`` point (bistable, in milliseconds) and
+  one ``verify`` run at its default seed (median of ``--repeats`` runs,
+  in seconds).
 
 Timings on a shared machine swing by up to 2x; compare sides measured in
 one invocation. Nothing here asserts a time.
@@ -24,12 +28,15 @@ one invocation. Nothing here asserts a time.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import timeit
 from pathlib import Path
 
@@ -99,7 +106,28 @@ def measure(repeats: int) -> dict:
             timeit.Timer(lambda: becck.run_sweep(spec, workers=1)).repeat(
                 repeat=repeats, number=1))
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "per_layer": layers, "preset_wall_s": presets}
+            "per_layer": layers, "preset_wall_s": presets,
+            "end_to_end": end_to_end(repeats)}
+
+
+def end_to_end(repeats: int) -> dict:
+    """Wall time of CLI commands run in process, stdout discarded."""
+    from becck.cli import main
+
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(argv)
+
+    dc, eta = POINTS["bistable"]
+    with tempfile.TemporaryDirectory() as tmp:
+        point = Path(tmp) / "point.json"
+        point.write_text(json.dumps({"delta_c": f"{dc}*kappa",
+                                     "eta": f"{eta}*kappa"}))
+        steady_ms = _median_us(lambda: run(["steady", "--config", str(point)]),
+                               number=20) / 1e3
+    verify_s = statistics.median(timeit.Timer(lambda: run(["verify"])).repeat(
+        repeat=repeats, number=1))
+    return {"steady_point_ms": steady_ms, "verify_s": verify_s}
 
 
 def cpu_model() -> str:

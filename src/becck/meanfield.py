@@ -196,17 +196,22 @@ def enumerate_branches(d: DerivedParams) -> BranchSet:
 
     * ``branch-count=<k>``: branch count outside {1, 3}.
 
-    Raises InternalConsistencyError when eta^2/kappa^2 or a coefficient of
-    the polynomial overflows (from about eta = 1e150 kappa).
+    Raises InternalConsistencyError when eta^2/kappa^2, a coefficient of
+    the polynomial or its companion matrix overflows (from about
+    eta = 1e150 kappa), or when f overflows so that no sign change is left.
     """
     n_hi = upper_bound_photons(d) * (1.0 + 1e-6)
     if n_hi == 0.0:  # no drive, or one too weak to lift n above underflow
         return BranchSet(branches=(_branch_from_root(d, 0.0, 0),))
     poly = _branch_polynomial(d, n_hi) if math.isfinite(n_hi) else [n_hi]
-    if not np.isfinite(poly).all():
+    finite = np.isfinite(poly).all()
+    try:
+        x = np.roots(poly) if finite else None
+    except np.linalg.LinAlgError:  # its companion matrix overflows
+        finite = False
+    if not finite:
         raise InternalConsistencyError(
             f"branch polynomial overflows at eta = {d.eta:.6e} rad/s")
-    x = np.roots(poly)
     keep = ((np.abs(x.imag) <= IMAG_TOL * np.maximum(1.0, np.abs(x)))
             & (x.real >= 0.0) & (x.real <= 1.0))
     cand = np.sort(x.real[keep])
@@ -221,6 +226,9 @@ def enumerate_branches(d: DerivedParams) -> BranchSet:
         elif fhi != 0.0 and (flo < 0.0) != (fhi < 0.0):
             roots.append(_bisect(d, lo, hi, flo, fhi))
 
+    if not roots:  # f(0) < 0 < f(n_hi) unless f overflows there
+        raise InternalConsistencyError(
+            f"no sign change of f found at eta = {d.eta:.6e} rad/s")
     warnings: tuple[str, ...] = ()
     if len(roots) not in (1, 3):
         warnings = (f"branch-count={len(roots)}",)

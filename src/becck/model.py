@@ -182,11 +182,14 @@ def thermal_occupation(omega: float, T: float) -> float:
         raise DomainError("omega must be positive")
     if T < 0.0:
         raise DomainError("T must be >= 0")
-    if T == 0.0:
+    if KB * T == 0.0:  # T = 0, or so small that kB*T underflows
         return 0.0
     x = HBAR * omega / (KB * T)
     # expm1 keeps the Rayleigh-Jeans limit accurate for x << 1
-    return 1.0 / math.expm1(x)
+    try:
+        return 1.0 / math.expm1(x)
+    except OverflowError:  # exp(x) beyond the float range: 1/exp(x) underflows
+        return 0.0
 
 
 def validity_flags(d: DerivedParams, n_photon: float,

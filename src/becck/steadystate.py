@@ -97,7 +97,7 @@ def lyapunov_batch(dds, reports, names=None) -> list:
 
     resid = np.max(np.abs(A @ V + V @ A.transpose(0, 2, 1) + D), axis=(1, 2))
     bound = RESIDUAL_BOUND * np.max(np.abs(D), axis=(1, 2))
-    bad = np.flatnonzero(resid > bound)
+    bad = np.flatnonzero(~(resid <= bound))  # a NaN residual fails too
     if bad.size:
         i = bad[0]
         raise InternalConsistencyError(_labelled(

@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import build_drift_diffusion, classify_batch
+from .dynamics import (InternalConsistencyError, build_drift_diffusion,
+                       classify_batch)
 from .meanfield import enumerate_branches
 from .model import (SystemParams, bogoliubov_frequency, derive_params,
                     validity_flags)
@@ -140,32 +141,41 @@ def preset_names() -> tuple:
     return tuple(_PRESETS)
 
 
-def _point_params(spec: SweepSpec, value: float, ck: bool) -> SystemParams:
-    return replace(spec.base, ck_enabled=ck, **{spec.var: float(value)})
+def classify_points(ds, labels) -> tuple:
+    """Enumerate every branch of the points ``ds`` (DerivedParams) and
+    classify all of them in one ``classify_batch`` call; a failing branch
+    is named ``f"{labels[point]}branch {index}"``. Returns the BranchSet of
+    each point and, per branch in point order, its (point index, branch)
+    pair, drift-diffusion pair, StabilityReport and name.
+    """
+    bsets = [enumerate_branches(d) for d in ds]
+    branches = [(p, b) for p, bset in enumerate(bsets) for b in bset]
+    dds = [build_drift_diffusion(ds[p], b) for p, b in branches]
+    names = [f"{labels[p]}branch {b.branch_index}" for p, b in branches]
+    try:
+        return bsets, branches, dds, classify_batch(dds, names), names
+    except ValueError as exc:  # the parameters overflow the drift matrix
+        raise InternalConsistencyError(str(exc)) from exc
 
 
 def _rows_for_points(spec: SweepSpec, values) -> list:
     """Rows of the grid ``values``, in grid order: one branch enumeration
     per (value, ck setting), then one batched evaluation of all branches."""
     cks = {"on": (True,), "off": (False,), "paired": (False, True)}[spec.ck_mode]
-    points = []
-    for j, value in enumerate(values):
-        for ck in cks:
-            d = derive_params(_point_params(spec, value, ck))
-            points.append((j, float(value), ck, d, enumerate_branches(d)))
-    branches = [(point, b) for point in points for b in point[4]]
-    dds = [build_drift_diffusion(point[3], b) for point, b in branches]
-    names = [f"{spec.var}={point[1]!r} ck={point[2]} branch {b.branch_index}"
-             for point, b in branches]
-    reports = classify_batch(dds, names)
+    points = [(j, float(value), ck) for j, value in enumerate(values)
+              for ck in cks]
+    ds = [derive_params(replace(spec.base, ck_enabled=ck, **{spec.var: value}))
+          for _, value, ck in points]
+    bsets, branches, dds, reports, names = classify_points(
+        ds, [f"{spec.var}={value!r} ck={ck} " for _, value, ck in points])
 
     # a branch only counts as stable for covariance purposes when it is
     # strictly stable and outside the near-marginal band
     grade = [r.stable and not r.marginal for r in reports]
     pick = {"lowest": 0, "highest": -1}.get(spec.branch_policy)
     selected, no_stable, first = [], set(), 0
-    for point in points:
-        ids = range(first, first + len(point[4]))
+    for bset in bsets:
+        ids = range(first, first + len(bset))
         first += len(ids)
         stable_ids = [i for i in ids if grade[i]]
         if pick is None:
@@ -181,7 +191,8 @@ def _rows_for_points(spec: SweepSpec, values) -> list:
 
     keyed = []
     for i, state in zip(selected, states):
-        (j, value, ck, d, bset), b = branches[i]
+        p, b = branches[i]
+        (j, value, ck), d, bset = points[p], ds[p], bsets[p]
         cov, obs = state or (None, None)
         E_N, S_Q, S_P, n_inc = ((obs.E_N, obs.S_Q, obs.S_P, obs.n_incoherent)
                                 if obs else (None,) * 4)

@@ -1,0 +1,187 @@
+"""Independent-oracle cross checks of the pipeline (``becck verify``).
+
+Each suite takes a NumPy Generator and returns (ok, detail, where), where
+``where`` is the (delta_c, eta, omega_sw, ck) point of the worst case or
+None. Branches are reached through ``sweep.classify_points``; only the
+mean-field substitution suite calls ``enumerate_branches`` itself, since
+that is what it checks.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+
+import numpy as np
+
+from .dynamics import (DriftDiffusion, InternalConsistencyError,
+                       classify_batch, drift_matrix,
+                       finite_difference_jacobian, quadrature_fixed_point)
+from .meanfield import enumerate_branches
+from .model import SystemParams, derive_params
+from .steadystate import (integrate_moment_ode, logarithmic_negativity,
+                          solve_lyapunov)
+from .sweep import classify_points
+
+
+def _random_point(rng, base: SystemParams, eta_min: float):
+    """DerivedParams of one random draw around ``base``."""
+    k, wr = base.kappa, base.omega_R
+    return derive_params(dataclasses.replace(
+        base,
+        delta_c=float(rng.uniform(-15.0, 15.0)) * k,
+        eta=float(rng.uniform(eta_min, 4.0)) * k,
+        omega_sw=float(rng.uniform(0.0, 20.0)) * wr,
+        ck_enabled=bool(rng.integers(0, 2)),
+    ))
+
+
+def _random_stable_points(rng, count, base: SystemParams):
+    """The first ``count`` strictly stable branches of random parameter
+    points, in draw order, as (d, branch, drift-diffusion, report).
+
+    Points are drawn and classified in blocks of as many points as branches
+    are still missing; the draws past the last kept branch are discarded.
+    """
+    out = []
+    while len(out) < count:
+        ds = [_random_point(rng, base, 0.1) for _ in range(count - len(out))]
+        _, branches, dds, reports, _ = classify_points(
+            ds, [f"delta_c={d.delta_c!r} eta={d.eta!r} omega_sw="
+                 f"{d.omega_sw!r} ck={d.ck_enabled} " for d in ds])
+        out += [(ds[p], b, dd, rep)
+                for (p, b), dd, rep in zip(branches, dds, reports)
+                if rep.stable and not rep.marginal]
+    return out[:count]
+
+
+def verify_jacobian(rng, base: SystemParams, count: int = 100,
+                    perturb: float = 0.0):
+    """Analytic drift matrix against a finite-difference Jacobian."""
+    worst = 0.0
+    worst_at = None
+    for d, b, dd, _ in _random_stable_points(rng, count, base):
+        A = dd.A * (1.0 + perturb)
+        J = finite_difference_jacobian(d, quadrature_fixed_point(b))
+        err = float(np.max(np.abs(A - J)) / np.max(np.abs(A)))
+        if err > worst:
+            worst, worst_at = err, (d.delta_c, d.eta, d.omega_sw, d.ck_enabled)
+    return worst <= 1e-6, f"max relative deviation {worst:.3e}", worst_at
+
+
+def verify_lyapunov_ode(rng, base: SystemParams, count: int = 12):
+    worst = 0.0
+    worst_at = None
+    for d, b, dd, rep in _random_stable_points(rng, count, base):
+        V = solve_lyapunov(dd, rep).V
+        t_final = 50.0 / abs(rep.max_real_part)
+        W = integrate_moment_ode(dd, 0.5 * np.eye(4), t_final)
+        err = float(np.max(np.abs(W - V)) / np.max(np.abs(V)))
+        if err > worst:
+            worst, worst_at = err, (d.delta_c, d.eta, d.omega_sw, d.ck_enabled)
+    return worst <= 1e-6, f"max relative deviation {worst:.3e}", worst_at
+
+
+def verify_routh_hurwitz(rng, base: SystemParams, count: int = 2000):
+    """Verdict agreement on random drift-parameter draws.
+
+    The draws are classified in one batch; ``classify_batch`` raises
+    InternalConsistencyError naming the first draw (``draw <i>``) whose
+    Routh-Hurwitz verdict contradicts its eigenvalues outside the marginal
+    band.
+    """
+    k = base.kappa
+    dds = []
+    for _ in range(count):
+        A = drift_matrix(
+            Delta=float(rng.uniform(-20, 20)) * k,
+            Omega_plus=float(rng.uniform(0.001, 0.2)) * k,
+            Omega_minus=float(rng.uniform(0.001, 0.2)) * k,
+            kappa=k,
+            gamma=float(rng.uniform(1e-4, 1e-2)) * k,
+            G_R=float(rng.uniform(-1, 1)) * k,
+            G_I=float(rng.uniform(-1, 1)) * k,
+            F_R=float(rng.uniform(-0.01, 0.01)) * k,
+            F_I=float(rng.uniform(-0.01, 0.01)) * k,
+        )
+        dds.append(DriftDiffusion(A=A, D=np.diag([k, k, k, k]), G_R=0, G_I=0,
+                                  F_R=0, F_I=0, n_c=0.0, kappa=k, gamma=0.0,
+                                  omega_B=1.0))
+    classify_batch(dds, [f"draw {i}" for i in range(count)])
+    return True, f"0 disagreements in {count} draws", None
+
+
+def verify_meanfield(rng, base: SystemParams, count: int = 50):
+    """Every enumerated branch satisfies the steady-state equations."""
+    worst = 0.0
+    for _ in range(count):
+        d = _random_point(rng, base, 0.0)
+        for b in enumerate_branches(d):
+            # alpha and beta closed forms, photon-number consistency
+            den = b.Delta ** 2 + d.kappa ** 2
+            alpha_ref = complex(-d.eta * d.kappa / den, d.eta * b.Delta / den)
+            den2 = b.Omega_plus * b.Omega_minus + d.gamma ** 2
+            beta_ref = (-d.zeta * b.n_photon
+                        * complex(b.Omega_minus, d.gamma) / den2)
+            scale = max(abs(alpha_ref), abs(beta_ref), 1e-30)
+            err = max(abs(b.alpha - alpha_ref), abs(b.beta - beta_ref)) / scale
+            nerr = abs(abs(b.alpha) ** 2 - b.n_photon) / max(b.n_photon, 1e-30)
+            worst = max(worst, err, nerr if b.n_photon else 0.0, b.residual)
+    return worst <= 1e-9, f"max substitution error {worst:.3e}", None
+
+
+def verify_gaussian(rng):
+    """Analytic Gaussian-state cases for the entanglement formulas."""
+    def two_mode_squeezed(r):
+        c, s = math.cosh(2 * r) / 2, math.sinh(2 * r) / 2
+        return np.block([[c * np.eye(2), s * np.diag([1.0, -1.0])],
+                         [s * np.diag([1.0, -1.0]), c * np.eye(2)]])
+
+    checks = []
+    e0, eta0 = logarithmic_negativity(0.5 * np.eye(4))
+    checks.append(abs(e0) <= 1e-12 and abs(eta0 - 0.5) <= 1e-12)
+    for r in (0.1, 0.5, 1.0):
+        e_n, _ = logarithmic_negativity(two_mode_squeezed(r))
+        checks.append(abs(e_n - 2 * r) <= 1e-9)
+    # invariance under local phase-space rotations
+    th, ph = rng.uniform(0, 2 * math.pi, size=2)
+    R = np.zeros((4, 4))
+    R[:2, :2] = [[math.cos(th), math.sin(th)], [-math.sin(th), math.cos(th)]]
+    R[2:, 2:] = [[math.cos(ph), math.sin(ph)], [-math.sin(ph), math.cos(ph)]]
+    V = two_mode_squeezed(0.5)
+    e1, _ = logarithmic_negativity(V)
+    e2, _ = logarithmic_negativity(R @ V @ R.T)
+    checks.append(abs(e1 - e2) <= 1e-9)
+    ok = all(checks)
+    return ok, f"{sum(checks)}/{len(checks)} analytic cases", None
+
+
+def run_suites(base: SystemParams, stream, seed: int = 20260813,
+               perturb_drift: float = 0.0) -> bool:
+    """Run every suite on a generator seeded with ``seed``, write one
+    PASS/FAIL line per suite and a verdict line; True when all pass.
+
+    A suite that raises InternalConsistencyError fails with its message.
+    """
+    suites = [
+        ("jacobian", lambda rng: verify_jacobian(rng, base,
+                                                 perturb=perturb_drift)),
+        ("lyapunov_ode", lambda rng: verify_lyapunov_ode(rng, base)),
+        ("routh_hurwitz", lambda rng: verify_routh_hurwitz(rng, base)),
+        ("meanfield_substitution", lambda rng: verify_meanfield(rng, base)),
+        ("gaussian_cases", verify_gaussian),
+    ]
+    all_ok = True
+    for name, fn in suites:
+        try:
+            ok, detail, where = fn(np.random.default_rng(seed))
+        except InternalConsistencyError as exc:
+            ok, detail, where = False, str(exc), None
+        all_ok &= ok
+        line = f"{name}: {'PASS' if ok else 'FAIL'} ({detail})"
+        if not ok and where is not None:
+            line += f" at delta_c={where[0]:.6e}, eta={where[1]:.6e}, " \
+                    f"omega_sw={where[2]:.6e}, ck={where[3]}"
+        stream.write(line + "\n")
+    stream.write("verify: " + ("PASS" if all_ok else "FAIL") + "\n")
+    return all_ok

@@ -18,7 +18,7 @@ from becck import (MeanFieldBranch, SweepSpec, bistable_window,
                    paper_base_params, preset_names, preset_spec, run_sweep,
                    solve_lyapunov, symplectic_eigenvalues,
                    thermal_occupation)
-from becck.cli import verify_jacobian
+from becck.verify import verify_jacobian
 
 KAPPA = paper_base_params().kappa
 OMEGA_R = paper_base_params().omega_R

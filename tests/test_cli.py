@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -157,8 +158,6 @@ def test_steady_rejects_nonfinite_values(tmp_path, data):
     assert proc.stdout == ""
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_steady_nonfinite_result_is_internal_error(tmp_path, capsys):
     # n*Delta^2 overflows at this drive; strict JSON refuses the NaN residual
     cfg = _write(tmp_path, {"eta": "1e150*kappa", "delta_c": "1*kappa"})
@@ -177,6 +176,84 @@ def test_steady_nonfinite_result_is_internal_error(tmp_path, capsys):
     assert proc.stderr.startswith("internal consistency error: ")
     assert proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+    # overflow in the root search prints no NumPy warning: 1e140 kappa
+    # succeeds with an empty stderr, 1e150 kappa leaves the one error line
+    for eta, code, lines in (("1e140*kappa", 0, 0), ("1e150*kappa", 3, 1)):
+        proc = _becck(tmp_path, "steady", {"eta": eta, "delta_c": "1*kappa"})
+        assert (proc.returncode, proc.stderr.count("\n")) == (code, lines)
+
+
+def _becck(tmp_path, command, data):
+    """``python -m becck <command>`` on the config ``data``."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(becck.__file__)))
+    return subprocess.run([sys.executable, "-m", "becck", command, "--config",
+                           _write(tmp_path, data, name="run.json")],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("command,data", [
+    ("sweep", {"preset": "nope"}),
+    ("steady", {"preset": "nope"}),
+    ("sweep", {"sweep_var": "eta", "sweep_min": "-1*kappa",
+               "sweep_max": "1*kappa", "sweep_count": 3}),
+    ("sweep", {"sweep_var": "omega_sw", "sweep_min": "-1*omegaR",
+               "sweep_max": "1*omegaR", "sweep_count": 3}),
+    ("sweep", {"sweep_var": "delta_c", "sweep_min": -1e308,
+               "sweep_max": 1e308, "sweep_count": 3}),
+    ("steady", {"eta": 10 ** 400}),
+    ("steady", {"N": 10 ** 400}),
+    ("steady", {"T": 10 ** 400}),
+], ids=["sweep-preset", "steady-preset", "eta-below-0", "omega_sw-below-0",
+        "nonfinite-grid", "eta-huge-int", "N-huge-int", "T-huge-int"])
+def test_run_time_config_errors_exit_2(tmp_path, command, data):
+    proc = _becck(tmp_path, command, data)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("raw", [b'{"eta": "\xff"}',
+                                 b'{"N": ' + b"9" * 5000 + b"}"],
+                         ids=["not-utf8", "over-long-integer"])
+def test_undecodable_config_is_config_error(tmp_path, capsys, raw):
+    path = tmp_path / "raw.json"
+    path.write_bytes(raw)
+    assert main(["steady", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("preset", [None, "fig2a"])
+@pytest.mark.parametrize("key,value", [
+    ("sweep_count", 0), ("ck_mode", ""), ("branch_policy", "")])
+def test_empty_sweep_values_are_config_errors(tmp_path, capsys, preset, key,
+                                              value):
+    data = ({"preset": preset} if preset else
+            {"sweep_var": "delta_c", "sweep_min": "0*kappa",
+             "sweep_max": "1*kappa"})
+    data[key] = value
+    assert main(["sweep", "--config", _write(tmp_path, data)]) == 2
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("command,data", [
+    ("steady", {"T": 1e300}),
+    ("sweep", {"eta": "1*kappa", "sweep_var": "omega_sw",
+               "sweep_min": "1e140*kappa", "sweep_max": "1e160*kappa",
+               "sweep_count": 4}),
+    ("steady", {"delta_c": "1e150*kappa", "eta": "1e150*kappa",
+                "g0": "2pi*700Hz"}),
+    ("steady", {"delta_a": 1e-300, "N": 10 ** 300, "omega_sw": 1e-300}),
+    ("steady", {"kappa": 1e-300, "g0": 1e-194}),
+], ids=["lyapunov-overflow", "companion-overflow", "no-sign-change",
+        "nonfinite-drift", "kappa-squared-underflow"])
+def test_float_range_failures_are_one_line_internal_errors(tmp_path, command,
+                                                           data):
+    proc = _becck(tmp_path, command, data)
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("internal consistency error: ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_sweep_csv_schema_and_nulls(tmp_path):
@@ -298,6 +375,19 @@ def test_verify_detects_injected_drift_fault(capsys):
     out = capsys.readouterr().out
     assert "jacobian: FAIL" in out
     assert "delta_c=" in out  # failing case parameters echoed
+
+
+def test_verify_names_the_draw_whose_verdicts_disagree(monkeypatch, capsys):
+    import becck.dynamics
+    verdict = becck.dynamics.routh_hurwitz_quartic
+    monkeypatch.setattr("becck.dynamics.routh_hurwitz_quartic",
+                        lambda *coefficients: ~verdict(*coefficients))
+    assert main(["verify"]) == 5
+    lines = capsys.readouterr().out.splitlines()
+    (line,) = [ln for ln in lines if ln.startswith("routh_hurwitz: ")]
+    assert re.match(r"routh_hurwitz: FAIL \(draw \d+: Routh-Hurwitz verdict "
+                    r"(True|False) contradicts eigenvalue verdict", line)
+    assert lines[-1] == "verify: FAIL"
 
 
 def test_exit_codes_are_disjoint():

@@ -1,0 +1,116 @@
+"""Property test over the config space: every flat config given to
+``steady`` or ``sweep`` ends in a documented exit code, never in an
+escaped exception."""
+
+import contextlib
+import io
+import json
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import HealthCheck, example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from becck.cli import (OTHER_KEYS, PARAM_KEYS, SWEEP_KEYS,  # noqa: E402
+                       main)
+from becck.sweep import (BRANCH_POLICIES, CK_MODES, SWEEP_VARS,  # noqa: E402
+                         preset_names)
+
+DOCUMENTED_EXITS = {0, 2, 3, 4}
+
+# values a config file may hold for a key of the given kind; the
+# extremes are finite and sit at the edges of the float range
+frequencies = st.one_of(
+    st.builds("{!r}*kappa".format, st.floats(-20.0, 20.0)),
+    st.builds("{!r}*omegaR".format, st.floats(0.0, 40.0)),
+    st.builds("2pi*{!r}{}".format, st.floats(0.0, 1e3),
+              st.sampled_from(["Hz", "kHz", "MHz", "GHz"])),
+    st.floats(-1e9, 1e9),
+    st.sampled_from(["1e140*kappa", "1e150*kappa", "1e160*kappa",
+                     "-1*kappa", "-1*omegaR", 1e-300, 5e-324, 1e308,
+                     -1e308]),
+)
+# output paths, taken relative to a temporary directory
+OUTS = ("rows.out", "no/such/dir/rows.out", "nul\x00.out")
+VALID = {key: frequencies for key in PARAM_KEYS}
+VALID.update(
+    N=st.one_of(st.integers(1, 10**7), st.sampled_from([10**300, 0])),
+    T=st.one_of(st.floats(0.0, 1e-3), st.sampled_from([1e-300, 1e300])),
+    ck_enabled=st.booleans(),
+    sweep_var=st.sampled_from(SWEEP_VARS),
+    sweep_min=frequencies,
+    sweep_max=frequencies,
+    ck_mode=st.sampled_from(CK_MODES),
+    branch_policy=st.sampled_from(BRANCH_POLICIES),
+    preset=st.sampled_from(preset_names()),
+    out=st.sampled_from(OUTS),
+    format=st.sampled_from(["csv", "json-lines"]),
+    workers=st.integers(1, 4),
+)
+# counts stay tiny: a count is a grid size, allocated in full
+COUNTS = st.integers(-1, 5)
+HOSTILE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([10**400, -(10**400), "1e400*kappa", "nan*kappa",
+                     "3*eta", "2pi*5", "", "nope"]),
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+)
+KEYS = PARAM_KEYS + SWEEP_KEYS + OTHER_KEYS
+assert set(VALID) | {"sweep_count"} == set(KEYS)
+
+
+@st.composite
+def configs(draw):
+    """Valid values for a few keys, a sweep range or preset now and then,
+    and up to two hostile values, possibly under unknown keys."""
+    data = {key: draw(VALID[key]) for key in draw(st.lists(
+        st.sampled_from(sorted(VALID)), max_size=4, unique=True))}
+    if draw(st.booleans()):
+        data.update(sweep_var=draw(VALID["sweep_var"]),
+                    sweep_min=draw(frequencies), sweep_max=draw(frequencies))
+    for key in draw(st.lists(st.sampled_from(KEYS + ("n_photons",)),
+                             max_size=2, unique=True)):
+        data[key] = draw(HOSTILE)
+    # a sweep never runs at the default grid size of 501 points
+    data["sweep_count"] = draw(st.one_of(COUNTS, COUNTS, HOSTILE.filter(
+        lambda v: isinstance(v, bool) or not isinstance(v, int))))
+    return data
+
+
+def _exit_code(tmp_path, command, data) -> int:
+    out = data.get("out")
+    if isinstance(out, str):  # write nowhere but below tmp_path
+        data = dict(data, out=str(tmp_path / (out if out in OUTS else OUTS[1])))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main([command, "--config", str(path)])
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["steady", "sweep"]), data=configs())
+@example(command="sweep", data={"preset": "nope"})
+@example(command="steady", data={"preset": "nope"})
+@example(command="sweep", data={"sweep_var": "eta", "sweep_min": "-1*kappa",
+                                "sweep_max": "1*kappa", "sweep_count": 3})
+@example(command="sweep", data={"sweep_var": "omega_sw",
+                                "sweep_min": "-1*omegaR",
+                                "sweep_max": "1*omegaR", "sweep_count": 3})
+@example(command="sweep", data={"sweep_var": "delta_c", "sweep_min": -1e308,
+                                "sweep_max": 1e308, "sweep_count": 3})
+@example(command="sweep", data={"sweep_var": "delta_c", "sweep_min": 0,
+                                "sweep_max": 1, "sweep_count": 0})
+@example(command="sweep", data={"preset": "fig2a", "ck_mode": "",
+                                "sweep_count": 2})
+@example(command="steady", data={"eta": "1e150*kappa", "sweep_count": 2})
+@example(command="steady", data={"out": OUTS[2], "sweep_count": 2})
+def test_every_config_ends_in_a_documented_exit_code(tmp_path, command, data):
+    assert _exit_code(tmp_path, command, data) in DOCUMENTED_EXITS

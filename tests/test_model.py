@@ -105,6 +105,14 @@ def test_thermal_occupation_limits():
     assert thermal_occupation(omega, T) == pytest.approx(1.226945e-4, rel=1e-6)
 
 
+def test_thermal_occupation_cold_limits_underflow_to_zero():
+    omega = 1.2e5
+    # hbar*omega/(kB*T) = 917 at 1 nK: exp of it overflows, 1/exp underflows
+    assert thermal_occupation(omega, 1e-9) == 0.0
+    # kB*T itself underflows
+    assert thermal_occupation(omega, 1e-320) == 0.0
+
+
 def test_thermal_occupation_monotone_in_temperature():
     omega = 1e5
     vals = [thermal_occupation(omega, t) for t in (1e-8, 1e-7, 1e-6, 1e-5)]

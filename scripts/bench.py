@@ -19,7 +19,9 @@ BLAS thread. Recorded per side:
 * end to end through the command line (``becck.cli.main`` in process,
   stdout discarded): one ``steady`` point (bistable, in milliseconds) and
   one ``verify`` run at its default seed (median of ``--repeats`` runs,
-  in seconds).
+  in seconds);
+* the wall time of one run of the checkout's tier-1 tests (the command in
+  ROADMAP.md, run from the checkout's root) and pytest's summary line.
 
 Timings on a shared machine swing by up to 2x; compare sides measured in
 one invocation. Nothing here asserts a time.
@@ -37,6 +39,7 @@ import statistics
 import subprocess
 import sys
 import tempfile
+import time
 import timeit
 from pathlib import Path
 
@@ -141,6 +144,18 @@ def cpu_model() -> str:
     return platform.processor() or "unknown"
 
 
+def tier1(checkout: Path) -> dict:
+    """Wall time and summary line of one run of the tier-1 tests."""
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                           "--continue-on-collection-errors"], cwd=checkout,
+                          capture_output=True, text=True, env=env)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    return {"wall_s": wall, "summary": lines[-1] if lines else ""}
+
+
 def run_side(checkout: Path, repeats: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
@@ -148,7 +163,7 @@ def run_side(checkout: Path, repeats: int) -> dict:
     proc = subprocess.run([sys.executable, __file__, "--measure",
                            "--repeats", str(repeats)],
                           capture_output=True, text=True, env=env, check=True)
-    return json.loads(proc.stdout)
+    return {**json.loads(proc.stdout), "tier1": tier1(checkout)}
 
 
 def main(argv=None) -> int:

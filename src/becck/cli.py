@@ -203,6 +203,15 @@ def _row_cells(row: SweepRow) -> tuple:
             row.n_incoherent, row.lattice_ok, row.bogoliubov_ok)
 
 
+def _check_finite(row: SweepRow) -> None:
+    for name, x in zip(CSV_COLUMNS, _row_cells(row)):
+        if isinstance(x, float) and not math.isfinite(x):
+            raise InternalConsistencyError(
+                f"sweep row {row.sweep_var}={row.sweep_value!r} "
+                f"ck={'on' if row.ck_enabled else 'off'} branch "
+                f"{row.branch_index}: {name} = {x!r} is not finite")
+
+
 def row_to_csv(row: SweepRow) -> str:
     return ",".join(map(_fmt, _row_cells(row)))
 
@@ -272,6 +281,8 @@ def cmd_sweep(cfg: RunConfig, stream) -> int:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = run_sweep(spec, workers=workers)
+    for row in rows:  # nothing is written unless every cell is finite
+        _check_finite(row)
     if cfg.format == "csv":
         stream.write(CSV_HEADER + "\n")
     serialize = row_to_json if cfg.format == "json-lines" else row_to_csv

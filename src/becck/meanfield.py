@@ -16,6 +16,17 @@ turns f(n)*den(n)^4 into a polynomial of degree 9 (a cubic without
 the cross-Kerr term), so its companion-matrix eigenvalues give every branch,
 including all bistable ones. Each candidate is kept only where f changes sign
 around it and is then polished by bisection on f itself.
+
+A point costs one companion eigen-solve and about 60 evaluations of f per
+root, so both avoid NumPy's per-call overhead: the coefficients are Python
+floats with the fixed-degree products written out, the companion matrix is
+built by hand for one ``np.linalg.eigvals`` call, and f is one closure over
+the point's constants, bitwise equal to ``consistency_residual``. The
+written-out sums round in another order than ``np.convolve``, so the
+coefficients match the ``np.roots`` build of tests/polynomial_oracle.py to
+1e-12 of the largest one, not bitwise, and a root can end on a
+neighbouring float (over the nine presets, mean-field values move by at
+most 5.6e-15 relative).
 """
 
 from __future__ import annotations
@@ -93,7 +104,32 @@ def upper_bound_photons(d: DerivedParams) -> float:
     return r * r
 
 
-def _branch_from_root(d: DerivedParams, n: float, index: int) -> MeanFieldBranch:
+def _root_function(d: DerivedParams):
+    """f of ``consistency_residual`` at the point ``d``, as one closure over
+    the subexpressions that do not depend on n.
+
+    It evaluates the same operations in the same order, so it is bitwise
+    equal to ``consistency_residual(d, n)`` for a float or an ndarray n,
+    and like it raises ZeroDivisionError at a float n where den(n) = 0.
+    """
+    om0, op0 = d.Omega_c - 0.5 * d.omega_sw, d.Omega_c + 0.5 * d.omega_sw
+    g, gam, gam2, dc = d.g, d.gamma, d.gamma * d.gamma, d.delta_c
+    mzeta, zeta2 = -d.zeta, 2.0 * d.zeta
+    k2, e2 = d.kappa * d.kappa, d.eta * d.eta
+
+    def f(n):
+        gn = g * n
+        om = om0 + gn
+        scale = mzeta * n / ((op0 + gn) * om + gam2)
+        bR, bI = scale * om, scale * gam
+        D = dc + zeta2 * bR + g * (bR * bR + bI * bI)
+        return n * (D * D + k2) - e2
+
+    return f
+
+
+def _branch_from_root(d: DerivedParams, n: float, index: int,
+                      f) -> MeanFieldBranch:
     n = float(n)
     bR, bI = _beta_of_n(d, n)
     D = _delta_of_n(d, n)
@@ -101,7 +137,7 @@ def _branch_from_root(d: DerivedParams, n: float, index: int) -> MeanFieldBranch
     aR = -d.eta * d.kappa / den
     aI = d.eta * D / den
     om, op = omega_pm(d, n)
-    resid = abs(consistency_residual(d, n))
+    resid = abs(f(n))
     if d.eta * d.eta > 0.0:
         resid /= d.eta * d.eta
     return MeanFieldBranch(
@@ -116,56 +152,90 @@ def _branch_from_root(d: DerivedParams, n: float, index: int) -> MeanFieldBranch
     )
 
 
-def _bisect(d: DerivedParams, lo: float, hi: float, flo: float, fhi: float) -> float:
-    # endpoints guaranteed to straddle a sign change (flo*fhi <= 0);
-    # runs to floating-point exhaustion
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
+def _bisect(f, lo: float, hi: float, lo_negative: bool) -> float:
+    # f(lo) and f(hi) are nonzero, of opposite sign, and f(lo) < 0 exactly
+    # when lo_negative; runs to floating-point exhaustion
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
-            break
-        fmid = consistency_residual(d, mid)
+            return mid
+        fmid = f(mid)
         if fmid == 0.0:
             return mid
-        if (flo < 0.0) != (fmid < 0.0):
-            hi, fhi = mid, fmid
+        if lo_negative != (fmid < 0.0):
+            hi = mid
         else:
-            lo, flo = mid, fmid
-    return 0.5 * (lo + hi)
+            lo = mid
 
 
-def _branch_polynomial(d: DerivedParams, n_hi: float) -> np.ndarray:
+def _square_quartic(q0, q1, q2, q3, q4) -> tuple:
+    """Coefficients of the square of a quartic, highest power first."""
+    return (q0 * q0, 2.0 * (q0 * q1), 2.0 * (q0 * q2) + q1 * q1,
+            2.0 * (q0 * q3 + q1 * q2), 2.0 * (q0 * q4 + q1 * q3) + q2 * q2,
+            2.0 * (q1 * q4 + q2 * q3), 2.0 * (q2 * q4) + q3 * q3,
+            2.0 * (q3 * q4), q4 * q4)
+
+
+def _branch_polynomial(d: DerivedParams, n_hi: float) -> list:
     """Coefficients (highest power first) of a positive multiple of
-    f(n_hi*x)*den^4 as a polynomial in x.
+    f(n_hi*x)*den^4 as a polynomial in x, as ten floats.
 
     Rates are taken in units of kappa and the dressed frequencies
-    Omega_pm(x) in units of s = max(|g|*n_hi, Omega_minus(0)), which keeps
-    the coefficients finite far outside the physical parameter range. With
-    P = Delta*den^2 (a quartic) the product is
-    x*(P^2 + den^4)*n_hi/eta^2 - den^4.
+    Omega_pm(x) = a1*x + (a0, b0) in units of s = max(|g|*n_hi,
+    Omega_minus(0)), which keeps the coefficients finite far outside the
+    physical parameter range. With P = Delta*den^2 (a quartic) the product
+    is x*(P^2 + den^4)*n_hi/eta^2 - den^4. Raises ZeroDivisionError where
+    a scale underflows to 0; an overflow leaves an inf or nan coefficient.
     """
     k = d.kappa
     gx = d.g * n_hi / k
     om0 = (d.Omega_c - 0.5 * d.omega_sw) / k
     s = max(abs(gx), om0)
-    om = np.array([gx, om0]) / s
-    op = np.array([gx, (d.Omega_c + 0.5 * d.omega_sw) / k]) / s
-    gam2 = (d.gamma / (k * s)) ** 2
-    zx = (d.zeta / k) ** 2 * n_hi / s
-    x = np.array([1.0, 0.0])
-    den = np.polyadd(np.convolve(om, op), [gam2])
-    den2 = np.convolve(den, den)
-    den4 = np.convolve(den2, den2)
+    a1, a0, b0 = gx / s, om0 / s, (d.Omega_c + 0.5 * d.omega_sw) / k / s
+    t = d.gamma / (k * s)
+    gam2 = t * t
+    t = d.zeta / k
+    zx = t * t * n_hi / s
+    # den = e0*x^2 + e1*x + e2 and its square
+    e0, e1, e2 = a1 * a1, a1 * b0 + a0 * a1, a0 * b0 + gam2
+    q = (e0 * e0, 2.0 * (e0 * e1), 2.0 * (e0 * e2) + e1 * e1,
+         2.0 * (e1 * e2), e2 * e2)
+    den4 = _square_quartic(*q)
     # P = delta_c*den^2 - 2*zeta^2*n*om*den + g*zeta^2*n^2*(om^2 + gamma^2)
-    cross = np.convolve(x, np.convolve(om, den))
-    kerr = np.convolve(np.convolve(x, x), np.polyadd(np.convolve(om, om), [gam2]))
-    P = np.polyadd(d.delta_c / k * den2,
-                   np.polysub(zx * gx / s * kerr, 2.0 * zx * cross))
-    c = n_hi / (d.eta / k) ** 2
-    return np.polysub(c * np.convolve(x, np.polyadd(np.convolve(P, P), den4)), den4)
+    dk, zg, z2 = d.delta_c / k, zx * gx / s, 2.0 * zx
+    P = (dk * q[0] + (zg * (a1 * a1) - z2 * (a1 * e0)),
+         dk * q[1] + (zg * (2.0 * (a1 * a0)) - z2 * (a1 * e1 + a0 * e0)),
+         dk * q[2] + (zg * (a0 * a0 + gam2) - z2 * (a1 * e2 + a0 * e1)),
+         dk * q[3] - z2 * (a0 * e2),
+         dk * q[4])
+    r = d.eta / k
+    c = n_hi / (r * r)
+    Q = [pp + dd for pp, dd in zip(_square_quartic(*P), den4)]
+    return ([c * Q[0]] + [c * qq - dd for qq, dd in zip(Q[1:], den4)]
+            + [-den4[8]])
+
+
+# unit subdiagonals of the companion matrices, by degree
+_COMPANION = tuple(np.eye(m, k=-1) for m in range(10))
+
+
+def _companion_roots(p: list) -> list:
+    """Roots of the polynomial with coefficients ``p`` (highest power
+    first), found as ``np.roots`` finds them: leading zeros lower the
+    degree, each trailing zero is a root at 0, and the others are the
+    eigenvalues of the companion matrix. Raises LinAlgError when that
+    matrix is not finite.
+    """
+    nonzero = [i for i, c in enumerate(p) if c != 0.0]
+    if not nonzero:
+        return []
+    first, last = nonzero[0], nonzero[-1]
+    roots = []
+    if last > first:
+        A = _COMPANION[last - first].copy()
+        A[0] = [-c / p[first] for c in p[first + 1:last + 1]]
+        roots = np.linalg.eigvals(A).tolist()
+    return roots + [0.0] * (len(p) - 1 - last)
 
 
 def enumerate_branches(d: DerivedParams) -> BranchSet:
@@ -177,12 +247,12 @@ def enumerate_branches(d: DerivedParams) -> BranchSet:
     it equals n*P^2 != 0); it is a cubic when the cross-Kerr term is off
     (g = 0). Its roots in the scaled variable
     x = n/n_hi, n_hi = (eta/kappa)^2*(1+1e-6), come from companion-matrix
-    eigenvalues (``np.roots``). Candidates with |Im x| <= 1e-6*max(1, |x|)
-    and Re x in [0, 1] are sorted; separators sit at 0, midway between
-    neighbouring candidates and at n_hi. A root is accepted only where f
-    changes sign between two neighbouring separators, so a near-fold
-    complex pair adds nothing, and it is polished by bisection on f to
-    floating-point exhaustion. Since f(0) < 0 < f(n_hi), at least one branch
+    eigenvalues (found as ``np.roots`` finds them). Candidates with
+    |Im x| <= 1e-6*max(1, |x|) and Re x in [0, 1] are sorted; separators
+    sit at 0, midway between neighbouring candidates and at n_hi. A root is
+    accepted only where f changes sign between two neighbouring separators,
+    so a near-fold complex pair adds nothing, and it is polished by
+    bisection on f to floating-point exhaustion. Since f(0) < 0 < f(n_hi), at least one branch
     is always found.
 
     The relative residual |f(n)|/eta^2 left at a root is the rounding error
@@ -198,33 +268,45 @@ def enumerate_branches(d: DerivedParams) -> BranchSet:
 
     Raises InternalConsistencyError when eta^2/kappa^2, a coefficient of
     the polynomial or its companion matrix overflows (from about
-    eta = 1e150 kappa), or when f overflows so that no sign change is left.
+    eta = 1e152 kappa at the paper's parameters; from about 1e148 kappa f
+    itself overflows at the root, which leaves a residual that is not
+    finite), when a scale of the polynomial underflows to 0, or when f
+    overflows so that no sign change is left. Like ``consistency_residual``
+    at a float, it raises ZeroDivisionError where den(n) = 0 exactly at a
+    bisection midpoint or at the root.
     """
     n_hi = upper_bound_photons(d) * (1.0 + 1e-6)
+    f = _root_function(d)
     if n_hi == 0.0:  # no drive, or one too weak to lift n above underflow
-        return BranchSet(branches=(_branch_from_root(d, 0.0, 0),))
-    poly = _branch_polynomial(d, n_hi) if math.isfinite(n_hi) else [n_hi]
-    finite = np.isfinite(poly).all()
-    try:
-        x = np.roots(poly) if finite else None
-    except np.linalg.LinAlgError:  # its companion matrix overflows
-        finite = False
-    if not finite:
+        return BranchSet(branches=(_branch_from_root(d, 0.0, 0, f),))
+    x = None
+    if math.isfinite(n_hi):
+        try:
+            poly = _branch_polynomial(d, n_hi)
+            if all(map(math.isfinite, poly)):
+                x = _companion_roots(poly)
+        # a scale underflows to 0, or the companion matrix overflows
+        except (ZeroDivisionError, np.linalg.LinAlgError):
+            pass
+    if x is None:
         raise InternalConsistencyError(
             f"branch polynomial overflows at eta = {d.eta:.6e} rad/s")
-    keep = ((np.abs(x.imag) <= IMAG_TOL * np.maximum(1.0, np.abs(x)))
-            & (x.real >= 0.0) & (x.real <= 1.0))
-    cand = np.sort(x.real[keep])
-    seps = n_hi * np.concatenate(([0.0], 0.5 * (cand[:-1] + cand[1:]), [1.0]))
-    fs = consistency_residual(d, seps)
+    cand = sorted(z.real for z in x
+                  if abs(z.imag) <= IMAG_TOL * max(1.0, abs(z))
+                  and 0.0 <= z.real <= 1.0)
+    seps = ([0.0] + [n_hi * (0.5 * (a + b)) for a, b in zip(cand, cand[1:])]
+            + [n_hi])
+    try:
+        fs = [f(n) for n in seps]
+    except ZeroDivisionError:  # den = 0 at a separator: inf or nan, as arrays
+        fs = consistency_residual(d, np.array(seps)).tolist()
 
     roots: list[float] = []
-    seps, fs = seps.tolist(), fs.tolist()
     for lo, hi, flo, fhi in zip(seps, seps[1:], fs, fs[1:]):
         if flo == 0.0:
             roots.append(lo)
         elif fhi != 0.0 and (flo < 0.0) != (fhi < 0.0):
-            roots.append(_bisect(d, lo, hi, flo, fhi))
+            roots.append(_bisect(f, lo, hi, flo < 0.0))
 
     if not roots:  # f(0) < 0 < f(n_hi) unless f overflows there
         raise InternalConsistencyError(
@@ -232,5 +314,6 @@ def enumerate_branches(d: DerivedParams) -> BranchSet:
     warnings: tuple[str, ...] = ()
     if len(roots) not in (1, 3):
         warnings = (f"branch-count={len(roots)}",)
-    branches = tuple(_branch_from_root(d, r, i) for i, r in enumerate(roots))
+    branches = tuple(_branch_from_root(d, r, i, f)
+                     for i, r in enumerate(roots))
     return BranchSet(branches=branches, warnings=warnings)

@@ -256,6 +256,34 @@ def test_float_range_failures_are_one_line_internal_errors(tmp_path, command,
     assert proc.stderr.count("\n") == 1
 
 
+# sqrt(Omega_plus*Omega_minus) overflows: omega_b = inf in every row
+OVERFLOWING_OMEGA_B = {"omega_sw": "1e150*kappa", "gamma": 2.2e-16,
+                       "T": 1e-12, "ck_enabled": False, "sweep_var": "delta_c",
+                       "sweep_min": 1e-300, "sweep_max": 9.3e8,
+                       "sweep_count": 4}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_sweep_with_a_nonfinite_cell_writes_nothing(tmp_path, fmt):
+    proc = _becck(tmp_path, "sweep", dict(OVERFLOWING_OMEGA_B, format=fmt))
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("internal consistency error: ")
+    assert "omega_b" in proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("count", [10 ** 400, becck.sweep.MAX_GRID_COUNT + 1],
+                         ids=["10**400", "bound+1"])
+def test_sweep_count_above_the_bound_is_config_error(tmp_path, capsys, count):
+    cfg = _write(tmp_path, {"preset": "fig2a", "sweep_count": count})
+    assert main(["sweep", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_sweep_csv_schema_and_nulls(tmp_path):
     cfg = _write(tmp_path, {
         "eta": "2*kappa", "sweep_var": "delta_c",

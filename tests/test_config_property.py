@@ -14,8 +14,8 @@ from hypothesis import strategies as st  # noqa: E402
 
 from becck.cli import (OTHER_KEYS, PARAM_KEYS, SWEEP_KEYS,  # noqa: E402
                        main)
-from becck.sweep import (BRANCH_POLICIES, CK_MODES, SWEEP_VARS,  # noqa: E402
-                         preset_names)
+from becck.sweep import (BRANCH_POLICIES, CK_MODES,  # noqa: E402
+                         MAX_GRID_COUNT, SWEEP_VARS, preset_names)
 
 DOCUMENTED_EXITS = {0, 2, 3, 4}
 
@@ -29,7 +29,7 @@ frequencies = st.one_of(
     st.floats(-1e9, 1e9),
     st.sampled_from(["1e140*kappa", "1e150*kappa", "1e160*kappa",
                      "-1*kappa", "-1*omegaR", 1e-300, 5e-324, 1e308,
-                     -1e308]),
+                     -1e308, 2.2e-16, 9.3e8]),
 )
 # output paths, taken relative to a temporary directory
 OUTS = ("rows.out", "no/such/dir/rows.out", "nul\x00.out")
@@ -48,8 +48,10 @@ VALID.update(
     format=st.sampled_from(["csv", "json-lines"]),
     workers=st.integers(1, 4),
 )
-# counts stay tiny: a count is a grid size, allocated in full
-COUNTS = st.integers(-1, 5)
+# counts stay tiny or above the bound: a count is a grid size, allocated
+# in full
+COUNTS = st.one_of(st.integers(-1, 5),
+                   st.sampled_from([MAX_GRID_COUNT + 1, 10**400]))
 HOSTILE = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([10**400, -(10**400), "1e400*kappa", "nan*kappa",
@@ -58,16 +60,25 @@ HOSTILE = st.one_of(
     st.lists(st.integers(0, 3), max_size=2),
     st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
 )
+# whole configs that once escaped the exit-code table: omega_b overflows in
+# every row of this sweep
+KNOWN = st.sampled_from([
+    {"omega_sw": "1e150*kappa", "gamma": 2.2e-16, "T": 1e-12,
+     "ck_enabled": False, "sweep_var": "delta_c", "sweep_min": 1e-300,
+     "sweep_max": 9.3e8},
+])
 KEYS = PARAM_KEYS + SWEEP_KEYS + OTHER_KEYS
 assert set(VALID) | {"sweep_count"} == set(KEYS)
 
 
 @st.composite
 def configs(draw):
-    """Valid values for a few keys, a sweep range or preset now and then,
-    and up to two hostile values, possibly under unknown keys."""
-    data = {key: draw(VALID[key]) for key in draw(st.lists(
-        st.sampled_from(sorted(VALID)), max_size=4, unique=True))}
+    """A known config now and then, valid values for a few keys, a sweep
+    range or preset now and then, and up to two hostile values, possibly
+    under unknown keys."""
+    data = dict(draw(st.one_of(st.just({}), KNOWN)))
+    data.update({key: draw(VALID[key]) for key in draw(st.lists(
+        st.sampled_from(sorted(VALID)), max_size=4, unique=True))})
     if draw(st.booleans()):
         data.update(sweep_var=draw(VALID["sweep_var"]),
                     sweep_min=draw(frequencies), sweep_max=draw(frequencies))
@@ -75,8 +86,7 @@ def configs(draw):
                              max_size=2, unique=True)):
         data[key] = draw(HOSTILE)
     # a sweep never runs at the default grid size of 501 points
-    data["sweep_count"] = draw(st.one_of(COUNTS, COUNTS, HOSTILE.filter(
-        lambda v: isinstance(v, bool) or not isinstance(v, int))))
+    data["sweep_count"] = draw(st.one_of(COUNTS, COUNTS, HOSTILE))
     return data
 
 
@@ -111,6 +121,11 @@ def _exit_code(tmp_path, command, data) -> int:
 @example(command="sweep", data={"preset": "fig2a", "ck_mode": "",
                                 "sweep_count": 2})
 @example(command="steady", data={"eta": "1e150*kappa", "sweep_count": 2})
+@example(command="sweep", data={"preset": "fig2a", "sweep_count": 10**400})
+@example(command="sweep", data={
+    "omega_sw": "1e150*kappa", "gamma": 2.2e-16, "T": 1e-12,
+    "ck_enabled": False, "sweep_var": "delta_c", "sweep_min": 1e-300,
+    "sweep_max": 9.3e8, "sweep_count": 4, "format": "json-lines"})
 @example(command="steady", data={"out": OUTS[2], "sweep_count": 2})
 def test_every_config_ends_in_a_documented_exit_code(tmp_path, command, data):
     assert _exit_code(tmp_path, command, data) in DOCUMENTED_EXITS

@@ -1,14 +1,24 @@
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from becck import (consistency_residual, derive_params, enumerate_branches,
-                   paper_base_params, upper_bound_photons)
-from becck.meanfield import BISECT_RTOL
+from becck import (InternalConsistencyError, SystemParams,
+                   consistency_residual, derive_params, enumerate_branches,
+                   paper_base_params, preset_names, preset_spec,
+                   upper_bound_photons)
+from becck.meanfield import (BISECT_RTOL, _branch_polynomial,
+                             _companion_roots, _root_function)
+from polynomial_oracle import branch_count, branch_polynomial
 from scan_oracle import scan_roots
 
 KAPPA = paper_base_params().kappa
+OMEGA_R = paper_base_params().omega_R
+# delta_a < 0 (g < 0): five self-consistent photon numbers
+FIVE_BRANCH = dict(delta_c=12.2 * KAPPA, eta=8.0 * KAPPA,
+                   omega_sw=1.57 * OMEGA_R, delta_a=-7.5e11)
 
 
 def test_undriven_cavity_single_vacuum_branch():
@@ -159,3 +169,116 @@ def test_ck_shift_is_small_but_nonzero():
     n_off = enumerate_branches(d_off)[0].n_photon
     assert n_on != n_off
     assert abs(n_on - n_off) / n_off < 0.05
+
+
+def _preset_points(rng, per_preset):
+    """DerivedParams at random sweep values of every preset, ck off and on."""
+    for name in preset_names():
+        spec = preset_spec(name)
+        for value in rng.uniform(spec.start, spec.stop, per_preset).tolist():
+            for ck in (False, True):
+                yield derive_params(replace(spec.base, ck_enabled=ck,
+                                            **{spec.var: value}))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def test_branch_polynomial_matches_convolve_oracle():
+    points = list(_preset_points(np.random.default_rng(1), 20))
+    points.append(derive_params(replace(paper_base_params(), **FIVE_BRANCH)))
+    for d in points:
+        n_hi = upper_bound_photons(d) * (1.0 + 1e-6)
+        ref = branch_polynomial(d, n_hi)
+        mine = np.array(_branch_polynomial(d, n_hi))
+        assert np.max(np.abs(mine - ref)) <= 1e-12 * np.max(np.abs(ref)), d
+        if not d.ck_enabled:  # g = 0: exact leading zeros leave a cubic
+            assert not mine[:6].any() and mine[6] != 0.0
+
+
+def test_root_function_bitwise_equals_consistency_residual():
+    rng = np.random.default_rng(2)
+    for d in _preset_points(rng, 10):
+        n_hi = upper_bound_photons(d) * (1.0 + 1e-6)
+        ns = np.concatenate(([0.0, n_hi], rng.uniform(0.0, n_hi, 20)))
+        f = _root_function(d)
+        assert np.array_equal(_bits(f(ns)), _bits(consistency_residual(d, ns)))
+        for n in ns.tolist():
+            assert _bits(f(n)) == _bits(consistency_residual(d, n)), (d, n)
+
+
+def test_root_function_where_den_vanishes():
+    # Omega_minus(0)*Omega_plus(0) underflows to 0 and gamma = 0: den(0) = 0
+    d = derive_params(SystemParams(omega_R=1e-300, omega_sw=0.0, gamma=0.0,
+                                   eta=KAPPA))
+    f = _root_function(d)
+    for fn in (f, lambda n: consistency_residual(d, n)):
+        with pytest.raises(ZeroDivisionError):
+            fn(0.0)
+    ns = np.array([0.0, 1.0])
+    with np.errstate(all="ignore"):
+        assert np.array_equal(_bits(f(ns)), _bits(consistency_residual(d, ns)))
+    # with g = zeta = 0 as well, den = 0 everywhere and f is nan on every
+    # separator, as on an array: no sign change, not ZeroDivisionError
+    d = derive_params(SystemParams(g0=1e-200, omega_R=1e-300, omega_sw=0.0,
+                                   gamma=0.0, eta=KAPPA))
+    with np.errstate(all="ignore"), pytest.raises(
+            InternalConsistencyError, match="no sign change"):
+        enumerate_branches(d)
+
+
+def test_branch_counts_and_warnings_match_oracle_on_every_preset_point(
+        preset_rows):
+    for name in preset_names():
+        spec = preset_spec(name)
+        points = {(r.sweep_value, r.ck_enabled): (r.n_branches, tuple(
+            w for w in r.warnings if w.startswith("branch-count")))
+            for r in preset_rows(name)}
+        for (value, ck), got in points.items():
+            d = derive_params(replace(spec.base, ck_enabled=ck,
+                                      **{spec.var: value}))
+            # fig5 starts at eta = 0, the vacuum branch
+            want = (1, ()) if d.eta == 0.0 else branch_count(d)
+            assert got == want, (name, value, ck)
+
+
+def test_branch_count_warning_matches_oracle():
+    d = derive_params(replace(paper_base_params(), **FIVE_BRANCH))
+    bs = enumerate_branches(d)
+    assert (len(bs), bs.warnings) == branch_count(d) == (5, ("branch-count=5",))
+    ns = [b.n_photon for b in bs]
+    assert ns == sorted(ns) and max(b.residual for b in bs) <= BISECT_RTOL
+
+
+@pytest.mark.parametrize("p", [
+    [0.0, 0.0, 1.0, -3.0, 2.0],
+    [1.0, -3.0, 2.0, 0.0, 0.0],
+    [0.0, 2.0, 0.0, -1.0, 0.0],
+    [0.0, 1.0, 1.0, 1.0],
+    [0.0, 0.0, 5.0, 0.0],
+    [0.0, 0.0, 0.0],
+    [3.0],
+    np.random.default_rng(3).normal(size=10).tolist(),
+], ids=["leading-zeros", "trailing-zeros", "both", "complex-pair",
+        "constant-times-x", "zero", "constant", "degree-9"])
+def test_companion_roots_match_np_roots(p):
+    assert np.array_equal(np.array(_companion_roots(p)), np.roots(p))
+
+
+def test_huge_drives_warn_nothing_and_overflows_name_eta():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # f overflows at the root: one branch, with a residual that is not
+        # finite (``steady`` refuses it, see tests/test_cli.py)
+        bs = enumerate_branches(derive_params(paper_base_params(
+            eta=1e150 * KAPPA)))
+        assert len(bs) == 1 and not math.isfinite(bs[0].residual)
+        # the branch polynomial overflows: its drive term, and zeta/kappa
+        # squared
+        for params in (paper_base_params(eta=1e154 * KAPPA),
+                       paper_base_params(eta=1e160 * KAPPA),
+                       paper_base_params(kappa=1e-150, eta=1e-150)):
+            with pytest.raises(InternalConsistencyError,
+                               match="overflows at eta = "):
+                enumerate_branches(derive_params(params))

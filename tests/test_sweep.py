@@ -5,7 +5,7 @@ from becck import (InternalConsistencyError, SweepSpec, StabilityReport,
                    bistable_window, ck_comparison_metrics, paper_base_params,
                    preset_names, preset_spec, run_sweep)
 from becck.cli import row_to_csv
-from becck.sweep import _rows_for_points, resolve_workers
+from becck.sweep import MAX_GRID_COUNT, _rows_for_points, resolve_workers
 
 KAPPA = paper_base_params().kappa
 
@@ -42,6 +42,14 @@ def test_spec_validation():
         _spec(0.0, 1.0, 5, ck_mode="both")
     with pytest.raises(ValueError):
         _spec(0.0, 1.0, 5, var="tuning")
+
+
+@pytest.mark.parametrize("count", [MAX_GRID_COUNT + 1, 10 ** 400])
+def test_spec_rejects_grids_above_the_bound(count):
+    # rejected in __post_init__, before a grid is allocated
+    with pytest.raises(ValueError, match=str(MAX_GRID_COUNT)):
+        _spec(0.0, 1.0, count)
+    assert _spec(0.0, 1.0, MAX_GRID_COUNT).count == MAX_GRID_COUNT
 
 
 def test_grid_endpoints():

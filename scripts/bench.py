@@ -5,26 +5,32 @@
 
 Measures the package in this checkout's ``src/`` ("after") and, with
 ``--before``, the ``src/`` of another checkout, such as an export of the
-parent commit ("before"). Each side runs in a fresh interpreter with one
-BLAS thread. Recorded per side:
+parent commit ("before"). Each measurement runs in a fresh interpreter with
+one BLAS thread. The sides take turns: each of the ``--repeats`` rounds
+measures both, the first side alternating from round to round, so a change
+in the load of a shared machine reaches both alike. Every timing is
+reported per side as the median and the quartiles (``q1``, ``q3``) over the
+rounds. Recorded per side:
 
 * per-layer medians at three fixed points (monostable, bistable, and the
   strong drive eta = 7 kappa), each in microseconds per call:
   ``enumerate_branches``; ``build_drift_diffusion`` and
   ``classify_stability`` per branch; ``solve_lyapunov`` and
   ``observable_set`` per stable branch; ``row_to_csv``/``row_to_json`` per
-  row; and a two-point paired sweep at the point;
-* the serial wall time of each of the nine presets (median of
-  ``--repeats`` runs, in seconds);
+  row; a two-point paired sweep at the point; and ``classify_points`` on
+  batches of 1, 4 and 8 points near it (one point with cross-Kerr on, or
+  2 and 4 grid values with both settings, as a paired sweep builds them);
+* the serial wall time of each of the nine presets (one run per round, in
+  seconds);
 * end to end through the command line (``becck.cli.main`` in process,
   stdout discarded): one ``steady`` point (bistable, in milliseconds) and
-  one ``verify`` run at its default seed (median of ``--repeats`` runs,
-  in seconds);
+  one ``verify`` run at its default seed (in seconds);
 * the wall time of one run of the checkout's tier-1 tests (the command in
   ROADMAP.md, run from the checkout's root) and pytest's summary line.
 
 Timings on a shared machine swing by up to 2x; compare sides measured in
-one invocation. Nothing here asserts a time.
+one invocation, and a median only where the quartiles of the two sides do
+not overlap. Nothing here asserts a time.
 """
 
 from __future__ import annotations
@@ -62,8 +68,25 @@ def _per_item_us(fn, items):
     return _median_us(lambda: [fn(*it) for it in items]) / len(items)
 
 
-def measure(repeats: int) -> dict:
-    """Timings of the becck package found first on sys.path."""
+def _batch_us(base, dc, eta, size):
+    """``classify_points`` on ``size`` points from delta_c = dc*kappa in
+    steps of 0.01 kappa, both cross-Kerr settings unless ``size`` is 1."""
+    import dataclasses
+
+    import becck
+    from becck.sweep import classify_points
+
+    k = base.kappa
+    cks = (True,) if size == 1 else (False, True)
+    ds = [becck.derive_params(dataclasses.replace(
+        base, delta_c=(dc + 0.01 * j) * k, eta=eta * k, ck_enabled=ck))
+        for j in range(size // len(cks)) for ck in cks]
+    labels = [""] * size
+    return _median_us(lambda: classify_points(ds, labels), number=20)
+
+
+def measure() -> dict:
+    """One round of timings of the becck package found first on sys.path."""
     import dataclasses
 
     import numpy
@@ -101,19 +124,20 @@ def measure(repeats: int) -> dict:
             "row_to_json_us": _per_item_us(row_to_json, [(r,) for r in rows]),
             "sweep_2_points_us": _median_us(
                 lambda: becck.run_sweep(spec, workers=1), number=20),
+            **{f"classify_points_{size}_us": _batch_us(base, dc, eta, size)
+               for size in (1, 4, 8)},
         }
     presets = {}
     for name in becck.preset_names():
         spec = becck.preset_spec(name)
-        presets[name] = statistics.median(
-            timeit.Timer(lambda: becck.run_sweep(spec, workers=1)).repeat(
-                repeat=repeats, number=1))
+        presets[name] = timeit.Timer(
+            lambda: becck.run_sweep(spec, workers=1)).timeit(number=1)
     return {"python": platform.python_version(), "numpy": numpy.__version__,
             "per_layer": layers, "preset_wall_s": presets,
-            "end_to_end": end_to_end(repeats)}
+            "end_to_end": end_to_end()}
 
 
-def end_to_end(repeats: int) -> dict:
+def end_to_end() -> dict:
     """Wall time of CLI commands run in process, stdout discarded."""
     from becck.cli import main
 
@@ -128,8 +152,7 @@ def end_to_end(repeats: int) -> dict:
                                      "eta": f"{eta}*kappa"}))
         steady_ms = _median_us(lambda: run(["steady", "--config", str(point)]),
                                number=20) / 1e3
-    verify_s = statistics.median(timeit.Timer(lambda: run(["verify"])).repeat(
-        repeat=repeats, number=1))
+    verify_s = timeit.Timer(lambda: run(["verify"])).timeit(number=1)
     return {"steady_point_ms": steady_ms, "verify_s": verify_s}
 
 
@@ -156,14 +179,27 @@ def tier1(checkout: Path) -> dict:
     return {"wall_s": wall, "summary": lines[-1] if lines else ""}
 
 
-def run_side(checkout: Path, repeats: int) -> dict:
+def measure_in(checkout: Path) -> dict:
+    """One round of ``measure`` in a fresh interpreter on ``checkout``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, __file__, "--measure",
-                           "--repeats", str(repeats)],
+    proc = subprocess.run([sys.executable, __file__, "--measure"],
                           capture_output=True, text=True, env=env, check=True)
-    return {**json.loads(proc.stdout), "tier1": tier1(checkout)}
+    return json.loads(proc.stdout)
+
+
+def summarize(rounds: list):
+    """The rounds merged leaf by leaf: a float becomes its median and
+    quartiles over the rounds; any other leaf is taken from the first."""
+    first = rounds[0]
+    if isinstance(first, dict):
+        return {k: summarize([r[k] for r in rounds]) for k in first}
+    if not isinstance(first, float):
+        return first
+    q1, median, q3 = (statistics.quantiles(rounds, n=4, method="inclusive")
+                      if len(rounds) > 1 else rounds * 3)
+    return {"median": median, "q1": q1, "q3": q3}
 
 
 def main(argv=None) -> int:
@@ -171,21 +207,32 @@ def main(argv=None) -> int:
     parser.add_argument("--before", type=Path,
                         help="another checkout to measure as 'before'")
     parser.add_argument("--out", type=Path, help="path of the JSON report")
-    parser.add_argument("--repeats", type=int, default=3,
-                        help="runs per preset (median reported)")
+    parser.add_argument("--repeats", type=int, default=5,
+                        help="rounds per side (median and quartiles "
+                             "reported)")
     parser.add_argument("--measure", action="store_true",
                         help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.measure:
-        print(json.dumps(measure(args.repeats)))
+        print(json.dumps(measure()))
         return 0
     if args.out is None:
         parser.error("--out is required")
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+    sides = {"after": ROOT}
+    if args.before is not None:
+        sides["before"] = args.before.resolve()
+    rounds = {side: [] for side in sides}
+    for i in range(args.repeats):
+        order = list(sides) if i % 2 == 0 else list(sides)[::-1]
+        for side in order:
+            rounds[side].append(measure_in(sides[side]))
     report = {"machine": {"cpu": cpu_model(), "cpu_count": os.cpu_count(),
                           "platform": platform.platform()},
-              "after": run_side(ROOT, args.repeats)}
-    if args.before is not None:
-        report["before"] = run_side(args.before.resolve(), args.repeats)
+              "repeats": args.repeats}
+    for side, checkout in sides.items():
+        report[side] = {**summarize(rounds[side]), "tier1": tier1(checkout)}
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     return 0

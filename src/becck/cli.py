@@ -62,6 +62,8 @@ class RunConfig:
 
 
 PARAM_KEYS = tuple(f.name for f in dataclasses.fields(SystemParams))
+# every default is an immutable scalar, so a shallow dict of them suffices
+_PARAM_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SystemParams)}
 # every parameter but these three is a frequency in rad/s
 FREQ_KEYS = tuple(k for k in PARAM_KEYS if k not in ("N", "T", "ck_enabled"))
 _RUN_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))[1:]
@@ -128,12 +130,12 @@ def build_config(data: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
-    base = dataclasses.asdict(SystemParams())
     # kappa and omega_R resolve first so '*kappa'/'*omegaR' can reference them
-    kappa = parse_quantity(data.get("kappa", base["kappa"]), key="kappa")
-    omega_R = parse_quantity(data.get("omega_R", base["omega_R"]),
+    kappa = parse_quantity(data.get("kappa", _PARAM_DEFAULTS["kappa"]),
+                           key="kappa")
+    omega_R = parse_quantity(data.get("omega_R", _PARAM_DEFAULTS["omega_R"]),
                              key="omega_R")
-    fields = dict(base, kappa=kappa, omega_R=omega_R)
+    fields = dict(_PARAM_DEFAULTS, kappa=kappa, omega_R=omega_R)
     for key in PARAM_KEYS:
         if key in data and key not in ("kappa", "omega_R"):
             fields[key] = _config_value(data, key, kappa, omega_R)

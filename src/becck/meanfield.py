@@ -17,16 +17,23 @@ the cross-Kerr term), so its companion-matrix eigenvalues give every branch,
 including all bistable ones. Each candidate is kept only where f changes sign
 around it and is then polished by bisection on f itself.
 
-A point costs one companion eigen-solve and about 60 evaluations of f per
-root, so both avoid NumPy's per-call overhead: the coefficients are Python
-floats with the fixed-degree products written out, the companion matrix is
-built by hand for one ``np.linalg.eigvals`` call, and f is one closure over
-the point's constants, bitwise equal to ``consistency_residual``. The
-written-out sums round in another order than ``np.convolve``, so the
-coefficients match the ``np.roots`` build of tests/polynomial_oracle.py to
-1e-12 of the largest one, not bitwise, and a root can end on a
-neighbouring float (over the nine presets, mean-field values move by at
-most 5.6e-15 relative).
+``branch_candidates`` solves the companion matrices of a whole batch of
+points with one stacked ``np.linalg.eigvals`` call per matrix size (two for a
+paired sweep: degree 9 with the cross-Kerr term, 3 without), and
+``enumerate_branches`` takes one point's candidates. The eigenvalue places a
+root to about 1e-12 relative (Edelman & Murakami, Math. Comp. 64, 763
+(1995)), so f at r*(1 -/+ 1e-12) around each candidate r first narrows the
+sign-change bracket; a root then costs about 17 evaluations of f, against
+about 58 from the full bracket. Both steps avoid NumPy's per-call overhead: the coefficients are
+Python floats with the fixed-degree products written out, the companion
+matrices are built by hand, and f is one closure over the point's
+constants, bitwise equal to ``consistency_residual``. The written-out sums
+round in another order than ``np.convolve``, so the coefficients match the
+``np.roots`` build of tests/polynomial_oracle.py to 1e-12 of the largest
+one, not bitwise. Bisection ends on some float where f changes sign, and
+which one depends on the bracket, so a mean-field value can differ in its
+last bits from that of a full bracket (over the nine presets by at most
+3.2e-15 relative in the photon number).
 """
 
 from __future__ import annotations
@@ -41,6 +48,9 @@ from .model import DerivedParams, InternalConsistencyError, omega_pm
 BISECT_RTOL = 1e-12  # residual reached at the paper's parameters, not a bound
 # companion-matrix roots kept as candidates: |Im x| <= IMAG_TOL*max(1, |x|)
 IMAG_TOL = 1e-6
+# relative half-width of the bracket tried around each companion root, a few
+# times the accuracy of the eigenvalue (Edelman & Murakami 1995)
+BRACKET_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -131,13 +141,18 @@ def _root_function(d: DerivedParams):
 def _branch_from_root(d: DerivedParams, n: float, index: int,
                       f) -> MeanFieldBranch:
     n = float(n)
-    bR, bI = _beta_of_n(d, n)
-    D = _delta_of_n(d, n)
-    den = D * D + d.kappa * d.kappa
-    aR = -d.eta * d.kappa / den
-    aI = d.eta * D / den
+    try:
+        bR, bI = _beta_of_n(d, n)
+        D = _delta_of_n(d, n)
+        den = D * D + d.kappa * d.kappa
+        aR = -d.eta * d.kappa / den
+        aI = d.eta * D / den
+        resid = abs(f(n))
+    except ZeroDivisionError:  # den(n) underflows to 0 at the root
+        raise InternalConsistencyError(
+            f"division by zero in the branch at n = {n:.6e}, "
+            f"eta = {d.eta:.6e} rad/s") from None
     om, op = omega_pm(d, n)
-    resid = abs(f(n))
     if d.eta * d.eta > 0.0:
         resid /= d.eta * d.eta
     return MeanFieldBranch(
@@ -152,9 +167,19 @@ def _branch_from_root(d: DerivedParams, n: float, index: int,
     )
 
 
-def _bisect(f, lo: float, hi: float, lo_negative: bool) -> float:
+def _bisect(f, lo: float, hi: float, lo_negative: bool, tries=()) -> float:
     # f(lo) and f(hi) are nonzero, of opposite sign, and f(lo) < 0 exactly
-    # when lo_negative; runs to floating-point exhaustion
+    # when lo_negative; each of ``tries`` inside (lo, hi) narrows the
+    # bracket first, then bisection runs to floating-point exhaustion
+    for mid in tries:
+        if lo < mid < hi:
+            fmid = f(mid)
+            if fmid == 0.0:
+                return mid
+            if lo_negative != (fmid < 0.0):
+                hi = mid
+            else:
+                lo = mid
     while True:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
@@ -219,26 +244,66 @@ def _branch_polynomial(d: DerivedParams, n_hi: float) -> list:
 _COMPANION = tuple(np.eye(m, k=-1) for m in range(10))
 
 
-def _companion_roots(p: list) -> list:
-    """Roots of the polynomial with coefficients ``p`` (highest power
+def _companion_roots(polys) -> list:
+    """Roots of each polynomial of ``polys`` (coefficients highest power
     first), found as ``np.roots`` finds them: leading zeros lower the
     degree, each trailing zero is a root at 0, and the others are the
-    eigenvalues of the companion matrix. Raises LinAlgError when that
-    matrix is not finite.
+    eigenvalues of the companion matrix. The matrices are stacked by size,
+    one ``np.linalg.eigvals`` call per size. A polynomial that is None, or
+    whose coefficients or companion row are not finite, gets None; so do
+    all of a stack on which the eigen-solve does not converge.
     """
-    nonzero = [i for i, c in enumerate(p) if c != 0.0]
-    if not nonzero:
+    out, stacks = [], {}
+    for p in polys:
+        roots = None
+        if p is not None and all(map(math.isfinite, p)):
+            nonzero = [i for i, c in enumerate(p) if c != 0.0]
+            first, last = (nonzero[0], nonzero[-1]) if nonzero else (0, -1)
+            roots = [0.0] * (len(p) - 1 - last) if nonzero else []
+            if last > first:
+                row = [-c / p[first] for c in p[first + 1:last + 1]]
+                if all(map(math.isfinite, row)):
+                    stacks.setdefault(last - first, []).append(
+                        (len(out), row))
+                else:
+                    roots = None
+        out.append(roots)
+    for m, items in stacks.items():
+        A = np.empty((len(items), m, m))
+        A[:] = _COMPANION[m]
+        A[:, 0] = [row for _, row in items]
+        try:
+            ws = np.linalg.eigvals(A).tolist()
+        except np.linalg.LinAlgError:
+            ws = [None] * len(items)
+        for (i, _), w in zip(items, ws):
+            out[i] = None if w is None else w + out[i]
+    return out
+
+
+def _point_polynomial(d: DerivedParams):
+    """``_branch_polynomial`` of the point at its n_hi; [] without drive,
+    None where n_hi overflows or a scale of the polynomial underflows."""
+    n_hi = upper_bound_photons(d) * (1.0 + 1e-6)
+    if n_hi == 0.0:
         return []
-    first, last = nonzero[0], nonzero[-1]
-    roots = []
-    if last > first:
-        A = _COMPANION[last - first].copy()
-        A[0] = [-c / p[first] for c in p[first + 1:last + 1]]
-        roots = np.linalg.eigvals(A).tolist()
-    return roots + [0.0] * (len(p) - 1 - last)
+    try:
+        return _branch_polynomial(d, n_hi) if math.isfinite(n_hi) else None
+    except ZeroDivisionError:
+        return None
 
 
-def enumerate_branches(d: DerivedParams) -> BranchSet:
+def branch_candidates(ds) -> list:
+    """The companion-matrix roots, in x = n/n_hi, of the branch polynomial
+    of each point of ``ds`` (DerivedParams), with one
+    ``np.linalg.eigvals`` call per companion size for the whole batch: []
+    at a point without drive, and None at one whose roots it cannot give
+    (``enumerate_branches`` raises there).
+    """
+    return _companion_roots(map(_point_polynomial, ds))
+
+
+def enumerate_branches(d: DerivedParams, roots=None) -> BranchSet:
     """Find every self-consistent branch as a root of one polynomial.
 
     With den(n) = Omega_minus(n)*Omega_plus(n) + gamma^2, the product
@@ -247,13 +312,16 @@ def enumerate_branches(d: DerivedParams) -> BranchSet:
     it equals n*P^2 != 0); it is a cubic when the cross-Kerr term is off
     (g = 0). Its roots in the scaled variable
     x = n/n_hi, n_hi = (eta/kappa)^2*(1+1e-6), come from companion-matrix
-    eigenvalues (found as ``np.roots`` finds them). Candidates with
+    eigenvalues (found as ``np.roots`` finds them): ``roots``, the point's
+    entry of ``branch_candidates``, which is called for ``d`` alone when
+    ``roots`` is None. Candidates with
     |Im x| <= 1e-6*max(1, |x|) and Re x in [0, 1] are sorted; separators
     sit at 0, midway between neighbouring candidates and at n_hi. A root is
     accepted only where f changes sign between two neighbouring separators,
-    so a near-fold complex pair adds nothing, and it is polished by
-    bisection on f to floating-point exhaustion. Since f(0) < 0 < f(n_hi), at least one branch
-    is always found.
+    so a near-fold complex pair adds nothing. It is polished by bisection
+    on f to floating-point exhaustion, after f at r*(1 -/+ BRACKET_RTOL),
+    with r the candidate, has narrowed the bracket wherever it lies inside.
+    Since f(0) < 0 < f(n_hi), at least one branch is always found.
 
     The relative residual |f(n)|/eta^2 left at a root is the rounding error
     of f there, about eps*n*(2|Delta|*S + Delta^2 + kappa^2)/eta^2 with S
@@ -270,28 +338,23 @@ def enumerate_branches(d: DerivedParams) -> BranchSet:
     the polynomial or its companion matrix overflows (from about
     eta = 1e152 kappa at the paper's parameters; from about 1e148 kappa f
     itself overflows at the root, which leaves a residual that is not
-    finite), when a scale of the polynomial underflows to 0, or when f
-    overflows so that no sign change is left. Like ``consistency_residual``
-    at a float, it raises ZeroDivisionError where den(n) = 0 exactly at a
-    bisection midpoint or at the root.
+    finite), when a scale of the polynomial underflows to 0, when f
+    overflows so that no sign change is left, or when a branch record
+    divides by zero (den(0) underflows to 0 at the vacuum branch of a
+    drive too weak to lift n above underflow). Like
+    ``consistency_residual`` at a float, it raises ZeroDivisionError where
+    den(n) = 0 exactly at a bracket point or a bisection midpoint.
     """
+    if roots is None:
+        (roots,) = branch_candidates([d])
     n_hi = upper_bound_photons(d) * (1.0 + 1e-6)
     f = _root_function(d)
     if n_hi == 0.0:  # no drive, or one too weak to lift n above underflow
         return BranchSet(branches=(_branch_from_root(d, 0.0, 0, f),))
-    x = None
-    if math.isfinite(n_hi):
-        try:
-            poly = _branch_polynomial(d, n_hi)
-            if all(map(math.isfinite, poly)):
-                x = _companion_roots(poly)
-        # a scale underflows to 0, or the companion matrix overflows
-        except (ZeroDivisionError, np.linalg.LinAlgError):
-            pass
-    if x is None:
+    if roots is None:
         raise InternalConsistencyError(
             f"branch polynomial overflows at eta = {d.eta:.6e} rad/s")
-    cand = sorted(z.real for z in x
+    cand = sorted(z.real for z in roots
                   if abs(z.imag) <= IMAG_TOL * max(1.0, abs(z))
                   and 0.0 <= z.real <= 1.0)
     seps = ([0.0] + [n_hi * (0.5 * (a + b)) for a, b in zip(cand, cand[1:])]
@@ -301,19 +364,24 @@ def enumerate_branches(d: DerivedParams) -> BranchSet:
     except ZeroDivisionError:  # den = 0 at a separator: inf or nan, as arrays
         fs = consistency_residual(d, np.array(seps)).tolist()
 
-    roots: list[float] = []
-    for lo, hi, flo, fhi in zip(seps, seps[1:], fs, fs[1:]):
+    found: list[float] = []
+    # the interval between two separators holds one candidate, or is
+    # [0, n_hi] with none
+    for lo, hi, flo, fhi, x in zip(seps, seps[1:], fs, fs[1:],
+                                   cand or [None]):
         if flo == 0.0:
-            roots.append(lo)
+            found.append(lo)
         elif fhi != 0.0 and (flo < 0.0) != (fhi < 0.0):
-            roots.append(_bisect(f, lo, hi, flo < 0.0))
+            tries = () if x is None else (n_hi * x * (1.0 - BRACKET_RTOL),
+                                          n_hi * x * (1.0 + BRACKET_RTOL))
+            found.append(_bisect(f, lo, hi, flo < 0.0, tries))
 
-    if not roots:  # f(0) < 0 < f(n_hi) unless f overflows there
+    if not found:  # f(0) < 0 < f(n_hi) unless f overflows there
         raise InternalConsistencyError(
             f"no sign change of f found at eta = {d.eta:.6e} rad/s")
     warnings: tuple[str, ...] = ()
-    if len(roots) not in (1, 3):
-        warnings = (f"branch-count={len(roots)}",)
+    if len(found) not in (1, 3):
+        warnings = (f"branch-count={len(found)}",)
     branches = tuple(_branch_from_root(d, r, i, f)
-                     for i, r in enumerate(roots))
+                     for i, r in enumerate(found))
     return BranchSet(branches=branches, warnings=warnings)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import (InternalConsistencyError, build_drift_diffusion,
                        classify_batch)
-from .meanfield import enumerate_branches
+from .meanfield import branch_candidates, enumerate_branches
 from .model import (SystemParams, bogoliubov_frequency, derive_params,
                     validity_flags)
 from .steadystate import gaussian_states
@@ -146,13 +146,15 @@ def preset_names() -> tuple:
 
 
 def classify_points(ds, labels) -> tuple:
-    """Enumerate every branch of the points ``ds`` (DerivedParams) and
-    classify all of them in one ``classify_batch`` call; a failing branch
+    """Enumerate every branch of the points ``ds`` (DerivedParams), from
+    one stacked companion eigen-solve per matrix size, and classify all of
+    them in one ``classify_batch`` call; a failing branch
     is named ``f"{labels[point]}branch {index}"``. Returns the BranchSet of
     each point and, per branch in point order, its (point index, branch)
     pair, drift-diffusion pair, StabilityReport and name.
     """
-    bsets = [enumerate_branches(d) for d in ds]
+    bsets = [enumerate_branches(d, roots)
+             for d, roots in zip(ds, branch_candidates(ds))]
     branches = [(p, b) for p, bset in enumerate(bsets) for b in bset]
     dds = [build_drift_diffusion(ds[p], b) for p, b in branches]
     names = [f"{labels[p]}branch {b.branch_index}" for p, b in branches]

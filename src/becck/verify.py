@@ -3,8 +3,9 @@
 Each suite takes a NumPy Generator and returns (ok, detail, where), where
 ``where`` is the (delta_c, eta, omega_sw, ck) point of the worst case or
 None. Branches are reached through ``sweep.classify_points``; only the
-mean-field substitution suite calls ``enumerate_branches`` itself, since
-that is what it checks.
+mean-field substitution suite calls ``enumerate_branches`` itself (on the
+candidates of one ``branch_candidates`` batch), since that is what it
+checks.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .dynamics import (DriftDiffusion, InternalConsistencyError,
                        classify_batch, drift_matrix,
                        finite_difference_jacobian, quadrature_fixed_point)
-from .meanfield import enumerate_branches
+from .meanfield import branch_candidates, enumerate_branches
 from .model import SystemParams, derive_params
 from .steadystate import (integrate_moment_ode, logarithmic_negativity,
                           solve_lyapunov)
@@ -114,9 +115,9 @@ def verify_routh_hurwitz(rng, base: SystemParams, count: int = 2000):
 def verify_meanfield(rng, base: SystemParams, count: int = 50):
     """Every enumerated branch satisfies the steady-state equations."""
     worst = 0.0
-    for _ in range(count):
-        d = _random_point(rng, base, 0.0)
-        for b in enumerate_branches(d):
+    ds = [_random_point(rng, base, 0.0) for _ in range(count)]
+    for d, roots in zip(ds, branch_candidates(ds)):
+        for b in enumerate_branches(d, roots):
             # alpha and beta closed forms, photon-number consistency
             den = b.Delta ** 2 + d.kappa ** 2
             alpha_ref = complex(-d.eta * d.kappa / den, d.eta * b.Delta / den)

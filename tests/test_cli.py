@@ -256,6 +256,18 @@ def test_float_range_failures_are_one_line_internal_errors(tmp_path, command,
     assert proc.stderr.count("\n") == 1
 
 
+def test_vacuum_branch_division_by_zero_names_eta(tmp_path):
+    # eta^2 underflows (the vacuum branch) and so does den(0) =
+    # Omega_minus*Omega_plus + gamma^2
+    proc = _becck(tmp_path, "steady", {"omega_R": 1e-300, "omega_sw": 0,
+                                       "gamma": 0, "eta": "1e-200*kappa"})
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("internal consistency error: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+    assert "eta = 8.168141e-194 rad/s" in proc.stderr
+    assert proc.stdout == ""
+
+
 # sqrt(Omega_plus*Omega_minus) overflows: omega_b = inf in every row
 OVERFLOWING_OMEGA_B = {"omega_sw": "1e150*kappa", "gamma": 2.2e-16,
                        "T": 1e-12, "ck_enabled": False, "sweep_var": "delta_c",

@@ -9,8 +9,10 @@ from becck import (InternalConsistencyError, SystemParams,
                    consistency_residual, derive_params, enumerate_branches,
                    paper_base_params, preset_names, preset_spec,
                    upper_bound_photons)
+from becck import meanfield
 from becck.meanfield import (BISECT_RTOL, _branch_polynomial,
-                             _companion_roots, _root_function)
+                             _companion_roots, _root_function,
+                             branch_candidates)
 from polynomial_oracle import branch_count, branch_polynomial
 from scan_oracle import scan_roots
 
@@ -263,7 +265,109 @@ def test_branch_count_warning_matches_oracle():
 ], ids=["leading-zeros", "trailing-zeros", "both", "complex-pair",
         "constant-times-x", "zero", "constant", "degree-9"])
 def test_companion_roots_match_np_roots(p):
-    assert np.array_equal(np.array(_companion_roots(p)), np.roots(p))
+    (roots,) = _companion_roots([p])
+    assert np.array_equal(np.array(roots), np.roots(p))
+
+
+def _complex_bits(roots):
+    z = np.asarray(roots, dtype=complex)
+    return np.stack([_bits(z.real), _bits(z.imag)])
+
+
+def test_stacked_companion_roots_bitwise_equal_np_roots():
+    rng = np.random.default_rng(4)
+    polys = [[0.0, 0.0, 1.0, -3.0, 2.0], [1.0, -3.0, 2.0, 0.0, 0.0],
+             [0.0, 2.0, 0.0, -1.0, 0.0], [0.0, 1.0, 1.0, 1.0], [3.0],
+             [0.0, 0.0, 0.0]]
+    polys += [rng.normal(size=m).tolist() for m in (10, 10, 4, 7, 10, 4)]
+    # branch polynomials: degree 9 with cross-Kerr on, a cubic (six leading
+    # zeros) with it off
+    for d in _preset_points(np.random.default_rng(5), 2):
+        polys.append(_branch_polynomial(d, upper_bound_photons(d)
+                                        * (1.0 + 1e-6)))
+    p = list(polys[-1])
+    p[-2:] = [0.0, 0.0]  # two roots at 0 after a degree-7 companion
+    polys.append(p)
+    rng.shuffle(polys)
+    stacked = _companion_roots(polys)
+    assert len(stacked) == len(polys)
+    for p, roots in zip(polys, stacked):
+        (alone,) = _companion_roots([p])
+        assert np.array_equal(_complex_bits(roots), _complex_bits(alone)), p
+        assert np.array_equal(_complex_bits(roots),
+                              _complex_bits(np.roots(p))), p
+
+
+def test_stacked_eigen_solve_once_per_companion_size(monkeypatch):
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(meanfield.np.linalg, "eigvals", counted)
+    ds = list(_preset_points(np.random.default_rng(6), 1))
+    branch_candidates(ds)
+    assert sorted(calls) == [(9, 3, 3), (9, 9, 9)]
+
+
+def test_unconverged_stack_falls_back_to_points_alone(monkeypatch):
+    ds = list(_preset_points(np.random.default_rng(7), 1))
+    want = [enumerate_branches(d) for d in ds]
+    eigvals = np.linalg.eigvals
+
+    def stack_fails(a):
+        if a.shape[0] > 1:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvals(a)
+
+    monkeypatch.setattr(meanfield.np.linalg, "eigvals", stack_fails)
+    candidates = branch_candidates(ds)
+    assert candidates == [None] * len(ds)
+    assert [enumerate_branches(d, x) for d, x in zip(ds, candidates)] == want
+
+
+def test_overflowing_point_in_a_batch_raises_its_own_error():
+    base = paper_base_params(delta_c=5 * KAPPA)
+    ds = [derive_params(base.with_ck(ck) if eta is None else
+                        replace(base, eta=eta, ck_enabled=ck))
+          for eta in (2 * KAPPA, 1e160 * KAPPA, 1e154 * KAPPA, None)
+          for ck in (False, True)]
+    candidates = branch_candidates(ds)
+    assert [x is None for x in candidates] == [False] * 2 + [True] * 4 + [
+        False] * 2
+    k = 2  # the first overflowing point
+    with pytest.raises(InternalConsistencyError) as alone:
+        enumerate_branches(ds[k])
+    with pytest.raises(InternalConsistencyError) as batched:
+        [enumerate_branches(d, x) for d, x in zip(ds, candidates)]
+    assert str(batched.value) == str(alone.value)
+    assert "overflows at eta = " in str(alone.value)
+
+
+def test_bracket_polish_cuts_root_function_calls(monkeypatch):
+    counts = []
+
+    def counting(d):
+        f = _root_function(d)
+
+        def counted(n):
+            counts[-1] += 1
+            return f(n)
+
+        return counted
+
+    monkeypatch.setattr(meanfield, "_root_function", counting)
+    spec = preset_spec("fig2b")
+    ds = [derive_params(replace(spec.base, ck_enabled=ck, delta_c=value))
+          for value in spec.grid().tolist() for ck in (False, True)]
+    per_run = []
+    for _ in range(2):
+        counts.append(0)
+        roots = sum(len(enumerate_branches(d)) for d in ds)
+        per_run.append(counts[-1] / roots)
+    assert per_run[0] == per_run[1] <= 20.0
 
 
 def test_huge_drives_warn_nothing_and_overflows_name_eta():

@@ -28,6 +28,18 @@ rounds. Recorded per side:
 * the wall time of one run of the checkout's tier-1 tests (the command in
   ROADMAP.md, run from the checkout's root) and pytest's summary line.
 
+Recorded once per side, since they do not vary from run to run:
+
+* ``lines``: the line count of each ``src/becck/*.py``;
+* ``outputs``: the exit code and the SHA-256 digests of stdout and stderr
+  of command-line runs (in process, in a fresh interpreter): the CSV of
+  each of the nine presets, the json-lines of fig2b and fig6, ``steady``
+  at 30 seeded random points, and ``verify`` at its default seed and at
+  ``--seed 7 --perturb-drift 1e-3``.
+
+With ``--before``, ``differing_outputs`` lists the outputs whose record
+differs between the sides (empty when every output is byte-identical).
+
 Timings on a shared machine swing by up to 2x; compare sides measured in
 one invocation, and a median only where the quartiles of the two sides do
 not overlap. Nothing here asserts a time.
@@ -37,10 +49,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import hashlib
 import io
 import json
 import os
 import platform
+import random
 import statistics
 import subprocess
 import sys
@@ -156,6 +170,49 @@ def end_to_end() -> dict:
     return {"steady_point_ms": steady_ms, "verify_s": verify_s}
 
 
+def outputs() -> dict:
+    """Exit code and stdout/stderr digests of the commands listed in the
+    module docstring, run through ``becck.cli.main`` in process."""
+    import becck
+    from becck.cli import main
+
+    def run(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        return {"exit": code, **{
+            name: hashlib.sha256(text.getvalue().encode()).hexdigest()
+            for name, text in (("stdout", out), ("stderr", err))}}
+
+    records = {f"sweep/{name}.csv": run(["sweep", "--preset", name])
+               for name in becck.preset_names()}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in ("fig2b", "fig6"):
+            config = Path(tmp) / f"{name}.json"
+            config.write_text(json.dumps({"format": "json-lines"}))
+            records[f"sweep/{name}.jsonl"] = run(
+                ["sweep", "--preset", name, "--config", str(config)])
+        rng = random.Random(8)
+        for i in range(30):
+            point = Path(tmp) / f"steady_{i:02d}.json"
+            point.write_text(json.dumps({
+                "delta_c": f"{rng.uniform(-10.0, 15.0)!r}*kappa",
+                "eta": f"{10.0 ** rng.uniform(-1.0, 1.0)!r}*kappa",
+                "omega_sw": f"{rng.uniform(0.0, 20.0)!r}*omegaR",
+                "ck_enabled": rng.random() < 0.5}))
+            records[f"steady/{i:02d}"] = run(["steady", "--config",
+                                              str(point)])
+    records["verify/default"] = run(["verify"])
+    records["verify/seed7-perturb1e-3"] = run(
+        ["verify", "--seed", "7", "--perturb-drift", "1e-3"])
+    return records
+
+
+def line_counts(checkout: Path) -> dict:
+    return {path.name: len(path.read_text(encoding="utf-8").splitlines())
+            for path in sorted((checkout / "src" / "becck").glob("*.py"))}
+
+
 def cpu_model() -> str:
     try:
         with open("/proc/cpuinfo", encoding="utf-8") as fh:
@@ -179,12 +236,13 @@ def tier1(checkout: Path) -> dict:
     return {"wall_s": wall, "summary": lines[-1] if lines else ""}
 
 
-def measure_in(checkout: Path) -> dict:
-    """One round of ``measure`` in a fresh interpreter on ``checkout``."""
+def measure_in(checkout: Path, mode: str = "--measure") -> dict:
+    """One round of ``measure`` (or, with ``mode`` "--outputs", the
+    ``outputs``) in a fresh interpreter on ``checkout``."""
     env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
                MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, __file__, "--measure"],
+    proc = subprocess.run([sys.executable, __file__, mode],
                           capture_output=True, text=True, env=env, check=True)
     return json.loads(proc.stdout)
 
@@ -212,9 +270,11 @@ def main(argv=None) -> int:
                              "reported)")
     parser.add_argument("--measure", action="store_true",
                         help=argparse.SUPPRESS)
+    parser.add_argument("--outputs", action="store_true",
+                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.measure:
-        print(json.dumps(measure()))
+    if args.measure or args.outputs:
+        print(json.dumps(measure() if args.measure else outputs()))
         return 0
     if args.out is None:
         parser.error("--out is required")
@@ -232,7 +292,14 @@ def main(argv=None) -> int:
                           "platform": platform.platform()},
               "repeats": args.repeats}
     for side, checkout in sides.items():
-        report[side] = {**summarize(rounds[side]), "tier1": tier1(checkout)}
+        report[side] = {**summarize(rounds[side]), "tier1": tier1(checkout),
+                        "lines": line_counts(checkout),
+                        "outputs": measure_in(checkout, "--outputs")}
+    if "before" in sides:
+        before = report["before"]["outputs"]
+        report["differing_outputs"] = sorted(
+            name for name in set(before) | set(report["after"]["outputs"])
+            if before.get(name) != report["after"]["outputs"].get(name))
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     return 0

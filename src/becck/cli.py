@@ -253,7 +253,7 @@ def branch_report(b, rep, obs, flags_ok) -> dict:
 # ---------------------------------------------------------------------------
 # subcommands
 
-def cmd_steady(cfg: RunConfig, stream) -> int:
+def cmd_steady(cfg: RunConfig) -> tuple[int, str]:
     d = derive_params(cfg.params)
     (bset,), pairs, dds, reports, names = classify_points([d], [""])
     branches = []
@@ -272,31 +272,28 @@ def cmd_steady(cfg: RunConfig, stream) -> int:
         text = json.dumps(report, indent=2, allow_nan=False)
     except ValueError as exc:
         raise InternalConsistencyError(f"steady report: {exc}") from exc
-    stream.write(text + "\n")
-    return EXIT_OK
+    return EXIT_OK, text + "\n"
 
 
-def cmd_sweep(cfg: RunConfig, stream) -> int:
+def cmd_sweep(cfg: RunConfig) -> tuple[int, str]:
     spec = sweep_spec_from_config(cfg)
     try:
         workers = resolve_workers(cfg.workers)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = run_sweep(spec, workers=workers)
-    for row in rows:  # nothing is written unless every cell is finite
+    for row in rows:  # nothing is serialized unless every cell is finite
         _check_finite(row)
-    if cfg.format == "csv":
-        stream.write(CSV_HEADER + "\n")
     serialize = row_to_json if cfg.format == "json-lines" else row_to_csv
-    for row in rows:
-        stream.write(serialize(row) + "\n")
-    return EXIT_OK
+    lines = [CSV_HEADER] if cfg.format == "csv" else []
+    lines += [serialize(row) for row in rows]
+    return EXIT_OK, "".join(line + "\n" for line in lines)
 
 
-def cmd_verify(cfg: RunConfig, stream, seed: int = 20260813,
-               perturb_drift: float = 0.0) -> int:
-    ok = run_suites(cfg.params, stream, seed, perturb_drift)
-    return EXIT_OK if ok else EXIT_VERIFY
+def cmd_verify(cfg: RunConfig, seed: int = 20260813,
+               perturb_drift: float = 0.0) -> tuple[int, str]:
+    ok, lines = run_suites(cfg.params, seed, perturb_drift)
+    return (EXIT_OK if ok else EXIT_VERIFY), "".join(f"{ln}\n" for ln in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -363,32 +360,17 @@ def main(argv=None) -> int:
         print(dump_config(cfg))
         return EXIT_OK
 
+    # NumPy warns of no overflow: the checks on each result (finite branch
+    # polynomial, residual bounds, strict JSON) report it instead
     try:
-        if cfg.out:
-            try:
-                stream = open(cfg.out, "w", encoding="utf-8")
-            except (OSError, ValueError) as exc:  # ValueError: a NUL in it
-                print(f"output error: {exc}", file=sys.stderr)
-                return EXIT_IO
-        else:
-            stream = sys.stdout
-        # NumPy warns of no overflow: the checks on each result (finite
-        # branch polynomial, residual bounds, strict JSON) report it instead
-        try:
-            with np.errstate(all="ignore"):
-                if args.command == "steady":
-                    return cmd_steady(cfg, stream)
-                if args.command == "sweep":
-                    return cmd_sweep(cfg, stream)
-                return cmd_verify(cfg, stream, seed=args.seed,
-                                  perturb_drift=args.perturb_drift)
-        finally:
-            if cfg.out:
-                try:
-                    stream.close()
-                except OSError as exc:
-                    print(f"output error: {exc}", file=sys.stderr)
-                    return EXIT_IO
+        with np.errstate(all="ignore"):
+            if args.command == "steady":
+                code, text = cmd_steady(cfg)
+            elif args.command == "sweep":
+                code, text = cmd_sweep(cfg)
+            else:
+                code, text = cmd_verify(cfg, seed=args.seed,
+                                        perturb_drift=args.perturb_drift)
     except (ConfigError, DomainError) as exc:  # DomainError: at a grid point
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -397,9 +379,18 @@ def main(argv=None) -> int:
             ArithmeticError) as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except OSError as exc:
+
+    # only a command that ran to the end opens its output
+    try:
+        if cfg.out:
+            with open(cfg.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_IO
+    return code
 
 
 if __name__ == "__main__":

@@ -24,16 +24,16 @@ paired sweep: degree 9 with the cross-Kerr term, 3 without), and
 root to about 1e-12 relative (Edelman & Murakami, Math. Comp. 64, 763
 (1995)), so f at r*(1 -/+ 1e-12) around each candidate r first narrows the
 sign-change bracket; a root then costs about 17 evaluations of f, against
-about 58 from the full bracket. Both steps avoid NumPy's per-call overhead: the coefficients are
-Python floats with the fixed-degree products written out, the companion
-matrices are built by hand, and f is one closure over the point's
-constants, bitwise equal to ``consistency_residual``. The written-out sums
-round in another order than ``np.convolve``, so the coefficients match the
-``np.roots`` build of tests/polynomial_oracle.py to 1e-12 of the largest
-one, not bitwise. Bisection ends on some float where f changes sign, and
-which one depends on the bracket, so a mean-field value can differ in its
-last bits from that of a full bracket (over the nine presets by at most
-3.2e-15 relative in the photon number).
+about 58 from the full bracket. Both steps avoid NumPy's per-call
+overhead: the coefficients are Python floats with the fixed-degree products
+written out, the companion matrices are built by hand, and f is one closure
+over the point's constants (``consistency_residual`` evaluates it too). The
+written-out sums round in another order than ``np.convolve``, so the
+coefficients match the ``np.roots`` build of tests/polynomial_oracle.py to
+1e-12 of the largest one, not bitwise. Bisection ends on some float where
+f changes sign, and which one depends on the bracket, so a mean-field value
+can differ in its last bits from that of a full bracket (over the nine
+presets by at most 3.2e-15 relative in the photon number).
 """
 
 from __future__ import annotations
@@ -87,25 +87,12 @@ class BranchSet:
         return self.branches[i]
 
 
-def _beta_of_n(d: DerivedParams, n):
-    om, op = d.Omega_c - 0.5 * d.omega_sw + d.g * n, d.Omega_c + 0.5 * d.omega_sw + d.g * n
-    den = op * om + d.gamma * d.gamma
-    scale = -d.zeta * n / den
-    return scale * om, scale * d.gamma  # (beta_R, beta_I)
-
-
-def _delta_of_n(d: DerivedParams, n):
-    bR, bI = _beta_of_n(d, n)
-    return d.delta_c + 2.0 * d.zeta * bR + d.g * (bR * bR + bI * bI)
-
-
 def consistency_residual(d: DerivedParams, n):
     """Scalar root function f(n) = n*(Delta(n)^2 + kappa^2) - eta^2.
 
     Accepts a scalar or an ndarray of trial photon numbers.
     """
-    D = _delta_of_n(d, n)
-    return n * (D * D + d.kappa * d.kappa) - d.eta * d.eta
+    return _root_function(d)(n)
 
 
 def upper_bound_photons(d: DerivedParams) -> float:
@@ -115,12 +102,9 @@ def upper_bound_photons(d: DerivedParams) -> float:
 
 
 def _root_function(d: DerivedParams):
-    """f of ``consistency_residual`` at the point ``d``, as one closure over
-    the subexpressions that do not depend on n.
-
-    It evaluates the same operations in the same order, so it is bitwise
-    equal to ``consistency_residual(d, n)`` for a float or an ndarray n,
-    and like it raises ZeroDivisionError at a float n where den(n) = 0.
+    """f(n) at the point ``d``, for a float or an ndarray n, as one closure
+    over the subexpressions that do not depend on n. It raises
+    ZeroDivisionError at a float n where den(n) = 0.
     """
     om0, op0 = d.Omega_c - 0.5 * d.omega_sw, d.Omega_c + 0.5 * d.omega_sw
     g, gam, gam2, dc = d.g, d.gamma, d.gamma * d.gamma, d.delta_c
@@ -141,9 +125,11 @@ def _root_function(d: DerivedParams):
 def _branch_from_root(d: DerivedParams, n: float, index: int,
                       f) -> MeanFieldBranch:
     n = float(n)
-    try:
-        bR, bI = _beta_of_n(d, n)
-        D = _delta_of_n(d, n)
+    om, op = omega_pm(d, n)
+    try:  # beta and Delta in the order of operations of ``_root_function``
+        scale = -d.zeta * n / (op * om + d.gamma * d.gamma)
+        bR, bI = scale * om, scale * d.gamma
+        D = d.delta_c + 2.0 * d.zeta * bR + d.g * (bR * bR + bI * bI)
         den = D * D + d.kappa * d.kappa
         aR = -d.eta * d.kappa / den
         aI = d.eta * D / den
@@ -152,7 +138,6 @@ def _branch_from_root(d: DerivedParams, n: float, index: int,
         raise InternalConsistencyError(
             f"division by zero in the branch at n = {n:.6e}, "
             f"eta = {d.eta:.6e} rad/s") from None
-    om, op = omega_pm(d, n)
     if d.eta * d.eta > 0.0:
         resid /= d.eta * d.eta
     return MeanFieldBranch(
@@ -362,7 +347,7 @@ def enumerate_branches(d: DerivedParams, roots=None) -> BranchSet:
     try:
         fs = [f(n) for n in seps]
     except ZeroDivisionError:  # den = 0 at a separator: inf or nan, as arrays
-        fs = consistency_residual(d, np.array(seps)).tolist()
+        fs = f(np.array(seps)).tolist()
 
     found: list[float] = []
     # the interval between two separators holds one candidate, or is

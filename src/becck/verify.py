@@ -157,10 +157,10 @@ def verify_gaussian(rng):
     return ok, f"{sum(checks)}/{len(checks)} analytic cases", None
 
 
-def run_suites(base: SystemParams, stream, seed: int = 20260813,
-               perturb_drift: float = 0.0) -> bool:
-    """Run every suite on a generator seeded with ``seed``, write one
-    PASS/FAIL line per suite and a verdict line; True when all pass.
+def run_suites(base: SystemParams, seed: int = 20260813,
+               perturb_drift: float = 0.0) -> tuple[bool, list]:
+    """Run every suite on a generator seeded with ``seed``; return True when
+    all pass, and one PASS/FAIL line per suite followed by a verdict line.
 
     A suite that raises InternalConsistencyError fails with its message.
     """
@@ -172,7 +172,7 @@ def run_suites(base: SystemParams, stream, seed: int = 20260813,
         ("meanfield_substitution", lambda rng: verify_meanfield(rng, base)),
         ("gaussian_cases", verify_gaussian),
     ]
-    all_ok = True
+    all_ok, lines = True, []
     for name, fn in suites:
         try:
             ok, detail, where = fn(np.random.default_rng(seed))
@@ -183,6 +183,6 @@ def run_suites(base: SystemParams, stream, seed: int = 20260813,
         if not ok and where is not None:
             line += f" at delta_c={where[0]:.6e}, eta={where[1]:.6e}, " \
                     f"omega_sw={where[2]:.6e}, ck={where[3]}"
-        stream.write(line + "\n")
-    stream.write("verify: " + ("PASS" if all_ok else "FAIL") + "\n")
-    return all_ok
+        lines.append(line)
+    lines.append("verify: " + ("PASS" if all_ok else "FAIL"))
+    return all_ok, lines

@@ -7,12 +7,35 @@ fixed-degree products out as floats: ten ``np.convolve`` calls and four
 ``np.roots``. ``branch_count`` repeats that enumeration's bracketing step
 (separators between the candidate roots, f evaluated on them as one array)
 and so gives the branch count and warnings that enumeration reported.
+``reference_f`` writes the root function f through the two helpers
+beta(n) and Delta(n), apart from the package's closure of f; it is the f of
+both oracles, so they share no code of f with the package they check.
 """
 
 import numpy as np
 
-from becck import consistency_residual, upper_bound_photons
+from becck import upper_bound_photons
 from becck.meanfield import IMAG_TOL
+
+
+def beta_of_n(d, n):
+    """(beta_R, beta_I) of the steady state at photon number n."""
+    om = d.Omega_c - 0.5 * d.omega_sw + d.g * n
+    op = d.Omega_c + 0.5 * d.omega_sw + d.g * n
+    den = op * om + d.gamma * d.gamma
+    scale = -d.zeta * n / den
+    return scale * om, scale * d.gamma
+
+
+def delta_of_n(d, n):
+    bR, bI = beta_of_n(d, n)
+    return d.delta_c + 2.0 * d.zeta * bR + d.g * (bR * bR + bI * bI)
+
+
+def reference_f(d, n):
+    """f(n) = n*(Delta(n)^2 + kappa^2) - eta^2 for a float or an ndarray n."""
+    D = delta_of_n(d, n)
+    return n * (D * D + d.kappa * d.kappa) - d.eta * d.eta
 
 
 def branch_polynomial(d, n_hi):
@@ -48,7 +71,7 @@ def branch_count(d):
             & (x.real >= 0.0) & (x.real <= 1.0))
     cand = np.sort(x.real[keep])
     seps = n_hi * np.concatenate(([0.0], 0.5 * (cand[:-1] + cand[1:]), [1.0]))
-    fs = consistency_residual(d, seps)
+    fs = reference_f(d, seps)
     count = sum(1 for flo, fhi in zip(fs, fs[1:])
                 if flo == 0.0 or (fhi != 0.0 and (flo < 0.0) != (fhi < 0.0)))
     return count, (() if count in (1, 3) else (f"branch-count={count}",))

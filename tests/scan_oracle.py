@@ -5,12 +5,14 @@ f(n) is scanned on a uniform grid over [0, n_max*(1+1e-6)], every sign
 change is bracketed and bisected, roots closer than 1e-9 relative are
 merged, and a second scan at 10x density runs inside any cell whose
 endpoints both have |f| below 1e-3*max|f| (a possible near-tangent fold).
-It shares only the root function f with the package, not the method.
+It shares neither the method nor f with the package: f is
+``reference_f`` of tests/polynomial_oracle.py.
 """
 
 import numpy as np
 
-from becck import consistency_residual, upper_bound_photons
+from becck import upper_bound_photons
+from polynomial_oracle import reference_f
 
 GRID_POINTS = 20001
 DEDUPE_RTOL = 1e-9
@@ -27,7 +29,7 @@ def _bisect(d, lo, hi, flo, fhi):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             return mid
-        fmid = consistency_residual(d, mid)
+        fmid = reference_f(d, mid)
         if fmid == 0.0:
             return mid
         if (flo < 0.0) != (fmid < 0.0):
@@ -55,7 +57,7 @@ def scan_roots(d, grid_points=GRID_POINTS):
         return [0.0], ()
     n_hi = upper_bound_photons(d) * (1.0 + 1e-6)
     grid = np.linspace(0.0, n_hi, grid_points)
-    fvals = consistency_residual(d, grid)
+    fvals = reference_f(d, grid)
     brackets = _brackets_on(grid, fvals)
 
     sign = np.signbit(fvals)
@@ -65,7 +67,7 @@ def scan_roots(d, grid_points=GRID_POINTS):
     low = np.abs(fvals) < REFINE_FRACTION * float(np.max(np.abs(fvals)))
     for i in np.nonzero(low[:-1] & low[1:])[0]:
         sub = np.linspace(grid[i], grid[i + 1], REFINE_FACTOR + 1)
-        found = _brackets_on(sub, consistency_residual(d, sub))
+        found = _brackets_on(sub, reference_f(d, sub))
         if len(found) >= 2:
             adjacent = True
         brackets.extend(found)

@@ -390,6 +390,35 @@ def test_sweep_output_io_failure(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", str(missing)]) == 4
 
 
+@pytest.mark.parametrize("command,data,code", [
+    ("sweep", OVERFLOWING_OMEGA_B, 3),
+    ("sweep", {"sweep_var": "eta", "sweep_min": "-1*kappa",
+               "sweep_max": "1*kappa", "sweep_count": 3}, 2),
+    ("steady", {"eta": "1e160*kappa"}, 3),
+], ids=["sweep-omega_b-overflow", "sweep-eta-below-0", "steady-overflow"])
+def test_failed_command_leaves_out_as_it_was(tmp_path, command, data, code):
+    out = tmp_path / "results.csv"
+    out.write_bytes(b"sweep_var,value\n1,2\n")
+    proc = _becck(tmp_path, command, dict(data, out=str(out)))
+    assert proc.returncode == code
+    assert out.read_bytes() == b"sweep_var,value\n1,2\n"
+
+
+def test_failed_command_creates_no_out_file(tmp_path):
+    out = tmp_path / "new.csv"
+    proc = _becck(tmp_path, "sweep", {"preset": "fig2a", "sweep_count": 1,
+                                      "out": str(out)})
+    assert proc.returncode == 2
+    assert not out.exists()
+
+
+def test_failed_command_reports_its_own_code_before_output(tmp_path):
+    # the command fails before its unwritable output path is opened
+    cfg = _write(tmp_path, {"eta": "1e160*kappa"})
+    missing = tmp_path / "no" / "such" / "dir" / "x.json"
+    assert main(["steady", "--config", cfg, "--out", str(missing)]) == 3
+
+
 def test_dump_config_flag_round_trips(tmp_path, capsys):
     cfg = _write(tmp_path, {"eta": "2*kappa", "preset": "fig4"})
     assert main(["steady", "--config", cfg, "--dump-config"]) == 0

@@ -9,7 +9,7 @@ from becck import (DriftDiffusion, build_drift_diffusion,
                    finite_difference_jacobian, langevin_drift_field,
                    paper_base_params, quadrature_fixed_point,
                    routh_hurwitz_quartic, thermal_occupation)
-from becck.dynamics import MARGINAL_BAND
+from becck.dynamics import MARGINAL_BAND, classify_batch
 
 KAPPA = paper_base_params().kappa
 
@@ -94,6 +94,69 @@ def test_routh_hurwitz_known_polynomials():
     assert routh_hurwitz_quartic(2.0, 0.0, -2.0, -1.0) is False
     # pure rotations s^4 + (w1^2+w2^2) s^2 + (w1 w2)^2: marginal, not Hurwitz
     assert routh_hurwitz_quartic(0.0, 5.0, 0.0, 4.0) is False
+
+
+def test_routh_hurwitz_matches_dejesus_kaufman_conditions():
+    # s^4 + c1 s^3 + c2 s^2 + c3 s + c4 is Hurwitz iff c1, c3, c4 > 0 and
+    # c1 c2 c3 > c3^2 + c1^2 c4 (DeJesus & Kaufman, PRA 35, 5288 (1987))
+    rng = np.random.default_rng(11)
+    c1, c3, c4 = rng.uniform(-1.0, 3.0, size=(3, 20000))
+    c2 = rng.uniform(-1.0, 6.0, 20000)
+    hurwitz = ((c1 > 0) & (c3 > 0) & (c4 > 0)
+               & (c1 * c2 * c3 > c3 * c3 + c1 * c1 * c4))
+    assert 0 < hurwitz.sum() < hurwitz.size
+    assert np.array_equal(routh_hurwitz_quartic(c1, c2, c3, c4), hurwitz)
+
+
+def test_routh_hurwitz_on_quartics_from_known_roots():
+    rng = np.random.default_rng(12)
+    size = 20000
+
+    def quadratic():
+        """s^2 + p s + q of a conjugate pair or of two real roots, each
+        real part at least 1e-3 from the imaginary axis."""
+        re1, re2 = (rng.choice([-1.0, 1.0], (2, size))
+                    * 10.0 ** rng.uniform(-3.0, 0.5, (2, size)))
+        im = rng.uniform(0.0, 5.0, size)
+        real = rng.random(size) < 0.3
+        p = np.where(real, -(re1 + re2), -2.0 * re1)
+        q = np.where(real, re1 * re2, re1 * re1 + im * im)
+        return p, q, (re1 < 0.0) & (~real | (re2 < 0.0))
+
+    (p1, q1, left1), (p2, q2, left2) = quadratic(), quadratic()
+    stable = left1 & left2
+    assert 0 < stable.sum() < size
+    verdict = routh_hurwitz_quartic(p1 + p2, q1 + q2 + p1 * p2,
+                                    p1 * q2 + p2 * q1, q1 * q2)
+    assert np.array_equal(verdict, stable)
+
+
+def _similar_drift(rng, slow_re):
+    """A drift matrix similar to a slow pair slow_re +/- i w and a fast pair
+    with imaginary part up to 20 kappa, both in units of kappa."""
+    def rotation(re, im):
+        return np.array([[re, im], [-im, re]])
+
+    B = np.zeros((4, 4))
+    B[:2, :2] = rotation(slow_re, rng.uniform(0.01, 2.0))
+    B[2:, 2:] = rotation(-rng.uniform(0.1, 2.0), rng.uniform(0.0, 20.0))
+    S = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
+    return DriftDiffusion(A=S @ (B * KAPPA) @ np.linalg.inv(S),
+                          D=KAPPA * np.eye(4), G_R=0.0, G_I=0.0, F_R=0.0,
+                          F_I=0.0, n_c=0.0, kappa=KAPPA, gamma=0.0,
+                          omega_B=1.0)
+
+
+def test_routh_hurwitz_near_the_marginal_band():
+    rng = np.random.default_rng(13)
+    slow = [sign * x for x in (1.5e-6, 3e-6, 1e-5, 1e-4)
+            for sign in (-1.0, 1.0) for _ in range(225)]
+    reports = classify_batch([_similar_drift(rng, x) for x in slow])
+    assert [(r.stable, r.routh_hurwitz_pass, r.marginal) for r in reports] \
+        == [(x < 0.0, x < 0.0, False) for x in slow]
+    inside = rng.uniform(-0.5, 0.5, 500) * MARGINAL_BAND
+    reports = classify_batch([_similar_drift(rng, x) for x in inside])
+    assert all(r.marginal for r in reports)
 
 
 def test_classify_stable_branch():

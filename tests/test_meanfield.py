@@ -7,13 +7,13 @@ import pytest
 
 from becck import (InternalConsistencyError, SystemParams,
                    consistency_residual, derive_params, enumerate_branches,
-                   paper_base_params, preset_names, preset_spec,
+                   omega_pm, paper_base_params, preset_names, preset_spec,
                    upper_bound_photons)
 from becck import meanfield
 from becck.meanfield import (BISECT_RTOL, _branch_polynomial,
                              _companion_roots, _root_function,
                              branch_candidates)
-from polynomial_oracle import branch_count, branch_polynomial
+from polynomial_oracle import branch_count, branch_polynomial, reference_f
 from scan_oracle import scan_roots
 
 KAPPA = paper_base_params().kappa
@@ -199,15 +199,15 @@ def test_branch_polynomial_matches_convolve_oracle():
             assert not mine[:6].any() and mine[6] != 0.0
 
 
-def test_root_function_bitwise_equals_consistency_residual():
+def test_root_function_bitwise_equals_reference_f():
     rng = np.random.default_rng(2)
     for d in _preset_points(rng, 10):
         n_hi = upper_bound_photons(d) * (1.0 + 1e-6)
         ns = np.concatenate(([0.0, n_hi], rng.uniform(0.0, n_hi, 20)))
         f = _root_function(d)
-        assert np.array_equal(_bits(f(ns)), _bits(consistency_residual(d, ns)))
+        assert np.array_equal(_bits(f(ns)), _bits(reference_f(d, ns)))
         for n in ns.tolist():
-            assert _bits(f(n)) == _bits(consistency_residual(d, n)), (d, n)
+            assert _bits(f(n)) == _bits(reference_f(d, n)), (d, n)
 
 
 def test_root_function_where_den_vanishes():
@@ -215,12 +215,12 @@ def test_root_function_where_den_vanishes():
     d = derive_params(SystemParams(omega_R=1e-300, omega_sw=0.0, gamma=0.0,
                                    eta=KAPPA))
     f = _root_function(d)
-    for fn in (f, lambda n: consistency_residual(d, n)):
+    for fn in (f, lambda n: reference_f(d, n)):
         with pytest.raises(ZeroDivisionError):
             fn(0.0)
     ns = np.array([0.0, 1.0])
     with np.errstate(all="ignore"):
-        assert np.array_equal(_bits(f(ns)), _bits(consistency_residual(d, ns)))
+        assert np.array_equal(_bits(f(ns)), _bits(reference_f(d, ns)))
     # with g = zeta = 0 as well, den = 0 everywhere and f is nan on every
     # separator, as on an array: no sign change, not ZeroDivisionError
     d = derive_params(SystemParams(g0=1e-200, omega_R=1e-300, omega_sw=0.0,
@@ -386,3 +386,26 @@ def test_huge_drives_warn_nothing_and_overflows_name_eta():
             with pytest.raises(InternalConsistencyError,
                                match="overflows at eta = "):
                 enumerate_branches(derive_params(params))
+
+
+@pytest.mark.parametrize("omega_sw_mult,eta_c_kappa", [(1.0, 0.775629),
+                                                       (10.0, 1.438668)])
+def test_kerr_cusp_closed_form(omega_sw_mult, eta_c_kappa):
+    # Cross-Kerr off: Delta = delta_c - chi*n, the Kerr bistability cubic,
+    # whose cusp sits at delta_c = sqrt(3)*kappa and
+    # eta_c^2 = 8*kappa^3/(3*sqrt(3)*chi) (Drummond & Walls, J. Phys. A 13,
+    # 725 (1980))
+    base = paper_base_params(ck_enabled=False,
+                             omega_sw=omega_sw_mult * OMEGA_R)
+    d = derive_params(base)
+    om, op = omega_pm(d, 0.0)
+    chi = 2.0 * d.zeta ** 2 * om / (op * om + d.gamma ** 2)
+    eta_c = math.sqrt(8.0 * KAPPA ** 3 / (3.0 * math.sqrt(3.0) * chi))
+    assert abs(eta_c / KAPPA - eta_c_kappa) <= 1e-6
+    grid = np.linspace(1.70, 1.80, 201) * KAPPA
+    for factor, bistable in ((0.99, False), (1.01, True)):
+        counts = {dc: len(enumerate_branches(derive_params(replace(
+            base, eta=factor * eta_c, delta_c=dc)))) for dc in grid.tolist()}
+        three = [dc for dc, c in counts.items() if c == 3]
+        assert set(counts.values()) == ({1, 3} if bistable else {1}), factor
+        assert all(dc > math.sqrt(3.0) * KAPPA for dc in three)

@@ -20,6 +20,8 @@ rounds. Recorded per side:
   row; a two-point paired sweep at the point; and ``classify_points`` on
   batches of 1, 4 and 8 points near it (one point with cross-Kerr on, or
   2 and 4 grid values with both settings, as a paired sweep builds them);
+  and ``gaussian_states`` on the strictly stable branches of the 8-point
+  batch (per call, with their count in ``gaussian_states_8_branches``);
 * the serial wall time of each of the nine presets (one run per round, in
   seconds);
 * end to end through the command line (``becck.cli.main`` in process,
@@ -82,21 +84,42 @@ def _per_item_us(fn, items):
     return _median_us(lambda: [fn(*it) for it in items]) / len(items)
 
 
-def _batch_us(base, dc, eta, size):
-    """``classify_points`` on ``size`` points from delta_c = dc*kappa in
-    steps of 0.01 kappa, both cross-Kerr settings unless ``size`` is 1."""
+def _batch_points(base, dc, eta, size):
+    """``size`` points from delta_c = dc*kappa in steps of 0.01 kappa, both
+    cross-Kerr settings unless ``size`` is 1, as ``classify_points`` takes
+    them."""
     import dataclasses
 
     import becck
-    from becck.sweep import classify_points
 
     k = base.kappa
     cks = (True,) if size == 1 else (False, True)
-    ds = [becck.derive_params(dataclasses.replace(
+    return [becck.derive_params(dataclasses.replace(
         base, delta_c=(dc + 0.01 * j) * k, eta=eta * k, ck_enabled=ck))
         for j in range(size // len(cks)) for ck in cks]
+
+
+def _batch_us(base, dc, eta, size):
+    """``classify_points`` on the ``_batch_points`` of the arguments."""
+    from becck.sweep import classify_points
+
+    ds = _batch_points(base, dc, eta, size)
     labels = [""] * size
     return _median_us(lambda: classify_points(ds, labels), number=20)
+
+
+def _gaussian_states_us(base, dc, eta, size=8):
+    """``gaussian_states`` on the strictly stable branches of the
+    ``classify_points`` batch of the arguments, and their count."""
+    from becck.steadystate import gaussian_states
+    from becck.sweep import classify_points
+
+    ds = _batch_points(base, dc, eta, size)
+    _, _, dds, reports, names = classify_points(ds, [""] * size)
+    keep = [i for i, r in enumerate(reports) if r.stable and not r.marginal]
+    args = ([dds[i] for i in keep], [reports[i] for i in keep],
+            [names[i] for i in keep])
+    return _median_us(lambda: gaussian_states(*args), number=50), len(keep)
 
 
 def measure() -> dict:
@@ -141,6 +164,9 @@ def measure() -> dict:
             **{f"classify_points_{size}_us": _batch_us(base, dc, eta, size)
                for size in (1, 4, 8)},
         }
+        (layers[name]["gaussian_states_8_us"],
+         layers[name]["gaussian_states_8_branches"]) = _gaussian_states_us(
+            base, dc, eta)
     presets = {}
     for name in becck.preset_names():
         spec = becck.preset_spec(name)

@@ -292,6 +292,11 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, str]:
 
 def cmd_verify(cfg: RunConfig, seed: int = 20260813,
                perturb_drift: float = 0.0) -> tuple[int, str]:
+    if seed < 0:
+        raise ConfigError(f"--seed: expected a nonnegative integer, got {seed}")
+    if not math.isfinite(perturb_drift):
+        raise ConfigError("--perturb-drift: value must be finite, got "
+                          f"{perturb_drift!r}")
     ok, lines = run_suites(cfg.params, seed, perturb_drift)
     return (EXIT_OK if ok else EXIT_VERIFY), "".join(f"{ln}\n" for ln in lines)
 

@@ -9,6 +9,7 @@ in one process; the row list is deterministic (bitwise) for a given spec.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -123,6 +124,7 @@ _PRESETS = {
 }
 
 
+@functools.cache
 def preset_spec(name: str) -> SweepSpec:
     """Expand a figure preset name into a full SweepSpec.
 

@@ -59,28 +59,26 @@ def _random_stable_points(rng, count, base: SystemParams):
 def verify_jacobian(rng, base: SystemParams, count: int = 100,
                     perturb: float = 0.0):
     """Analytic drift matrix against a finite-difference Jacobian."""
-    worst = 0.0
-    worst_at = None
+    errs, where = [], []
     for d, b, dd, _ in _random_stable_points(rng, count, base):
         A = dd.A * (1.0 + perturb)
         J = finite_difference_jacobian(d, quadrature_fixed_point(b))
-        err = float(np.max(np.abs(A - J)) / np.max(np.abs(A)))
-        if err > worst:
-            worst, worst_at = err, (d.delta_c, d.eta, d.omega_sw, d.ck_enabled)
-    return worst <= 1e-6, f"max relative deviation {worst:.3e}", worst_at
+        errs.append(float(np.max(np.abs(A - J)) / np.max(np.abs(A))))
+        where.append((d.delta_c, d.eta, d.omega_sw, d.ck_enabled))
+    i = int(np.argmax(errs))  # the first NaN deviation, if any, is the worst
+    return errs[i] <= 1e-6, f"max relative deviation {errs[i]:.3e}", where[i]
 
 
 def verify_lyapunov_ode(rng, base: SystemParams, count: int = 12):
-    worst = 0.0
-    worst_at = None
+    errs, where = [], []
     for d, b, dd, rep in _random_stable_points(rng, count, base):
         V = solve_lyapunov(dd, rep).V
         t_final = 50.0 / abs(rep.max_real_part)
         W = integrate_moment_ode(dd, 0.5 * np.eye(4), t_final)
-        err = float(np.max(np.abs(W - V)) / np.max(np.abs(V)))
-        if err > worst:
-            worst, worst_at = err, (d.delta_c, d.eta, d.omega_sw, d.ck_enabled)
-    return worst <= 1e-6, f"max relative deviation {worst:.3e}", worst_at
+        errs.append(float(np.max(np.abs(W - V)) / np.max(np.abs(V))))
+        where.append((d.delta_c, d.eta, d.omega_sw, d.ck_enabled))
+    i = int(np.argmax(errs))  # the first NaN deviation, if any, is the worst
+    return errs[i] <= 1e-6, f"max relative deviation {errs[i]:.3e}", where[i]
 
 
 def verify_routh_hurwitz(rng, base: SystemParams, count: int = 2000):
@@ -114,7 +112,7 @@ def verify_routh_hurwitz(rng, base: SystemParams, count: int = 2000):
 
 def verify_meanfield(rng, base: SystemParams, count: int = 50):
     """Every enumerated branch satisfies the steady-state equations."""
-    worst = 0.0
+    errs = []
     ds = [_random_point(rng, base, 0.0) for _ in range(count)]
     for d, roots in zip(ds, branch_candidates(ds)):
         for b in enumerate_branches(d, roots):
@@ -127,7 +125,8 @@ def verify_meanfield(rng, base: SystemParams, count: int = 50):
             scale = max(abs(alpha_ref), abs(beta_ref), 1e-30)
             err = max(abs(b.alpha - alpha_ref), abs(b.beta - beta_ref)) / scale
             nerr = abs(abs(b.alpha) ** 2 - b.n_photon) / max(b.n_photon, 1e-30)
-            worst = max(worst, err, nerr if b.n_photon else 0.0, b.residual)
+            errs += (err, nerr if b.n_photon else 0.0, b.residual)
+    worst = float(np.max(errs, initial=0.0))  # a NaN error propagates
     return worst <= 1e-9, f"max substitution error {worst:.3e}", None
 
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import becck
@@ -444,6 +445,54 @@ def test_verify_detects_injected_drift_fault(capsys):
     out = capsys.readouterr().out
     assert "jacobian: FAIL" in out
     assert "delta_c=" in out  # failing case parameters echoed
+
+
+@pytest.mark.parametrize("argv", [
+    ["--perturb-drift", "nan"], ["--perturb-drift", "inf"],
+    ["--perturb-drift=-inf"], ["--seed", "-1"],
+], ids=["perturb-nan", "perturb-inf", "perturb-minus-inf", "seed-minus-1"])
+def test_verify_rejects_nonfinite_perturbation_and_negative_seed(argv):
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(becck.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "becck", "verify", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: ")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
+
+
+def test_verify_suites_fail_on_a_nan_deviation(monkeypatch):
+    import dataclasses
+
+    from becck import verify
+    base = paper_base_params()
+    ok, detail, _ = verify.verify_jacobian(np.random.default_rng(1), base,
+                                           count=3, perturb=math.nan)
+    assert (ok, detail) == (False, "max relative deviation nan")
+
+    # a NaN after the first item, where max() and '>' would drop it
+    def nan_after_first(fn, make_nan):
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            calls.append(None)
+            out = fn(*args, **kwargs)
+            return make_nan(out) if len(calls) == 2 else out
+        return wrapped
+
+    monkeypatch.setattr(verify, "integrate_moment_ode", nan_after_first(
+        verify.integrate_moment_ode, lambda W: W * math.nan))
+    ok, detail, where = verify.verify_lyapunov_ode(np.random.default_rng(1),
+                                                   base, count=3)
+    assert (ok, detail) == (False, "max relative deviation nan")
+    assert where is not None
+    monkeypatch.setattr(verify, "enumerate_branches", nan_after_first(
+        verify.enumerate_branches, lambda bs: [
+            dataclasses.replace(b, residual=math.nan) for b in bs]))
+    ok, detail, _ = verify.verify_meanfield(np.random.default_rng(1), base,
+                                            count=4)
+    assert (ok, detail) == (False, "max substitution error nan")
 
 
 def test_verify_names_the_draw_whose_verdicts_disagree(monkeypatch, capsys):

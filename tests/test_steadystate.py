@@ -1,4 +1,6 @@
 import math
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,11 +10,13 @@ from becck import (CovarianceMatrix, DriftDiffusion,
                    build_drift_diffusion, check_physical, classify_stability,
                    derive_params, enumerate_branches, integrate_moment_ode,
                    logarithmic_negativity, observable_set, omega_pm,
-                   paper_base_params, solve_lyapunov,
+                   paper_base_params, preset_spec, run_sweep, solve_lyapunov,
                    squeezing_and_excitation, symplectic_eigenvalues)
+from becck.cli import main
 from becck.dynamics import classify_batch
-from becck.steadystate import (RESIDUAL_BOUND, gaussian_states,
-                               lyapunov_batch, observables_batch)
+from becck.steadystate import (PHYSICALITY_SLACK, RESIDUAL_BOUND,
+                               gaussian_states, lyapunov_batch,
+                               observables_batch)
 
 KAPPA = paper_base_params().kappa
 
@@ -141,6 +145,102 @@ def test_check_physical_raises_below_vacuum():
     V = np.diag([0.4, 0.4, 0.5, 0.5])
     with pytest.raises(InternalConsistencyError):
         check_physical(V)
+
+
+def _random_symplectic(rng, squeeze=0.3):
+    """A random two-mode symplectic matrix on (x1, p1, x2, p2): local
+    rotations, local and two-mode squeezers of at most ``squeeze`` and a
+    beam splitter, then local rotations again."""
+    def rotations():
+        a, b = rng.uniform(0.0, 2 * math.pi, size=2)
+        R = np.zeros((4, 4))
+        R[:2, :2] = [[math.cos(a), math.sin(a)], [-math.sin(a), math.cos(a)]]
+        R[2:, 2:] = [[math.cos(b), math.sin(b)], [-math.sin(b), math.cos(b)]]
+        return R
+    r1, r2, r = rng.uniform(-squeeze, squeeze, size=3)
+    local = np.diag([math.exp(r1), math.exp(-r1), math.exp(r2), math.exp(-r2)])
+    Z = np.diag([1.0, -1.0])
+    tms = np.block([[math.cosh(r) * np.eye(2), math.sinh(r) * Z],
+                    [math.sinh(r) * Z, math.cosh(r) * np.eye(2)]])
+    theta = rng.uniform(0.0, math.pi)
+    c, s = math.cos(theta), math.sin(theta)
+    bs = np.block([[c * np.eye(2), s * np.eye(2)],
+                   [-s * np.eye(2), c * np.eye(2)]])
+    return rotations() @ bs @ tms @ local @ rotations()
+
+
+def _williamson(rng, nu1, nu2):
+    """V = S diag(nu1, nu1, nu2, nu2) S^T for a random symplectic S."""
+    S = _random_symplectic(rng)
+    Omega = np.kron(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    assert np.allclose(S @ Omega @ S.T, Omega, rtol=0.0, atol=1e-13)
+    return S @ np.diag([nu1, nu1, nu2, nu2]) @ S.T
+
+
+def test_physicality_accepts_states_just_above_vacuum():
+    # near-pure states, some with nearly coincident symplectic eigenvalues,
+    # pass the stacked Cholesky test and the eigen-solve alike (check_physical
+    # runs the first and returns the second)
+    rng = np.random.default_rng(9)
+    margins = 10.0 ** rng.uniform(-14.0, -6.0, size=400)
+    gaps = np.where(rng.random(400) < 0.5, 0.0, rng.uniform(0.0, 2.0, 400))
+    V = np.stack([_williamson(rng, 0.5 + m, 0.5 + m + g)
+                  for m, g in zip(margins, gaps)])
+    nus = check_physical(V)
+    assert np.all(nus.min(axis=-1) >= 0.5 - PHYSICALITY_SLACK)
+    assert np.allclose(nus[:, 0], 0.5 + margins, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dip", [1e-8, 1e-6, 1e-4, 1e-2, 1e-1])
+def test_physicality_rejects_states_below_vacuum(dip):
+    rng = np.random.default_rng(int(-math.log10(dip)))
+    good = [_williamson(rng, 0.5 + 1e-12, 0.5 + g)
+            for g in rng.uniform(0.0, 1.0, size=6)]
+    bad = _williamson(rng, 0.5 - dip, 0.5 + rng.uniform(0.0, 1.0))
+    assert symplectic_eigenvalues(bad).min() < 0.5 - PHYSICALITY_SLACK
+    with pytest.raises(InternalConsistencyError, match="^covariance violates"):
+        check_physical(bad)
+    V = np.stack(good[:4] + [bad] + good[4:])
+    names = [f"item {i}" for i in range(len(V))]
+    pattern = r"^item 4: covariance violates the uncertainty relation: " \
+              r"symplectic eigenvalues \["
+    with pytest.raises(InternalConsistencyError, match=pattern):
+        check_physical(V, names)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_physicality_rejects_a_nonfinite_covariance(value):
+    V = np.stack([0.5 * np.eye(4)] * 3)
+    V[1, 2, 3] = V[1, 3, 2] = value
+    with pytest.raises(InternalConsistencyError,
+                       match="^b: covariance violates.*not finite"):
+        check_physical(V, ["a", "b", "c"])
+    with pytest.raises(InternalConsistencyError):
+        check_physical(np.full((4, 4), value))
+
+
+def test_observables_run_no_eigen_solve(monkeypatch, tmp_path):
+    # a steady point and a paired two-value fig2b sweep call eigvals only for
+    # the companion matrices and the drift classification
+    callers = []
+    eigvals = np.linalg.eigvals
+
+    def counting(*args, **kwargs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return eigvals(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    config = tmp_path / "point.json"
+    config.write_text('{"delta_c": "5*kappa", "eta": "2*kappa"}')
+    assert main(["steady", "--config", str(config)]) == 0
+    assert sorted(callers) == ["_companion_roots", "classify_batch"]
+    callers.clear()
+    spec = replace(preset_spec("fig2b"), start=4 * KAPPA, stop=5 * KAPPA,
+                   count=2)
+    rows = run_sweep(spec)
+    assert sum(row.covariance is not None for row in rows) >= 4
+    assert sorted(set(callers)) == ["_companion_roots", "classify_batch"]
+    assert callers.count("classify_batch") == 1
 
 
 def test_log_negativity_two_mode_squeezed():

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,25 @@ def test_preset_table():
     assert preset_spec("fig8").var == "omega_sw"
     with pytest.raises(ValueError, match="unknown preset"):
         preset_spec("fig99")
+
+
+def test_preset_spec_is_cached_and_equals_a_fresh_build():
+    for name in preset_names():
+        cached, fresh = preset_spec(name), preset_spec.__wrapped__(name)
+        assert preset_spec(name) is cached
+        for field in fields(SweepSpec):
+            assert getattr(cached, field.name) == getattr(fresh, field.name)
+
+
+def test_config_overrides_leave_the_cached_preset_unchanged():
+    from becck.cli import build_config, sweep_spec_from_config
+    cfg = build_config({"preset": "fig2a", "sweep_count": 7,
+                        "sweep_min": "-3*kappa"})
+    spec = sweep_spec_from_config(cfg)
+    assert (spec.count, spec.start) == (7, -3 * KAPPA)
+    assert preset_spec("fig2a") == preset_spec.__wrapped__("fig2a")
+    assert (preset_spec("fig2a").count, preset_spec("fig2a").start) == (
+        501, -10 * KAPPA)
 
 
 def test_spec_validation():

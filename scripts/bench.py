@@ -20,8 +20,12 @@ rounds. Recorded per side:
   row; a two-point paired sweep at the point; and ``classify_points`` on
   batches of 1, 4 and 8 points near it (one point with cross-Kerr on, or
   2 and 4 grid values with both settings, as a paired sweep builds them);
-  and ``gaussian_states`` on the strictly stable branches of the 8-point
-  batch (per call, with their count in ``gaussian_states_8_branches``);
+  and, per call on the branches of the 8-point batch, building their drift
+  and diffusion matrices (``build_8_us``), the downstream of enumeration
+  (build, classify, and ``gaussian_states`` on the strictly stable ones:
+  ``downstream_8_us``) and ``gaussian_states`` alone
+  (``gaussian_states_8_us``, with the stable count in
+  ``gaussian_states_8_branches``), on either generation of the batch API;
 * the serial wall time of each of the nine presets (one run per round, in
   seconds);
 * end to end through the command line (``becck.cli.main`` in process,
@@ -108,18 +112,56 @@ def _batch_us(base, dc, eta, size):
     return _median_us(lambda: classify_points(ds, labels), number=20)
 
 
-def _gaussian_states_us(base, dc, eta, size=8):
-    """``gaussian_states`` on the strictly stable branches of the
-    ``classify_points`` batch of the arguments, and their count."""
+def _downstream_us(base, dc, eta, size=8):
+    """Timings on the branches of the ``classify_points`` batch of the
+    arguments: building their drift and diffusion matrices, classifying them
+    and evaluating ``gaussian_states`` on the strictly stable ones (the
+    three together), and ``gaussian_states`` alone; with the count of
+    stable branches.
+
+    Runs on both generations of the batch API: lists of DriftDiffusion and
+    StabilityReport records, or the (N,4,4) stacks of
+    ``drift_diffusion_stacks`` and the arrays of ``classify_batch``.
+    """
+    import numpy as np
+
+    from becck import dynamics, steadystate
     from becck.steadystate import gaussian_states
     from becck.sweep import classify_points
 
     ds = _batch_points(base, dc, eta, size)
-    _, _, dds, reports, names = classify_points(ds, [""] * size)
-    keep = [i for i, r in enumerate(reports) if r.stable and not r.marginal]
-    args = ([dds[i] for i in keep], [reports[i] for i in keep],
-            [names[i] for i in keep])
-    return _median_us(lambda: gaussian_states(*args), number=50), len(keep)
+    _, branches, stacks, verdicts, names = classify_points(ds, [""] * size)
+    pairs = [(ds[p], b) for p, b in branches]
+    if isinstance(stacks, list):  # one record per branch
+        def build():
+            return [dynamics.build_drift_diffusion(d, b) for d, b in pairs]
+
+        def downstream():
+            dds = build()
+            return gaussian_states(dds, dynamics.classify_batch(dds, names),
+                                   names)
+
+        keep = [i for i, r in enumerate(verdicts)
+                if r.stable and not r.marginal]
+        args = ([stacks[i] for i in keep], [verdicts[i] for i in keep],
+                [names[i] for i in keep])
+    else:
+        def build():
+            return dynamics.drift_diffusion_stacks(pairs)
+
+        def downstream():
+            A, D, kappa, _, _ = build()
+            return gaussian_states(
+                A, D, dynamics.classify_batch(A, kappa, names), names)
+
+        keep = np.flatnonzero(steadystate.strictly_stable(verdicts))
+        args = (stacks[0][keep], stacks[1][keep],
+                tuple(x[keep] for x in verdicts), [names[i] for i in keep])
+    return {f"build_{size}_us": _median_us(build, number=50),
+            f"downstream_{size}_us": _median_us(downstream, number=50),
+            f"gaussian_states_{size}_us": _median_us(
+                lambda: gaussian_states(*args), number=50),
+            f"gaussian_states_{size}_branches": len(keep)}
 
 
 def measure() -> dict:
@@ -163,10 +205,8 @@ def measure() -> dict:
                 lambda: becck.run_sweep(spec, workers=1), number=20),
             **{f"classify_points_{size}_us": _batch_us(base, dc, eta, size)
                for size in (1, 4, 8)},
+            **_downstream_us(base, dc, eta),
         }
-        (layers[name]["gaussian_states_8_us"],
-         layers[name]["gaussian_states_8_branches"]) = _gaussian_states_us(
-            base, dc, eta)
     presets = {}
     for name in becck.preset_names():
         spec = becck.preset_spec(name)

@@ -18,9 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import InternalConsistencyError
+from .dynamics import InternalConsistencyError, StabilityReport
 from .model import DomainError, SystemParams, derive_params, validity_flags
-from .steadystate import UnstableDriftError, gaussian_states
+from .steadystate import ObservableSet, UnstableDriftError, gaussian_states
 from .sweep import (DEFAULT_GRID_COUNT, SweepSpec, SweepRow, classify_points,
                     preset_names, preset_spec, resolve_workers, run_sweep)
 from .verify import run_suites
@@ -228,7 +228,14 @@ def _fields(record, skip=None) -> dict:
             if f.name != skip}
 
 
-def branch_report(b, rep, obs, flags_ok) -> dict:
+_STABILITY_KEYS = tuple(f.name for f in dataclasses.fields(StabilityReport))[1:]
+_OBSERVABLE_KEYS = tuple(f.name.lower()
+                         for f in dataclasses.fields(ObservableSet))
+
+
+def branch_report(b, eigenvalues, verdicts, observables, flags_ok) -> dict:
+    """Report of branch ``b`` from the values of its StabilityReport fields
+    after the eigenvalues and of its ObservableSet fields (or None)."""
     return {
         "branch_index": b.branch_index,
         "n_photon": b.n_photon,
@@ -240,13 +247,13 @@ def branch_report(b, rep, obs, flags_ok) -> dict:
         "omega_plus": b.Omega_plus,
         "omega_minus": b.Omega_minus,
         "residual": b.residual,
-        "stability": {"eigenvalues_re": [z.real for z in rep.eigenvalues],
-                      "eigenvalues_im": [z.imag for z in rep.eigenvalues],
-                      **_fields(rep, skip="eigenvalues")},
+        "stability": {"eigenvalues_re": [z.real for z in eigenvalues],
+                      "eigenvalues_im": [z.imag for z in eigenvalues],
+                      **dict(zip(_STABILITY_KEYS, verdicts))},
         "lattice_depth_ok": flags_ok["lattice_depth_ok"],
         "bogoliubov_ok": flags_ok["bogoliubov_ok"],
-        "observables": None if obs is None else {
-            k.lower(): v for k, v in _fields(obs).items()},
+        "observables": None if observables is None else dict(
+            zip(_OBSERVABLE_KEYS, observables)),
     }
 
 
@@ -255,14 +262,17 @@ def branch_report(b, rep, obs, flags_ok) -> dict:
 
 def cmd_steady(cfg: RunConfig) -> tuple[int, str]:
     d = derive_params(cfg.params)
-    (bset,), pairs, dds, reports, names = classify_points([d], [""])
+    (bset,), _, (A, D, _, omega_B, n_c), verdicts, names = classify_points(
+        [d], [""])
+    solved, _, observables = gaussian_states(A, D, verdicts, names)
+    states = dict(zip(solved.tolist(), zip(*(x.tolist() for x in (
+        *observables, omega_B[solved], n_c[solved])))))
+    eigs, *verdicts, _ = (x.tolist() for x in verdicts)
     branches = []
-    for (_, b), rep, state in zip(pairs, reports,
-                                  gaussian_states(dds, reports, names)):
-        obs = state[1] if state else None
-        flags = validity_flags(d, b.n_photon,
-                               obs.n_incoherent if obs else None)
-        branches.append(branch_report(b, rep, obs, flags))
+    for (i, b), e, verdict in zip(enumerate(bset), eigs, zip(*verdicts)):
+        obs = states.get(i)
+        flags = validity_flags(d, b.n_photon, obs[4] if obs else None)
+        branches.append(branch_report(b, e, verdict, obs, flags))
     report = {
         "params": _fields(d),
         "warnings": list(bset.warnings),
@@ -323,14 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--workers", type=int,
                        help="validated for compatibility; sweeps run in "
                             "one process (default BECCK_WORKERS or 1)")
-        s.add_argument("--seed", type=int, default=20260813,
-                       help="seed for randomized verification draws")
         s.add_argument("--dump-config", action="store_true",
                        help="print the canonical config and exit")
-        s.add_argument("--perturb-drift", type=float, default=0.0,
-                       metavar="EPS",
-                       help="fault injection: scale the analytic drift "
-                            "matrix by (1+EPS) inside verify")
+        if name == "verify":
+            s.add_argument("--seed", type=int, default=20260813,
+                           help="seed for randomized verification draws")
+            s.add_argument("--perturb-drift", type=float, default=0.0,
+                           metavar="EPS", help="fault injection: scale the "
+                           "analytic drift matrix by (1+EPS)")
     return parser
 
 

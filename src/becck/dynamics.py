@@ -55,29 +55,48 @@ def drift_matrix(Delta, Omega_plus, Omega_minus, kappa, gamma,
     ])
 
 
-def build_drift_diffusion(d: DerivedParams, b: MeanFieldBranch) -> DriftDiffusion:
-    """Drift and diffusion matrices at a mean-field branch.
+def drift_diffusion_stacks(pairs) -> tuple:
+    """Drift and diffusion matrices at the (DerivedParams, MeanFieldBranch)
+    ``pairs``, as (N,4,4) stacks A and D, with the (N,) arrays kappa,
+    omega_B and n_c.
 
     Couplings: G = 2*alpha*(zeta + g*beta_R) splits into (G_R, G_I) by the
     real/imaginary parts of alpha; F = 2*g*alpha*beta_I likewise. Thermal
     occupation n_c is evaluated at the dressed frequency omega_B, which with
     the cross-Kerr coupling disabled (g=0) reduces to the undressed omega_c.
     """
-    aR, aI = b.alpha.real, b.alpha.imag
-    bR, bI = b.beta.real, b.beta.imag
-    G_R = 2.0 * aR * (d.zeta + d.g * bR)
-    G_I = 2.0 * aI * (d.zeta + d.g * bR)
-    F_R = 2.0 * d.g * aR * bI
-    F_I = 2.0 * d.g * aI * bI
-    A = drift_matrix(b.Delta, b.Omega_plus, b.Omega_minus, d.kappa, d.gamma,
-                     G_R, G_I, F_R, F_I)
-    omega_B = bogoliubov_frequency(d, b.n_photon)
-    n_c = thermal_occupation(omega_B, d.T)
-    therm = d.gamma * (2.0 * n_c + 1.0)
-    D = np.diag([d.kappa, d.kappa, therm, therm])
-    return DriftDiffusion(A=A, D=D, G_R=G_R, G_I=G_I, F_R=F_R, F_I=F_I,
-                          n_c=n_c, kappa=d.kappa, gamma=d.gamma,
-                          omega_B=omega_B)
+    entries = []
+    for d, b in pairs:
+        aR, aI = b.alpha.real, b.alpha.imag
+        bR, bI = b.beta.real, b.beta.imag
+        G_R = 2.0 * aR * (d.zeta + d.g * bR)
+        G_I = 2.0 * aI * (d.zeta + d.g * bR)
+        F_R = 2.0 * d.g * aR * bI
+        F_I = 2.0 * d.g * aI * bI
+        omega_B = bogoliubov_frequency(d, b.n_photon)
+        n_c = thermal_occupation(omega_B, d.T)
+        therm = d.gamma * (2.0 * n_c + 1.0)
+        k, gm = d.kappa, d.gamma
+        # A and D row by row (the layout of drift_matrix), then the scalars
+        entries.append((-k, b.Delta, G_I, F_I, -b.Delta, -k, -G_R, -F_R,
+                        F_R, F_I, -gm, b.Omega_minus,
+                        -G_R, -G_I, -b.Omega_plus, -gm,
+                        k, 0.0, 0.0, 0.0, 0.0, k, 0.0, 0.0,
+                        0.0, 0.0, therm, 0.0, 0.0, 0.0, 0.0, therm,
+                        k, omega_B, n_c))
+    table = np.array(entries).reshape(-1, 35)
+    AD = table[:, :32].reshape(-1, 2, 4, 4)
+    return (AD[:, 0], AD[:, 1], *table[:, 32:].T)
+
+
+def build_drift_diffusion(d: DerivedParams, b: MeanFieldBranch) -> DriftDiffusion:
+    """Drift and diffusion matrices at one mean-field branch: the
+    ``drift_diffusion_stacks`` of the single pair (d, b)."""
+    A, D, _, omega_B, n_c = drift_diffusion_stacks([(d, b)])
+    a = A[0].tolist()
+    return DriftDiffusion(A=A[0], D=D[0], G_R=-a[3][0], G_I=a[0][2],
+                          F_R=a[2][0], F_I=a[2][1], n_c=n_c.item(),
+                          kappa=d.kappa, gamma=d.gamma, omega_B=omega_B.item())
 
 
 def langevin_drift_field(d: DerivedParams, state) -> np.ndarray:
@@ -167,13 +186,12 @@ def _labelled(names, i: int, message: str) -> str:
     return f"{names[i]}: {message}" if names else message
 
 
-def classify_batch(dds, names=None) -> list:
-    """``classify_stability`` of every drift matrix in ``dds`` at once.
-
-    ``names`` (optional) label the first failing item in an exception.
-    """
-    A = np.stack([dd.A for dd in dds])
-    kappa = np.array([dd.kappa for dd in dds])
+def classify_batch(A, kappa, names=None) -> tuple:
+    """``classify_stability`` of every drift matrix of the (N,4,4) stack
+    ``A`` at once, with ``kappa`` the (N,) cavity decay rates: the
+    eigenvalues (N,4) and the (N,) arrays max_real_part, routh_hurwitz_pass,
+    stable, marginal and scale (max|A| of each matrix). ``names`` (optional)
+    label the first failing item in an exception."""
     # scale out the rate magnitude so the quartic coefficients stay O(1)
     scale = np.max(np.abs(A), axis=(1, 2))
     bad = np.flatnonzero((scale == 0.0) | ~np.isfinite(scale))
@@ -192,11 +210,7 @@ def classify_batch(dds, names=None) -> list:
         raise InternalConsistencyError(_labelled(
             names, i, f"Routh-Hurwitz verdict {rh[i]} contradicts eigenvalue "
             f"verdict {stable[i]} (max_real_part={max_real[i]:.6e} rad/s)"))
-    return [StabilityReport(eigenvalues=tuple(e), max_real_part=m,
-                            routh_hurwitz_pass=r, stable=s, marginal=g)
-            for e, m, r, s, g in zip(eigs.tolist(), max_real.tolist(),
-                                     rh.tolist(), stable.tolist(),
-                                     marginal.tolist())]
+    return eigs, max_real, rh, stable, marginal, scale
 
 
 def classify_stability(dd: DriftDiffusion) -> StabilityReport:
@@ -206,4 +220,6 @@ def classify_stability(dd: DriftDiffusion) -> StabilityReport:
     the imaginary axis by more than 1e-6*kappa; a disagreement outside that
     band raises InternalConsistencyError.
     """
-    return classify_batch([dd])[0]
+    eigs, *verdicts, _ = classify_batch(dd.A[None], np.array([dd.kappa]))
+    return StabilityReport(tuple(eigs[0].tolist()),
+                           *(x.item() for x in verdicts))

@@ -10,7 +10,7 @@ an independent time-domain oracle for the same fixed point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Optional
 
 import numpy as np
@@ -61,34 +61,41 @@ def _sym_unvec(v: np.ndarray) -> np.ndarray:
     return M
 
 
-# the ten unit symmetric matrices E_k, one per pair
-_UNITS = np.zeros((10, 4, 4))
-_UNITS[np.arange(10), _ROWS, _COLS] = 1.0
-_UNITS[np.arange(10), _COLS, _ROWS] = 1.0
+# the 16 unit matrices times the ten unit symmetric matrices E_k; table
+# entry (4m+n, 10r+k) is the coefficient of A_mn in operator entry (r, k)
+_AE = np.eye(16).reshape(16, 1, 4, 4) @ _sym_unvec(np.eye(10))
+_LYAPUNOV_TABLE = _sym_vec(_AE + _AE.swapaxes(-1, -2)).swapaxes(-1, -2) \
+    .reshape(16, 100)
 
 
 def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
     """Matrix of V -> A V + V A^T acting on sym-vectorized V (10x10).
 
-    Accepts one drift matrix or a stack (..., 4, 4). Column k is
-    A E_k + (A E_k)^T; each entry is a sum of at most two entries of A.
+    Accepts one drift matrix or a stack (..., 4, 4). Each entry is a sum of
+    at most two entries of A, so the table product is exact.
     """
-    AE = A[..., None, :, :] @ _UNITS
-    return _sym_vec(AE + AE.swapaxes(-1, -2)).swapaxes(-1, -2)
+    lead = A.shape[:-2]
+    return (A.reshape(lead + (16,)) @ _LYAPUNOV_TABLE).reshape(lead + (10, 10))
 
 
-def lyapunov_batch(dds, reports, names=None) -> list:
-    """``solve_lyapunov`` of every item in one stacked solve, given each
-    item's StabilityReport; ``names`` label a failing item."""
-    for i, report in enumerate(reports):
-        if not report.stable or report.marginal:
-            kind = "marginal" if report.marginal else "unstable"
-            raise UnstableDriftError(_labelled(
-                names, i, f"drift matrix is {kind} (max_real_part="
-                f"{report.max_real_part:.6e} rad/s); no stationary covariance"))
-    A = np.stack([dd.A for dd in dds])
-    D = np.stack([dd.D for dd in dds])
-    scale = np.max(np.abs(A), axis=(1, 2))[:, None, None]
+def strictly_stable(verdicts) -> np.ndarray:
+    """Mask of the stable, non-marginal items of ``classify_batch`` verdicts."""
+    return verdicts[3] & ~verdicts[4]
+
+
+def lyapunov_batch(A, D, verdicts, names=None) -> tuple:
+    """``solve_lyapunov`` of the stacks ``A`` and ``D`` with ``classify_batch``
+    arrays ``verdicts`` in one stacked solve, labelling a failing item by
+    ``names``: the (N,4,4) covariances and the (N,) residuals."""
+    _, max_real, _, _, marginal, scale = verdicts
+    bad = np.flatnonzero(~strictly_stable(verdicts))
+    if bad.size:
+        i = bad[0]
+        kind = "marginal" if marginal[i] else "unstable"
+        raise UnstableDriftError(_labelled(
+            names, i, f"drift matrix is {kind} (max_real_part="
+            f"{max_real[i]:.6e} rad/s); no stationary covariance"))
+    scale = scale[:, None, None]
     L = _lyapunov_operator(A / scale)
     rhs = -_sym_vec(D / scale)[..., None]
     v = np.linalg.solve(L, rhs)
@@ -103,8 +110,7 @@ def lyapunov_batch(dds, reports, names=None) -> list:
         raise InternalConsistencyError(_labelled(
             names, i, f"Lyapunov residual {resid[i]:.3e} exceeds bound "
             f"{bound[i]:.3e}"))
-    return [CovarianceMatrix(V=Vi, residual=r)
-            for Vi, r in zip(V, resid.tolist())]
+    return V, resid
 
 
 def solve_lyapunov(dd: DriftDiffusion,
@@ -119,7 +125,9 @@ def solve_lyapunov(dd: DriftDiffusion,
     """
     if report is None:
         report = classify_stability(dd)
-    return lyapunov_batch([dd], [report])[0]
+    verdicts = [np.array([x]) for x in (*astuple(report), np.abs(dd.A).max())]
+    V, resid = lyapunov_batch(dd.A[None], dd.D[None], verdicts)
+    return CovarianceMatrix(V=V[0], residual=resid.item())
 
 
 def integrate_moment_ode(dd: DriftDiffusion, V0: np.ndarray,
@@ -231,10 +239,10 @@ def logarithmic_negativity(V: np.ndarray, names=None) -> tuple:
     E_N = max(0, -ln(2*eta_minus)). A stack (..., 4, 4), labelled by
     ``names``, gives arrays.
     """
-    det = np.linalg.det
-    sigma = (det(V[..., :2, :2]) + det(V[..., 2:, 2:])
-             - 2.0 * det(V[..., :2, 2:]))
-    disc = sigma * sigma - 4.0 * det(V)
+    oo, aa, oa = np.linalg.det(
+        np.stack([V[..., :2, :2], V[..., 2:, 2:], V[..., :2, 2:]]))
+    sigma = oo + aa - 2.0 * oa
+    disc = sigma * sigma - 4.0 * np.linalg.det(V)
     bad = np.flatnonzero(disc < -1e-12)
     if bad.size:
         raise InternalConsistencyError(_labelled(
@@ -262,37 +270,28 @@ def squeezing_and_excitation(V: np.ndarray) -> tuple[float, float]:
     return s_q, n_inc
 
 
-def observables_batch(dds, covs, names=None) -> list:
-    """``observable_set`` of every (drift, covariance) pair at once."""
-    V = np.stack([cov.V for cov in covs])
+def observables_batch(V, names=None) -> tuple:
+    """``observable_set`` of every covariance of the stack ``V`` at once:
+    the (N,) arrays E_N, eta_minus, S_Q, S_P and n_incoherent."""
     _require_physical(V, names)
     e_n, eta_minus = logarithmic_negativity(V, names)
     s_q, n_inc = squeezing_and_excitation(V)
-    s_p = 2.0 * V[:, 3, 3] - 1.0
-    return [ObservableSet(E_N=e, eta_minus=m, S_Q=q, S_P=p, n_incoherent=n,
-                          omega_B=dd.omega_B, n_c=dd.n_c)
-            for dd, e, m, q, p, n in zip(dds, e_n.tolist(), eta_minus.tolist(),
-                                         s_q.tolist(), s_p.tolist(),
-                                         n_inc.tolist())]
+    return e_n, eta_minus, s_q, 2.0 * V[:, 3, 3] - 1.0, n_inc
 
 
 def observable_set(dd: DriftDiffusion, cov: CovarianceMatrix) -> ObservableSet:
     """All Gaussian observables for one stable branch."""
-    return observables_batch([dd], [cov])[0]
+    values = (x.item() for x in observables_batch(cov.V[None]))
+    return ObservableSet(*values, omega_B=dd.omega_B, n_c=dd.n_c)
 
 
-def gaussian_states(dds, reports, names=None) -> list:
-    """Covariance and observables of every strictly stable branch, batched.
-
-    Returns, per item, a (CovarianceMatrix, ObservableSet) pair when its
-    report is stable and outside the marginal band, and None otherwise.
-    """
-    solved = [i for i, r in enumerate(reports) if r.stable and not r.marginal]
-    out: list = [None] * len(dds)
-    if solved:
-        pick = [dds[i] for i in solved]
-        label = [names[i] for i in solved] if names else None
-        covs = lyapunov_batch(pick, [reports[i] for i in solved], label)
-        for i, cov, obs in zip(solved, covs, observables_batch(pick, covs, label)):
-            out[i] = (cov, obs)
-    return out
+def gaussian_states(A, D, verdicts, names=None, among=None) -> tuple:
+    """Positions, covariances and ``observables_batch`` arrays of the strictly
+    stable items among the positions ``among`` (default all) of the stacks
+    ``A`` and ``D`` with ``classify_batch`` arrays ``verdicts``."""
+    idx = np.arange(len(A)) if among is None else np.asarray(among, np.intp)
+    solved = idx[strictly_stable(verdicts)[idx]]
+    label = [names[i] for i in solved] if names else None
+    V, _ = lyapunov_batch(A[solved], D[solved],
+                          tuple(x[solved] for x in verdicts), label)
+    return solved, V, observables_batch(V, label)

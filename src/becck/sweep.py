@@ -17,12 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import (InternalConsistencyError, build_drift_diffusion,
-                       classify_batch)
+from .dynamics import (InternalConsistencyError, classify_batch,
+                       drift_diffusion_stacks)
 from .meanfield import branch_candidates, enumerate_branches
 from .model import (SystemParams, bogoliubov_frequency, derive_params,
                     validity_flags)
-from .steadystate import gaussian_states
+from .steadystate import gaussian_states, strictly_stable
 
 SWEEP_VARS = ("delta_c", "eta", "omega_sw")
 CK_MODES = ("on", "off", "paired")
@@ -150,18 +150,19 @@ def preset_names() -> tuple:
 def classify_points(ds, labels) -> tuple:
     """Enumerate every branch of the points ``ds`` (DerivedParams), from
     one stacked companion eigen-solve per matrix size, and classify all of
-    them in one ``classify_batch`` call; a failing branch
-    is named ``f"{labels[point]}branch {index}"``. Returns the BranchSet of
-    each point and, per branch in point order, its (point index, branch)
-    pair, drift-diffusion pair, StabilityReport and name.
-    """
+    them in one ``classify_batch`` call; a failing branch is named
+    ``f"{labels[point]}branch {index}"``. Returns the BranchSet of each
+    point; per branch in point order, its (point index, branch) pair; the
+    ``drift_diffusion_stacks`` and ``classify_batch`` arrays of all
+    branches; and the branch names."""
     bsets = [enumerate_branches(d, roots)
              for d, roots in zip(ds, branch_candidates(ds))]
     branches = [(p, b) for p, bset in enumerate(bsets) for b in bset]
-    dds = [build_drift_diffusion(ds[p], b) for p, b in branches]
+    stacks = drift_diffusion_stacks([(ds[p], b) for p, b in branches])
     names = [f"{labels[p]}branch {b.branch_index}" for p, b in branches]
     try:
-        return bsets, branches, dds, classify_batch(dds, names), names
+        return (bsets, branches, stacks,
+                classify_batch(stacks[0], stacks[2], names), names)
     except ValueError as exc:  # the parameters overflow the drift matrix
         raise InternalConsistencyError(str(exc)) from exc
 
@@ -174,12 +175,11 @@ def _rows_for_points(spec: SweepSpec, values) -> list:
               for ck in cks]
     ds = [derive_params(replace(spec.base, ck_enabled=ck, **{spec.var: value}))
           for _, value, ck in points]
-    bsets, branches, dds, reports, names = classify_points(
+    bsets, branches, (A, D, _, omega_B, _), verdicts, names = classify_points(
         ds, [f"{spec.var}={value!r} ck={ck} " for _, value, ck in points])
-
     # a branch only counts as stable for covariance purposes when it is
     # strictly stable and outside the near-marginal band
-    grade = [r.stable and not r.marginal for r in reports]
+    grade = strictly_stable(verdicts).tolist()
     pick = {"lowest": 0, "highest": -1}.get(spec.branch_policy)
     selected, no_stable, first = [], set(), 0
     for bset in bsets:
@@ -193,32 +193,29 @@ def _rows_for_points(spec: SweepSpec, values) -> list:
         else:
             selected.append(ids[0])
             no_stable.add(ids[0])
-    states = gaussian_states([dds[i] for i in selected],
-                             [reports[i] for i in selected],
-                             [names[i] for i in selected])
+    solved, V, observables = gaussian_states(A, D, verdicts, names, selected)
+    states = dict(zip(solved.tolist(),
+                      zip(V, *(x.tolist() for x in observables))))
 
     keyed = []
-    for i, state in zip(selected, states):
+    omega_B, max_real = omega_B.tolist(), verdicts[1].tolist()
+    for i in selected:
         p, b = branches[i]
         (j, value, ck), d, bset = points[p], ds[p], bsets[p]
-        cov, obs = state or (None, None)
-        E_N, S_Q, S_P, n_inc = ((obs.E_N, obs.S_Q, obs.S_P, obs.n_incoherent)
-                                if obs else (None,) * 4)
+        cov, E_N, _, S_Q, S_P, n_inc = states.get(i, (None,) * 6)
         flags = validity_flags(d, b.n_photon, n_inc)
-        omega_b = dds[i].omega_B
         keyed.append(((j, b.branch_index, ck), SweepRow(
             sweep_var=spec.var, sweep_value=value, ck_enabled=ck,
             branch_index=b.branch_index, n_branches=len(bset),
             n_photon=b.n_photon, alpha=b.alpha, beta=b.beta, Delta=b.Delta,
-            omega_B=omega_b,
-            omega_B_ratio=omega_b / bogoliubov_frequency(d, 0.0),
+            omega_B=omega_B[i],
+            omega_B_ratio=omega_B[i] / bogoliubov_frequency(d, 0.0),
             stable=grade[i], E_N=E_N, S_Q=S_Q, S_P=S_P, n_incoherent=n_inc,
             lattice_ok=flags["lattice_depth_ok"],
             bogoliubov_ok=flags["bogoliubov_ok"],
             warnings=bset.warnings + (("no-stable-branch",)
                                       if i in no_stable else ()),
-            covariance=cov.V if cov else None,
-            max_real_part=reports[i].max_real_part,
+            covariance=cov, max_real_part=max_real[i],
         )))
     # deterministic order: grid value, then branch index, then ck off before on
     keyed.sort(key=lambda item: item[0])

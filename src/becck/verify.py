@@ -15,13 +15,13 @@ import math
 
 import numpy as np
 
-from .dynamics import (DriftDiffusion, InternalConsistencyError,
+from .dynamics import (InternalConsistencyError, build_drift_diffusion,
                        classify_batch, drift_matrix,
                        finite_difference_jacobian, quadrature_fixed_point)
 from .meanfield import branch_candidates, enumerate_branches
 from .model import SystemParams, derive_params
 from .steadystate import (integrate_moment_ode, logarithmic_negativity,
-                          solve_lyapunov)
+                          lyapunov_batch, strictly_stable)
 from .sweep import classify_points
 
 
@@ -39,31 +39,32 @@ def _random_point(rng, base: SystemParams, eta_min: float):
 
 def _random_stable_points(rng, count, base: SystemParams):
     """The first ``count`` strictly stable branches of random parameter
-    points, in draw order, as (d, branch, drift-diffusion, report).
+    points, in draw order: their (d, branch) pairs, then their drift and
+    diffusion stacks A and D and their ``classify_batch`` arrays.
 
     Points are drawn and classified in blocks of as many points as branches
     are still missing; the draws past the last kept branch are discarded.
     """
-    out = []
-    while len(out) < count:
-        ds = [_random_point(rng, base, 0.1) for _ in range(count - len(out))]
-        _, branches, dds, reports, _ = classify_points(
+    points, blocks = [], []
+    while len(points) < count:
+        ds = [_random_point(rng, base, 0.1) for _ in range(count - len(points))]
+        _, branches, (A, D, *_), verdicts, _ = classify_points(
             ds, [f"delta_c={d.delta_c!r} eta={d.eta!r} omega_sw="
                  f"{d.omega_sw!r} ck={d.ck_enabled} " for d in ds])
-        out += [(ds[p], b, dd, rep)
-                for (p, b), dd, rep in zip(branches, dds, reports)
-                if rep.stable and not rep.marginal]
-    return out[:count]
+        keep = strictly_stable(verdicts)
+        points += [(ds[p], b) for (p, b), k in zip(branches, keep) if k]
+        blocks.append((A[keep], D[keep], *(x[keep] for x in verdicts)))
+    return points[:count], *(np.concatenate(x)[:count] for x in zip(*blocks))
 
 
 def verify_jacobian(rng, base: SystemParams, count: int = 100,
                     perturb: float = 0.0):
     """Analytic drift matrix against a finite-difference Jacobian."""
     errs, where = [], []
-    for d, b, dd, _ in _random_stable_points(rng, count, base):
-        A = dd.A * (1.0 + perturb)
+    points, A, *_ = _random_stable_points(rng, count, base)
+    for (d, b), drift in zip(points, A * (1.0 + perturb)):
         J = finite_difference_jacobian(d, quadrature_fixed_point(b))
-        errs.append(float(np.max(np.abs(A - J)) / np.max(np.abs(A))))
+        errs.append(float(np.max(np.abs(drift - J)) / np.max(np.abs(drift))))
         where.append((d.delta_c, d.eta, d.omega_sw, d.ck_enabled))
     i = int(np.argmax(errs))  # the first NaN deviation, if any, is the worst
     return errs[i] <= 1e-6, f"max relative deviation {errs[i]:.3e}", where[i]
@@ -71,10 +72,12 @@ def verify_jacobian(rng, base: SystemParams, count: int = 100,
 
 def verify_lyapunov_ode(rng, base: SystemParams, count: int = 12):
     errs, where = [], []
-    for d, b, dd, rep in _random_stable_points(rng, count, base):
-        V = solve_lyapunov(dd, rep).V
-        t_final = 50.0 / abs(rep.max_real_part)
-        W = integrate_moment_ode(dd, 0.5 * np.eye(4), t_final)
+    points, A, D, *verdicts = _random_stable_points(rng, count, base)
+    covariances, _ = lyapunov_batch(A, D, verdicts)
+    for (d, b), V, max_real in zip(points, covariances, verdicts[1].tolist()):
+        t_final = 50.0 / abs(max_real)
+        W = integrate_moment_ode(build_drift_diffusion(d, b), 0.5 * np.eye(4),
+                                 t_final)
         errs.append(float(np.max(np.abs(W - V)) / np.max(np.abs(V))))
         where.append((d.delta_c, d.eta, d.omega_sw, d.ck_enabled))
     i = int(np.argmax(errs))  # the first NaN deviation, if any, is the worst
@@ -90,23 +93,18 @@ def verify_routh_hurwitz(rng, base: SystemParams, count: int = 2000):
     band.
     """
     k = base.kappa
-    dds = []
-    for _ in range(count):
-        A = drift_matrix(
-            Delta=float(rng.uniform(-20, 20)) * k,
-            Omega_plus=float(rng.uniform(0.001, 0.2)) * k,
-            Omega_minus=float(rng.uniform(0.001, 0.2)) * k,
-            kappa=k,
-            gamma=float(rng.uniform(1e-4, 1e-2)) * k,
-            G_R=float(rng.uniform(-1, 1)) * k,
-            G_I=float(rng.uniform(-1, 1)) * k,
-            F_R=float(rng.uniform(-0.01, 0.01)) * k,
-            F_I=float(rng.uniform(-0.01, 0.01)) * k,
-        )
-        dds.append(DriftDiffusion(A=A, D=np.diag([k, k, k, k]), G_R=0, G_I=0,
-                                  F_R=0, F_I=0, n_c=0.0, kappa=k, gamma=0.0,
-                                  omega_B=1.0))
-    classify_batch(dds, [f"draw {i}" for i in range(count)])
+    A = np.stack([drift_matrix(
+        Delta=float(rng.uniform(-20, 20)) * k,
+        Omega_plus=float(rng.uniform(0.001, 0.2)) * k,
+        Omega_minus=float(rng.uniform(0.001, 0.2)) * k,
+        kappa=k,
+        gamma=float(rng.uniform(1e-4, 1e-2)) * k,
+        G_R=float(rng.uniform(-1, 1)) * k,
+        G_I=float(rng.uniform(-1, 1)) * k,
+        F_R=float(rng.uniform(-0.01, 0.01)) * k,
+        F_I=float(rng.uniform(-0.01, 0.01)) * k,
+    ) for _ in range(count)])
+    classify_batch(A, np.full(count, k), [f"draw {i}" for i in range(count)])
     return True, f"0 disagreements in {count} draws", None
 
 

@@ -462,6 +462,27 @@ def test_verify_rejects_nonfinite_perturbation_and_negative_seed(argv):
     assert proc.stdout == ""
 
 
+def test_only_verify_takes_the_verification_flags():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(becck.__file__)))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "becck", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+
+    for argv in (("sweep", "--preset", "fig2b", "--seed", "7"),
+                 ("sweep", "--preset", "fig2b", "--perturb-drift", "nan"),
+                 ("steady", "--seed", "-5")):
+        proc = run(*argv)
+        assert proc.returncode == 2
+        assert "unrecognized arguments" in proc.stderr
+        assert proc.stdout == ""
+    proc = run("verify", "--seed", "7", "--perturb-drift", "1e-3")
+    assert proc.returncode == 5
+    assert "jacobian: FAIL" in proc.stdout
+
+
 def test_verify_suites_fail_on_a_nan_deviation(monkeypatch):
     import dataclasses
 

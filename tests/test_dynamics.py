@@ -151,12 +151,14 @@ def test_routh_hurwitz_near_the_marginal_band():
     rng = np.random.default_rng(13)
     slow = [sign * x for x in (1.5e-6, 3e-6, 1e-5, 1e-4)
             for sign in (-1.0, 1.0) for _ in range(225)]
-    reports = classify_batch([_similar_drift(rng, x) for x in slow])
-    assert [(r.stable, r.routh_hurwitz_pass, r.marginal) for r in reports] \
+    A = np.stack([_similar_drift(rng, x).A for x in slow])
+    _, _, rh, stable, marginal, _ = classify_batch(A, np.full(len(A), KAPPA))
+    assert list(zip(stable.tolist(), rh.tolist(), marginal.tolist())) \
         == [(x < 0.0, x < 0.0, False) for x in slow]
     inside = rng.uniform(-0.5, 0.5, 500) * MARGINAL_BAND
-    reports = classify_batch([_similar_drift(rng, x) for x in inside])
-    assert all(r.marginal for r in reports)
+    A = np.stack([_similar_drift(rng, x).A for x in inside])
+    _, _, _, _, marginal, _ = classify_batch(A, np.full(len(A), KAPPA))
+    assert all(marginal)
 
 
 def test_classify_stable_branch():

@@ -1,12 +1,15 @@
+import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+import becck.steadystate
 from becck import (CovarianceMatrix, DriftDiffusion,
-                   InternalConsistencyError, UnstableDriftError,
+                   InternalConsistencyError, ObservableSet, StabilityReport,
+                   UnstableDriftError, bogoliubov_frequency,
                    build_drift_diffusion, check_physical, classify_stability,
                    derive_params, enumerate_branches, integrate_moment_ode,
                    logarithmic_negativity, observable_set, omega_pm,
@@ -344,31 +347,175 @@ def _random_stable_dds(seed, count):
     return out[:count]
 
 
+def _stacks(dds):
+    """The (A, D, kappa) stacks of a list of DriftDiffusion, as the batch
+    functions take them."""
+    return (np.stack([dd.A for dd in dds]), np.stack([dd.D for dd in dds]),
+            np.array([dd.kappa for dd in dds]))
+
+
+def _report(verdicts, i) -> StabilityReport:
+    """Item ``i`` of the ``classify_batch`` arrays as a StabilityReport."""
+    eigs, *fields, _ = verdicts
+    return StabilityReport(tuple(eigs[i].tolist()),
+                           *(x[i].item() for x in fields))
+
+
+def _observables(dd, observables, i) -> ObservableSet:
+    """Item ``i`` of the ``observables_batch`` arrays as an ObservableSet."""
+    return ObservableSet(*(x[i].item() for x in observables),
+                         omega_B=dd.omega_B, n_c=dd.n_c)
+
+
 def test_batched_covariance_matches_scipy_lyapunov_solver():
     linalg = pytest.importorskip("scipy.linalg")
     pairs = _random_stable_dds(11, 60)
-    covs = lyapunov_batch([dd for dd, _ in pairs], [rep for _, rep in pairs])
-    for (dd, _), cov in zip(pairs, covs):
+    A, D, kappa = _stacks([dd for dd, _ in pairs])
+    V, _ = lyapunov_batch(A, D, classify_batch(A, kappa))
+    for (dd, _), cov in zip(pairs, V):
         ref = linalg.solve_continuous_lyapunov(dd.A, -dd.D)
-        assert np.max(np.abs(cov.V - ref)) <= 1e-9 * np.max(np.abs(ref))
+        assert np.max(np.abs(cov - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_batch_of_k_is_bitwise_k_batches_of_one():
     pairs = _random_stable_dds(12, 25)
     dds = [dd for dd, _ in pairs]
-    reports = classify_batch(dds)
-    covs = lyapunov_batch(dds, reports)
-    obs = observables_batch(dds, covs)
-    for dd, rep, cov, ob in zip(dds, reports, covs, obs):
+    A, D, kappa = _stacks(dds)
+    verdicts = classify_batch(A, kappa)
+    assert np.array_equal(verdicts[-1], np.max(np.abs(A), axis=(1, 2)))
+    V, resid = lyapunov_batch(A, D, verdicts)
+    obs = observables_batch(V)
+    for i, dd in enumerate(dds):
+        rep = _report(verdicts, i)
         assert classify_stability(dd) == rep
         single = solve_lyapunov(dd, rep)
-        assert np.array_equal(single.V, cov.V)
-        assert single.residual == cov.residual
-        assert observable_set(dd, single) == ob
+        assert np.array_equal(single.V, V[i])
+        assert single.residual == resid[i]
+        assert observable_set(dd, single) == _observables(dd, obs, i)
     # the batch pipeline and a loop of single-branch calls agree too
-    for dd, (cov, ob) in zip(dds, gaussian_states(dds, reports)):
-        assert np.array_equal(cov.V, solve_lyapunov(dd).V)
-        assert ob == observable_set(dd, cov)
+    solved, V, obs = gaussian_states(A, D, verdicts)
+    assert solved.tolist() == list(range(len(dds)))
+    for i, dd in enumerate(dds):
+        cov = solve_lyapunov(dd)
+        assert np.array_equal(V[i], cov.V)
+        assert _observables(dd, obs, i) == observable_set(dd, cov)
+
+
+def _single_branch_chain(d, index):
+    """Branch ``index`` of ``d`` through the single-branch API: the branch,
+    its DriftDiffusion and StabilityReport, and, on a strictly stable
+    branch, its CovarianceMatrix and ObservableSet (else None, None)."""
+    b = enumerate_branches(d)[index]
+    dd = build_drift_diffusion(d, b)
+    rep = classify_stability(dd)
+    if not rep.stable or rep.marginal:
+        return b, dd, rep, None, None
+    cov = solve_lyapunov(dd, rep)
+    return b, dd, rep, cov, observable_set(dd, cov)
+
+
+@pytest.mark.parametrize("preset", ["fig2b", "fig6", "fig8"])
+def test_sweep_rows_equal_the_single_branch_chain_bitwise(preset):
+    spec = replace(preset_spec(preset), count=41)
+    rows = run_sweep(spec)
+    assert {r.ck_enabled for r in rows} == {False, True}
+    assert sum(r.covariance is not None for r in rows) >= 41
+    for r in rows:
+        d = derive_params(replace(spec.base, ck_enabled=r.ck_enabled,
+                                  **{spec.var: r.sweep_value}))
+        b, dd, rep, cov, obs = _single_branch_chain(d, r.branch_index)
+        assert (r.n_photon, r.alpha, r.beta, r.Delta) \
+            == (b.n_photon, b.alpha, b.beta, b.Delta)
+        assert r.omega_B == dd.omega_B
+        assert r.omega_B_ratio == dd.omega_B / bogoliubov_frequency(d, 0.0)
+        assert r.max_real_part == rep.max_real_part
+        assert r.stable == (cov is not None)
+        if cov is None:
+            assert r.covariance is None
+            assert (r.E_N, r.S_Q, r.S_P, r.n_incoherent) == (None,) * 4
+        else:
+            assert np.array_equal(r.covariance, cov.V)
+            assert (r.E_N, r.S_Q, r.S_P, r.n_incoherent) \
+                == (obs.E_N, obs.S_Q, obs.S_P, obs.n_incoherent)
+
+
+def test_steady_report_equals_the_single_branch_chain_bitwise(tmp_path,
+                                                              capsys):
+    config = tmp_path / "point.json"
+    config.write_text('{"delta_c": "5*kappa", "eta": "2*kappa"}')
+    assert main(["steady", "--config", str(config)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    d = derive_params(paper_base_params(delta_c=5 * KAPPA, eta=2 * KAPPA))
+    assert len(report["branches"]) == 3
+    for i, branch in enumerate(report["branches"]):
+        b, dd, rep, cov, obs = _single_branch_chain(d, i)
+        assert branch["n_photon"] == b.n_photon
+        assert branch["stability"] == {
+            "eigenvalues_re": [z.real for z in rep.eigenvalues],
+            "eigenvalues_im": [z.imag for z in rep.eigenvalues],
+            "max_real_part": rep.max_real_part,
+            "routh_hurwitz_pass": rep.routh_hurwitz_pass,
+            "stable": rep.stable, "marginal": rep.marginal}
+        assert branch["observables"] == (None if obs is None else {
+            f.name.lower(): getattr(obs, f.name) for f in fields(obs)})
+    assert [b["observables"] is None for b in report["branches"]] \
+        == [False, True, False]
+
+
+def _unit_matrix_operator(A):
+    """The Lyapunov operator built from the ten unit symmetric matrices E_k,
+    column k being sym_vec(A E_k + (A E_k)^T): the reference for the
+    table-built ``_lyapunov_operator``."""
+    rows, cols = np.triu_indices(4)
+    units = np.zeros((10, 4, 4))
+    units[np.arange(10), rows, cols] = 1.0
+    units[np.arange(10), cols, rows] = 1.0
+    AE = A[..., None, :, :] @ units
+    return (AE + AE.swapaxes(-1, -2))[..., rows, cols].swapaxes(-1, -2)
+
+
+def test_table_lyapunov_operator_equals_the_unit_matrix_product(monkeypatch):
+    rng = np.random.default_rng(21)
+    for shape in ((4, 4), (1, 4, 4), (37, 4, 4), (3, 5, 4, 4)):
+        # entries over many decades, as in a drift matrix
+        A = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 8, size=shape)
+        L = becck.steadystate._lyapunov_operator(A)
+        assert L.shape == shape[:-2] + (10, 10)
+        assert np.array_equal(L, _unit_matrix_operator(A))
+    for A in (_stable_dd()[2].A, _stable_dd(eta_mult=7.0)[2].A):
+        assert np.array_equal(becck.steadystate._lyapunov_operator(A),
+                              _unit_matrix_operator(A))
+
+    # the moment-ODE oracle gives the same array with either operator
+    _, _, dd = _stable_dd()
+    t_final = 50.0 / abs(classify_stability(dd).max_real_part)
+    W = integrate_moment_ode(dd, 0.5 * np.eye(4), t_final)
+    monkeypatch.setattr(becck.steadystate, "_lyapunov_operator",
+                        _unit_matrix_operator)
+    assert np.array_equal(W, integrate_moment_ode(dd, 0.5 * np.eye(4),
+                                                  t_final))
+
+
+def test_a_sweep_makes_one_stacked_linalg_call_per_stage(monkeypatch):
+    # a paired two-value fig2b sweep: two companion eigen-solves (degree 9
+    # and 3) and one classification, the Lyapunov solve and its refinement,
+    # the physicality factorization, and the block and full determinants
+    calls = dict.fromkeys(("eigvals", "solve", "cholesky", "det"), 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name,
+                            counting(name, getattr(np.linalg, name)))
+    spec = replace(preset_spec("fig2b"), start=4 * KAPPA, stop=5 * KAPPA,
+                   count=2)
+    rows = run_sweep(spec)
+    assert sum(row.covariance is not None for row in rows) >= 4
+    assert calls == {"eigvals": 3, "solve": 2, "cholesky": 1, "det": 2}
 
 
 def test_batch_failure_raises_the_loop_exception_naming_the_branch(
@@ -381,16 +528,24 @@ def test_batch_failure_raises_the_loop_exception_naming_the_branch(
     reports = [classify_stability(dd) for dd in dds]
     with pytest.raises(UnstableDriftError) as loop_exc:
         solve_lyapunov(middle, reports[1])
+    A, D, kappa = _stacks(dds)
     with pytest.raises(UnstableDriftError, match="^middle: ") as batch_exc:
-        lyapunov_batch(dds, reports, names)
+        lyapunov_batch(A, D, classify_batch(A, kappa), names)
     assert str(batch_exc.value) == f"middle: {loop_exc.value}"
+    # gaussian_states solves the strictly stable items among those it is given
+    verdicts = classify_batch(A, kappa)
+    assert gaussian_states(A, D, verdicts, names)[0].tolist() == [0, 2]
+    assert gaussian_states(A, D, verdicts, names, [1, 2])[0].tolist() == [2]
+    assert gaussian_states(A, D, verdicts, names, [1])[0].size == 0
 
-    covs = lyapunov_batch([low, high], [reports[0], reports[2]])
+    A, D, kappa = _stacks([low, high])
+    V, _ = lyapunov_batch(A, D, classify_batch(A, kappa))
     bad = CovarianceMatrix(V=0.1 * np.eye(4), residual=0.0)
     with pytest.raises(InternalConsistencyError):
         observable_set(low, bad)
+    V[1] = bad.V
     with pytest.raises(InternalConsistencyError, match="^high: covariance"):
-        observables_batch([low, high], [covs[0], bad], ["low", "high"])
+        observables_batch(V, ["low", "high"])
 
     # a Routh-Hurwitz verdict that contradicts the eigenvalues of one item
     import becck.dynamics
@@ -406,4 +561,4 @@ def test_batch_failure_raises_the_loop_exception_naming_the_branch(
         classify_stability(high)
     with pytest.raises(InternalConsistencyError,
                        match="^high: Routh-Hurwitz verdict"):
-        classify_batch(dds, names)
+        classify_batch(*_stacks(dds)[::2], names)

@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from becck import (InternalConsistencyError, SweepSpec, StabilityReport,
+from becck import (InternalConsistencyError, SweepSpec,
                    bistable_window, ck_comparison_metrics, paper_base_params,
                    preset_names, preset_spec, run_sweep)
 from becck.cli import row_to_csv
@@ -181,10 +181,11 @@ def test_ck_comparison_rejects_multibranch_rows():
 
 
 def test_no_stable_branch_marker(monkeypatch):
-    def verdict_unstable(dds, names=None):
-        return [StabilityReport(eigenvalues=(1.0 + 0j,) * 4,
-                                max_real_part=1.0, routh_hurwitz_pass=False,
-                                stable=False, marginal=False)] * len(dds)
+    def verdict_unstable(A, kappa, names=None):
+        n = len(A)
+        return (np.full((n, 4), 1.0 + 0j), np.ones(n), np.zeros(n, bool),
+                np.zeros(n, bool), np.zeros(n, bool),
+                np.max(np.abs(A), axis=(1, 2)))
 
     monkeypatch.setattr("becck.sweep.classify_batch", verdict_unstable)
     rows = run_sweep(_spec(-1.0, 0.0, 2, policy="lowest", ck_mode="on"),

@@ -28,9 +28,18 @@ rounds. Recorded per side:
   ``gaussian_states_8_branches``), on either generation of the batch API;
 * the serial wall time of each of the nine presets (one run per round, in
   seconds);
+* the command path around the stacks, per command (a bistable ``steady``
+  point, a 2-point fig2b CSV slice, a 4-point fig6 json-lines slice, and
+  ``verify --seed 7 --perturb-drift 1e-3``), in microseconds per call:
+  parsing its argv (``parse_us``, on either generation of the parser: the
+  full parser, or the direct subcommand dispatch of
+  ``cli.parse_command_line``), reading its config file
+  (``config_load_us``) and ``build_config`` on what was read
+  (``build_config_us``);
 * end to end through the command line (``becck.cli.main`` in process,
-  stdout discarded): one ``steady`` point (bistable, in milliseconds) and
-  one ``verify`` run at its default seed (in seconds);
+  stdout discarded): one ``steady`` point (bistable, in milliseconds), the
+  4-point fig6 json-lines slice (in milliseconds) and one ``verify`` run at
+  its default seed (in seconds);
 * the wall time of one run of the checkout's tier-1 tests (the command in
   ROADMAP.md, run from the checkout's root) and pytest's summary line.
 
@@ -38,8 +47,8 @@ Recorded once per side, since they do not vary from run to run:
 
 * ``lines``: the line count of each ``src/becck/*.py``;
 * ``outputs``: the exit code and the SHA-256 digests of stdout and stderr
-  of command-line runs (in process, in a fresh interpreter): the CSV of
-  each of the nine presets, the json-lines of fig2b and fig6, ``steady``
+  of command-line runs (in process, in a fresh interpreter): the CSV and
+  the json-lines of each of the nine presets, ``steady``
   at 30 seeded random points, and ``verify`` at its default seed and at
   ``--seed 7 --perturb-drift 1e-3``.
 
@@ -164,6 +173,53 @@ def _downstream_us(base, dc, eta, size=8):
             f"gaussian_states_{size}_branches": len(keep)}
 
 
+# argv and config of the commands whose path around the stacks is timed
+COMMANDS = {
+    "steady": (["steady"], {"delta_c": "5.0*kappa", "eta": "2.0*kappa"}),
+    "sweep_fig2b_csv": (["sweep"], {"preset": "fig2b", "sweep_count": 2,
+                                    "sweep_min": "4.9*kappa",
+                                    "sweep_max": "5.1*kappa"}),
+    "sweep_fig6_jsonl": (["sweep"], {"preset": "fig6", "sweep_count": 4,
+                                     "sweep_min": "-1.0*kappa",
+                                     "sweep_max": "0.425*kappa",
+                                     "format": "json-lines"}),
+    "verify": (["verify", "--seed", "7", "--perturb-drift", "1e-3"], None),
+}
+
+
+def _write_config(tmp: str, name: str, config) -> list:
+    """The ``--config`` arguments of ``config``, written below ``tmp``."""
+    if config is None:
+        return []
+    path = Path(tmp) / f"{name}.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return ["--config", str(path)]
+
+
+def command_path() -> dict:
+    """Per command of COMMANDS: parse, config read and ``build_config``."""
+    from becck import cli
+
+    if hasattr(cli, "parse_command_line"):  # direct subcommand dispatch
+        parse = cli.parse_command_line
+    else:
+        parse = cli.build_parser().parse_args
+    times = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (argv, config) in COMMANDS.items():
+            argv = argv + _write_config(tmp, name, config)
+            path = argv[-1] if config is not None else None
+            data = cli._load_config_data(path)
+            times[name] = {
+                "parse_us": _median_us(lambda: parse(argv)),
+                "config_load_us": _median_us(
+                    lambda: cli._load_config_data(path)),
+                "build_config_us": _median_us(
+                    lambda: cli.build_config(data)),
+            }
+    return times
+
+
 def measure() -> dict:
     """One round of timings of the becck package found first on sys.path."""
     import dataclasses
@@ -213,8 +269,8 @@ def measure() -> dict:
         presets[name] = timeit.Timer(
             lambda: becck.run_sweep(spec, workers=1)).timeit(number=1)
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "per_layer": layers, "preset_wall_s": presets,
-            "end_to_end": end_to_end()}
+            "per_layer": layers, "command_path": command_path(),
+            "preset_wall_s": presets, "end_to_end": end_to_end()}
 
 
 def end_to_end() -> dict:
@@ -232,8 +288,12 @@ def end_to_end() -> dict:
                                      "eta": f"{eta}*kappa"}))
         steady_ms = _median_us(lambda: run(["steady", "--config", str(point)]),
                                number=20) / 1e3
+        argv, config = COMMANDS["sweep_fig6_jsonl"]
+        argv = argv + _write_config(tmp, "fig6", config)
+        fig6_ms = _median_us(lambda: run(argv), number=20) / 1e3
     verify_s = timeit.Timer(lambda: run(["verify"])).timeit(number=1)
-    return {"steady_point_ms": steady_ms, "verify_s": verify_s}
+    return {"steady_point_ms": steady_ms, "sweep_fig6_4_jsonl_ms": fig6_ms,
+            "verify_s": verify_s}
 
 
 def outputs() -> dict:
@@ -253,11 +313,10 @@ def outputs() -> dict:
     records = {f"sweep/{name}.csv": run(["sweep", "--preset", name])
                for name in becck.preset_names()}
     with tempfile.TemporaryDirectory() as tmp:
-        for name in ("fig2b", "fig6"):
-            config = Path(tmp) / f"{name}.json"
-            config.write_text(json.dumps({"format": "json-lines"}))
+        jsonl = _write_config(tmp, "jsonl", {"format": "json-lines"})
+        for name in becck.preset_names():
             records[f"sweep/{name}.jsonl"] = run(
-                ["sweep", "--preset", name, "--config", str(config)])
+                ["sweep", "--preset", name, *jsonl])
         rng = random.Random(8)
         for i in range(30):
             point = Path(tmp) / f"steady_{i:02d}.json"

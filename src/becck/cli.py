@@ -186,27 +186,18 @@ def sweep_spec_from_config(cfg: RunConfig) -> SweepSpec:
 # ---------------------------------------------------------------------------
 # serialization helpers
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, str):
-        return x
-    return f"{x:.17g}"
-
-
-def _row_cells(row: SweepRow) -> tuple:
-    """The 19 column values of a row, in CSV_HEADER order."""
+def _row_cells(row: SweepRow, flags: dict) -> tuple:
+    """The 19 column values of a row, in CSV_HEADER order, with its three
+    flags spelled as ``flags`` maps them."""
     return (row.sweep_var, row.sweep_value, "on" if row.ck_enabled else "off",
             row.branch_index, row.n_photon, row.alpha.real, row.alpha.imag,
             row.beta.real, row.beta.imag, row.Delta, row.omega_B,
-            row.omega_B_ratio, row.stable, row.E_N, row.S_Q, row.S_P,
-            row.n_incoherent, row.lattice_ok, row.bogoliubov_ok)
+            row.omega_B_ratio, flags[row.stable], row.E_N, row.S_Q, row.S_P,
+            row.n_incoherent, flags[row.lattice_ok], flags[row.bogoliubov_ok])
 
 
 def _check_finite(row: SweepRow) -> None:
-    for name, x in zip(CSV_COLUMNS, _row_cells(row)):
+    for name, x in zip(CSV_COLUMNS, _row_cells(row, _CSV_FLAGS)):
         if isinstance(x, float) and not math.isfinite(x):
             raise InternalConsistencyError(
                 f"sweep row {row.sweep_var}={row.sweep_value!r} "
@@ -214,13 +205,31 @@ def _check_finite(row: SweepRow) -> None:
                 f"{row.branch_index}: {name} = {x!r} is not finite")
 
 
+# One %-template per format for a row with its observables and one for a row
+# with all four absent (None fills a %.0s). Flags fill a %s spelled out; the
+# text cells are SWEEP_VARS names and "on"/"off", which JSON need not escape;
+# %s of a finite float (or np.float64) is its repr, as json.dumps writes it.
+_TEXT_COLUMNS = ("sweep_var", "ck")
+_PLAIN_COLUMNS = _TEXT_COLUMNS + ("stable", "lattice_ok", "bogoliubov_ok")
+_OBSERVABLE_COLUMNS = ("e_n", "s_q", "s_p", "n_incoh")
+_CSV_TEMPLATES = tuple(",".join(
+    "%.0s" if absent and c in _OBSERVABLE_COLUMNS else
+    "%s" if c in _PLAIN_COLUMNS else "%.17g" for c in CSV_COLUMNS)
+    for absent in (False, True))
+_JSON_TEMPLATES = tuple("{%s}" % ", ".join(
+    f'"{c}": ' + ("null%.0s" if absent and c in _OBSERVABLE_COLUMNS else
+                  '"%s"' if c in _TEXT_COLUMNS else "%s") for c in CSV_COLUMNS)
+    for absent in (False, True))
+_CSV_FLAGS = {True: "true", False: "false", None: ""}
+_JSON_FLAGS = {True: "true", False: "false", None: "null"}
+
+
 def row_to_csv(row: SweepRow) -> str:
-    return ",".join(map(_fmt, _row_cells(row)))
+    return _CSV_TEMPLATES[row.E_N is None] % _row_cells(row, _CSV_FLAGS)
 
 
 def row_to_json(row: SweepRow) -> str:
-    # %.17g round-trips a float, so the JSON numbers equal the CSV cells
-    return json.dumps(dict(zip(CSV_COLUMNS, _row_cells(row))))
+    return _JSON_TEMPLATES[row.E_N is None] % _row_cells(row, _JSON_FLAGS)
 
 
 def _fields(record, skip=None) -> dict:
@@ -314,18 +323,20 @@ def cmd_verify(cfg: RunConfig, seed: int = 20260813,
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built once per process (it is only read)."""
+def build_parser() -> tuple:
+    """The command-line parser and its subcommand parsers by name, built
+    once per process (they are only read)."""
     parser = argparse.ArgumentParser(
         prog="becck",
         description="Steady states and Gaussian fluctuations of a driven "
                     "cavity coupled to an interacting condensate")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, help_text in (
             ("steady", "solve a single parameter point, report JSON"),
             ("sweep", "run a parameter sweep, write CSV"),
             ("verify", "run the independent-oracle verification suites")):
-        s = sub.add_parser(name, help=help_text)
+        s = commands[name] = sub.add_parser(name, help=help_text)
         s.add_argument("--config", help="path to a JSON config file")
         s.add_argument("--preset", choices=preset_names(),
                        help="figure preset name")
@@ -341,15 +352,45 @@ def build_parser() -> argparse.ArgumentParser:
             s.add_argument("--perturb-drift", type=float, default=0.0,
                            metavar="EPS", help="fault injection: scale the "
                            "analytic drift matrix by (1+EPS)")
-    return parser
+    return parser, commands
+
+
+def _glue_perturb_drift(args) -> list:
+    """``--perturb-drift X`` as ``--perturb-drift=X`` where float() takes X
+    (up to any ``--``): argparse reads an X such as -1e-3 or -inf as an
+    option."""
+    args = list(args)
+    end = args.index("--") if "--" in args else len(args)
+    for i in reversed(range(end - 1)):
+        if args[i] == "--perturb-drift":
+            try:
+                float(args[i + 1])
+            except ValueError:
+                continue
+            args[i:i + 2] = [f"--perturb-drift={args[i + 1]}"]
+    return args
+
+
+def parse_command_line(argv) -> tuple:
+    """(command, options) of ``argv``, with the help, usage and error texts
+    of ``build_parser()[0].parse_args``."""
+    parser, commands = build_parser()
+    if not argv or argv[0] not in commands:  # help, no or an unknown command
+        args = parser.parse_args(argv)
+        return args.command, args
+    rest = argv[1:] if argv[0] != "verify" else _glue_perturb_drift(argv[1:])
+    args, extra = commands[argv[0]].parse_known_args(rest)
+    if extra:
+        parser.error("unrecognized arguments: " + " ".join(extra))
+    return argv[0], args
 
 
 def _load_config_data(path: Optional[str]) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            data = json.loads(fh.read().decode("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except ValueError as exc:  # not JSON, not UTF-8, or an over-long number
@@ -360,8 +401,7 @@ def _load_config_data(path: Optional[str]) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    command, args = parse_command_line(sys.argv[1:] if argv is None else argv)
     try:
         data = _load_config_data(args.config)
         data.update((k, getattr(args, k)) for k in ("preset", "out", "workers")
@@ -379,9 +419,9 @@ def main(argv=None) -> int:
     # polynomial, residual bounds, strict JSON) report it instead
     try:
         with np.errstate(all="ignore"):
-            if args.command == "steady":
+            if command == "steady":
                 code, text = cmd_steady(cfg)
-            elif args.command == "sweep":
+            elif command == "sweep":
                 code, text = cmd_sweep(cfg)
             else:
                 code, text = cmd_verify(cfg, seed=args.seed,

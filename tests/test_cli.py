@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -10,9 +12,9 @@ import pytest
 
 import becck
 from becck import SweepSpec, paper_base_params, run_sweep
-from becck.cli import (CSV_HEADER, ConfigError, build_config, dump_config,
-                       main, parse_quantity, row_to_csv, row_to_json,
-                       sweep_spec_from_config)
+from becck.cli import (CSV_HEADER, ConfigError, build_config, build_parser,
+                       dump_config, main, parse_command_line, parse_quantity,
+                       row_to_csv, row_to_json, sweep_spec_from_config)
 
 KAPPA = paper_base_params().kappa
 OMEGA_R = paper_base_params().omega_R
@@ -215,14 +217,31 @@ def test_run_time_config_errors_exit_2(tmp_path, command, data):
     assert proc.stdout == ""
 
 
-@pytest.mark.parametrize("raw", [b'{"eta": "\xff"}',
-                                 b'{"N": ' + b"9" * 5000 + b"}"],
-                         ids=["not-utf8", "over-long-integer"])
+@pytest.mark.parametrize("raw", [
+    b'{"eta": "\xff"}', b'{"N": ' + b"9" * 5000 + b"}",
+    b'\xef\xbb\xbf{"eta": "1*kappa"}', '{"eta": "1*kappa"}'.encode("utf-16"),
+], ids=["not-utf8", "over-long-integer", "utf8-bom", "utf16"])
 def test_undecodable_config_is_config_error(tmp_path, capsys, raw):
     path = tmp_path / "raw.json"
     path.write_bytes(raw)
     assert main(["steady", "--config", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("config error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+
+
+def test_crlf_config_parses_as_its_lf_twin(tmp_path, capsys):
+    text = json.dumps({"eta": "2*kappa", "delta_c": "5*kappa",
+                       "preset": "fig4", "ck_enabled": False}, indent=2)
+    dumped = []
+    for name, newline in (("lf.json", "\n"), ("crlf.json", "\r\n")):
+        path = tmp_path / name
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        assert main(["steady", "--config", str(path), "--dump-config"]) == 0
+        dumped.append(capsys.readouterr().out)
+    assert b"\r\n" in (tmp_path / "crlf.json").read_bytes()
+    assert dumped[0] == dumped[1]
+    assert json.loads(dumped[0])["preset"] == "fig4"
 
 
 @pytest.mark.parametrize("preset", [None, "fig2a"])
@@ -449,8 +468,9 @@ def test_verify_detects_injected_drift_fault(capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--perturb-drift", "nan"], ["--perturb-drift", "inf"],
-    ["--perturb-drift=-inf"], ["--seed", "-1"],
-], ids=["perturb-nan", "perturb-inf", "perturb-minus-inf", "seed-minus-1"])
+    ["--perturb-drift=-inf"], ["--perturb-drift", "-inf"], ["--seed", "-1"],
+], ids=["perturb-nan", "perturb-inf", "perturb-minus-inf",
+        "perturb-minus-inf-spaced", "seed-minus-1"])
 def test_verify_rejects_nonfinite_perturbation_and_negative_seed(argv):
     env = dict(os.environ, PYTHONPATH=os.path.dirname(
         os.path.dirname(becck.__file__)))
@@ -478,9 +498,51 @@ def test_only_verify_takes_the_verification_flags():
         assert proc.returncode == 2
         assert "unrecognized arguments" in proc.stderr
         assert proc.stdout == ""
-    proc = run("verify", "--seed", "7", "--perturb-drift", "1e-3")
-    assert proc.returncode == 5
-    assert "jacobian: FAIL" in proc.stdout
+    for eps in ("1e-3", "-1e-3"):  # a value that starts with '-' too
+        proc = run("verify", "--seed", "7", "--perturb-drift", eps)
+        assert proc.returncode == 5
+        assert "jacobian: FAIL" in proc.stdout
+
+
+def _parse_outcome(parse, argv):
+    """(exit code or None, options, stdout, stderr) of ``parse(argv)``."""
+    out, err = io.StringIO(), io.StringIO()
+    code, options = None, None
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            options = parse(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, options, out.getvalue(), err.getvalue()
+
+
+def _full_parse(argv):
+    args = build_parser()[0].parse_args(argv)
+    return args.command, {k: v for k, v in vars(args).items()
+                          if k != "command"}
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["bogus"], ["stead"], ["steady", "--help"],
+    ["sweep", "--preset", "fig2b", "--seed", "7"], ["steady", "--seed", "-5"],
+    ["steady", "extra"], ["steady", "--config"], ["steady", "--conf", "x"],
+    ["--workers", "2", "steady"], ["verify", "--perturb-drift", "--seed", "3"],
+    ["sweep", "--preset", "fig9"], ["steady", "--", "x"], ["--", "steady"],
+    ["verify", "--seed", "7", "--perturb-drift", "1e-3", "--dump-config"],
+    ["sweep", "--workers", "two"], ["verify", "--perturb-drift", "-1"],
+    ["verify", "--", "--perturb-drift", "-1e-3"],
+], ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_dispatch_matches_the_full_parser(argv):
+    def direct(argv):
+        command, args = parse_command_line(argv)
+        return command, vars(args)
+    assert _parse_outcome(direct, argv) == _parse_outcome(_full_parse, argv)
+
+
+def test_spaced_negative_perturbation_reaches_verify():
+    for eps in ("-1e-3", "-inf", "-.5", "-1E+2"):
+        command, args = parse_command_line(["verify", "--perturb-drift", eps])
+        assert (command, args.perturb_drift) == ("verify", float(eps))
 
 
 def test_verify_suites_fail_on_a_nan_deviation(monkeypatch):

@@ -25,7 +25,8 @@ rounds. Recorded per side:
   (build, classify, and ``gaussian_states`` on the strictly stable ones:
   ``downstream_8_us``) and ``gaussian_states`` alone
   (``gaussian_states_8_us``, with the stable count in
-  ``gaussian_states_8_branches``), on either generation of the batch API;
+  ``gaussian_states_8_branches``), on either generation of the stack API
+  (records of stacks, or tuples of arrays);
 * the serial wall time of each of the nine presets (one run per round, in
   seconds);
 * the command path around the stacks, per command (a bistable ``steady``
@@ -128,9 +129,9 @@ def _downstream_us(base, dc, eta, size=8):
     three together), and ``gaussian_states`` alone; with the count of
     stable branches.
 
-    Runs on both generations of the batch API: lists of DriftDiffusion and
-    StabilityReport records, or the (N,4,4) stacks of
-    ``drift_diffusion_stacks`` and the arrays of ``classify_batch``.
+    Runs on both generations of the stack API: the DriftDiffusion and
+    StabilityReport records of stacks, or the bare tuples of arrays that
+    ``drift_diffusion_stacks`` and ``classify_batch`` returned before them.
     """
     import numpy as np
 
@@ -141,31 +142,28 @@ def _downstream_us(base, dc, eta, size=8):
     ds = _batch_points(base, dc, eta, size)
     _, branches, stacks, verdicts, names = classify_points(ds, [""] * size)
     pairs = [(ds[p], b) for p, b in branches]
-    if isinstance(stacks, list):  # one record per branch
-        def build():
-            return [dynamics.build_drift_diffusion(d, b) for d, b in pairs]
+    keep = np.flatnonzero(steadystate.strictly_stable(verdicts))
+    kept = [names[i] for i in keep]
 
+    def build():
+        return dynamics.drift_diffusion_stacks(pairs)
+
+    if hasattr(stacks, "A"):  # records of stacks
         def downstream():
-            dds = build()
-            return gaussian_states(dds, dynamics.classify_batch(dds, names),
-                                   names)
+            dd = build()
+            return gaussian_states(
+                dd, dynamics.classify_batch(dd.A, dd.kappa, names), names)
 
-        keep = [i for i, r in enumerate(verdicts)
-                if r.stable and not r.marginal]
-        args = ([stacks[i] for i in keep], [verdicts[i] for i in keep],
-                [names[i] for i in keep])
-    else:
-        def build():
-            return dynamics.drift_diffusion_stacks(pairs)
-
+        args = (*(r._make(x[keep] for x in r) for r in (stacks, verdicts)),
+                kept)
+    else:  # tuples of arrays
         def downstream():
             A, D, kappa, _, _ = build()
             return gaussian_states(
                 A, D, dynamics.classify_batch(A, kappa, names), names)
 
-        keep = np.flatnonzero(steadystate.strictly_stable(verdicts))
         args = (stacks[0][keep], stacks[1][keep],
-                tuple(x[keep] for x in verdicts), [names[i] for i in keep])
+                tuple(x[keep] for x in verdicts), kept)
     return {f"build_{size}_us": _median_us(build, number=50),
             f"downstream_{size}_us": _median_us(downstream, number=50),
             f"gaussian_states_{size}_us": _median_us(

@@ -18,9 +18,9 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import InternalConsistencyError, StabilityReport
+from .dynamics import InternalConsistencyError, record_items
 from .model import DomainError, SystemParams, derive_params, validity_flags
-from .steadystate import ObservableSet, UnstableDriftError, gaussian_states
+from .steadystate import UnstableDriftError, gaussian_states
 from .sweep import (DEFAULT_GRID_COUNT, SweepSpec, SweepRow, classify_points,
                     preset_names, preset_spec, resolve_workers, run_sweep)
 from .verify import run_suites
@@ -237,14 +237,11 @@ def _fields(record, skip=None) -> dict:
             if f.name != skip}
 
 
-_STABILITY_KEYS = tuple(f.name for f in dataclasses.fields(StabilityReport))[1:]
-_OBSERVABLE_KEYS = tuple(f.name.lower()
-                         for f in dataclasses.fields(ObservableSet))
-
-
-def branch_report(b, eigenvalues, verdicts, observables, flags_ok) -> dict:
-    """Report of branch ``b`` from the values of its StabilityReport fields
-    after the eigenvalues and of its ObservableSet fields (or None)."""
+def branch_report(b, report, observables, flags_ok) -> dict:
+    """Report of branch ``b`` from its StabilityReport and its ObservableSet
+    (or None)."""
+    stability = report._asdict()
+    eigenvalues = stability.pop("eigenvalues")
     return {
         "branch_index": b.branch_index,
         "n_photon": b.n_photon,
@@ -258,11 +255,11 @@ def branch_report(b, eigenvalues, verdicts, observables, flags_ok) -> dict:
         "residual": b.residual,
         "stability": {"eigenvalues_re": [z.real for z in eigenvalues],
                       "eigenvalues_im": [z.imag for z in eigenvalues],
-                      **dict(zip(_STABILITY_KEYS, verdicts))},
+                      **stability},
         "lattice_depth_ok": flags_ok["lattice_depth_ok"],
         "bogoliubov_ok": flags_ok["bogoliubov_ok"],
-        "observables": None if observables is None else dict(
-            zip(_OBSERVABLE_KEYS, observables)),
+        "observables": None if observables is None else {
+            k.lower(): v for k, v in observables._asdict().items()},
     }
 
 
@@ -271,17 +268,14 @@ def branch_report(b, eigenvalues, verdicts, observables, flags_ok) -> dict:
 
 def cmd_steady(cfg: RunConfig) -> tuple[int, str]:
     d = derive_params(cfg.params)
-    (bset,), _, (A, D, _, omega_B, n_c), verdicts, names = classify_points(
-        [d], [""])
-    solved, _, observables = gaussian_states(A, D, verdicts, names)
-    states = dict(zip(solved.tolist(), zip(*(x.tolist() for x in (
-        *observables, omega_B[solved], n_c[solved])))))
-    eigs, *verdicts, _ = (x.tolist() for x in verdicts)
+    (bset,), _, dd, stability, names = classify_points([d], [""])
+    solved, _, obs = gaussian_states(dd, stability, names)
+    states = dict(zip(solved.tolist(), record_items(obs)))
     branches = []
-    for (i, b), e, verdict in zip(enumerate(bset), eigs, zip(*verdicts)):
-        obs = states.get(i)
-        flags = validity_flags(d, b.n_photon, obs[4] if obs else None)
-        branches.append(branch_report(b, e, verdict, obs, flags))
+    for (i, b), rep in zip(enumerate(bset), record_items(stability)):
+        o = states.get(i)
+        flags = validity_flags(d, b.n_photon, o.n_incoherent if o else None)
+        branches.append(branch_report(b, rep, o, flags))
     report = {
         "params": _fields(d),
         "warnings": list(bset.warnings),
@@ -357,17 +351,18 @@ def build_parser() -> tuple:
 
 def _glue_perturb_drift(args) -> list:
     """``--perturb-drift X`` as ``--perturb-drift=X`` where float() takes X
-    (up to any ``--``): argparse reads an X such as -1e-3 or -inf as an
-    option."""
+    (up to any ``--``), for each abbreviation down to ``--pe``: argparse
+    reads an X such as -1e-3 or -inf as an option. ``--p`` is left alone,
+    since it also abbreviates ``--preset``."""
     args = list(args)
     end = args.index("--") if "--" in args else len(args)
     for i in reversed(range(end - 1)):
-        if args[i] == "--perturb-drift":
+        if len(args[i]) >= 4 and "--perturb-drift".startswith(args[i]):
             try:
                 float(args[i + 1])
             except ValueError:
                 continue
-            args[i:i + 2] = [f"--perturb-drift={args[i + 1]}"]
+            args[i:i + 2] = [f"{args[i]}={args[i + 1]}"]
     return args
 
 

@@ -8,7 +8,7 @@ The fluctuation basis is u = (dX, dY, dQ, dP).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,29 +19,37 @@ from .model import (DerivedParams, InternalConsistencyError,
 MARGINAL_BAND = 1e-6  # in units of kappa
 
 
-@dataclass(frozen=True)
-class DriftDiffusion:
-    """Drift matrix A and diffusion matrix D for one mean-field branch."""
+class DriftDiffusion(NamedTuple):
+    """Drift matrix A and diffusion matrix D for one mean-field branch, with
+    kappa, omega_B and n_c; A[3,0], A[0,2], A[2,0], A[2,1] are the couplings
+    -G_R, G_I, F_R, F_I. Each stage record holds one branch or a stack."""
 
     A: np.ndarray
     D: np.ndarray
-    G_R: float
-    G_I: float
-    F_R: float
-    F_I: float
-    n_c: float
     kappa: float
-    gamma: float
     omega_B: float
+    n_c: float
 
 
-@dataclass(frozen=True)
-class StabilityReport:
+class StabilityReport(NamedTuple):
     eigenvalues: tuple
     max_real_part: float
     routh_hurwitz_pass: bool
     stable: bool        # max_real_part < 0
     marginal: bool      # |max_real_part| <= 1e-6 * kappa
+
+
+def record_items(record) -> list:
+    """The items of a record of stacks as records of one branch: matrices
+    stay arrays, eigenvalues become tuples, scalars Python numbers."""
+    columns = (list(x) if x.ndim == 3 else map(tuple, x.tolist())
+               if x.ndim == 2 else x.tolist() for x in record)
+    return [record._make(item) for item in zip(*columns)]
+
+
+def record_stack(record):
+    """The record of one branch as a record of stacks of one item."""
+    return record._make(np.array([x]) for x in record)
 
 
 def drift_matrix(Delta, Omega_plus, Omega_minus, kappa, gamma,
@@ -55,10 +63,9 @@ def drift_matrix(Delta, Omega_plus, Omega_minus, kappa, gamma,
     ])
 
 
-def drift_diffusion_stacks(pairs) -> tuple:
-    """Drift and diffusion matrices at the (DerivedParams, MeanFieldBranch)
-    ``pairs``, as (N,4,4) stacks A and D, with the (N,) arrays kappa,
-    omega_B and n_c.
+def drift_diffusion_stacks(pairs) -> DriftDiffusion:
+    """The DriftDiffusion stacks of the (DerivedParams, MeanFieldBranch)
+    ``pairs``.
 
     Couplings: G = 2*alpha*(zeta + g*beta_R) splits into (G_R, G_I) by the
     real/imaginary parts of alpha; F = 2*g*alpha*beta_I likewise. Thermal
@@ -86,17 +93,13 @@ def drift_diffusion_stacks(pairs) -> tuple:
                         k, omega_B, n_c))
     table = np.array(entries).reshape(-1, 35)
     AD = table[:, :32].reshape(-1, 2, 4, 4)
-    return (AD[:, 0], AD[:, 1], *table[:, 32:].T)
+    return DriftDiffusion(AD[:, 0], AD[:, 1], *table[:, 32:].T)
 
 
 def build_drift_diffusion(d: DerivedParams, b: MeanFieldBranch) -> DriftDiffusion:
     """Drift and diffusion matrices at one mean-field branch: the
     ``drift_diffusion_stacks`` of the single pair (d, b)."""
-    A, D, _, omega_B, n_c = drift_diffusion_stacks([(d, b)])
-    a = A[0].tolist()
-    return DriftDiffusion(A=A[0], D=D[0], G_R=-a[3][0], G_I=a[0][2],
-                          F_R=a[2][0], F_I=a[2][1], n_c=n_c.item(),
-                          kappa=d.kappa, gamma=d.gamma, omega_B=omega_B.item())
+    return record_items(drift_diffusion_stacks([(d, b)]))[0]
 
 
 def langevin_drift_field(d: DerivedParams, state) -> np.ndarray:
@@ -186,12 +189,11 @@ def _labelled(names, i: int, message: str) -> str:
     return f"{names[i]}: {message}" if names else message
 
 
-def classify_batch(A, kappa, names=None) -> tuple:
-    """``classify_stability`` of every drift matrix of the (N,4,4) stack
-    ``A`` at once, with ``kappa`` the (N,) cavity decay rates: the
-    eigenvalues (N,4) and the (N,) arrays max_real_part, routh_hurwitz_pass,
-    stable, marginal and scale (max|A| of each matrix). ``names`` (optional)
-    label the first failing item in an exception."""
+def classify_batch(A, kappa, names=None) -> StabilityReport:
+    """The StabilityReport stacks of ``classify_stability`` of every drift
+    matrix of the (N,4,4) stack ``A`` at once, with ``kappa`` the (N,)
+    cavity decay rates. ``names`` (optional) label the first failing item
+    in an exception."""
     # scale out the rate magnitude so the quartic coefficients stay O(1)
     scale = np.max(np.abs(A), axis=(1, 2))
     bad = np.flatnonzero((scale == 0.0) | ~np.isfinite(scale))
@@ -210,7 +212,7 @@ def classify_batch(A, kappa, names=None) -> tuple:
         raise InternalConsistencyError(_labelled(
             names, i, f"Routh-Hurwitz verdict {rh[i]} contradicts eigenvalue "
             f"verdict {stable[i]} (max_real_part={max_real[i]:.6e} rad/s)"))
-    return eigs, max_real, rh, stable, marginal, scale
+    return StabilityReport(eigs, max_real, rh, stable, marginal)
 
 
 def classify_stability(dd: DriftDiffusion) -> StabilityReport:
@@ -220,6 +222,4 @@ def classify_stability(dd: DriftDiffusion) -> StabilityReport:
     the imaginary axis by more than 1e-6*kappa; a disagreement outside that
     band raises InternalConsistencyError.
     """
-    eigs, *verdicts, _ = classify_batch(dd.A[None], np.array([dd.kappa]))
-    return StabilityReport(tuple(eigs[0].tolist()),
-                           *(x.item() for x in verdicts))
+    return record_items(classify_batch(dd.A[None], np.array([dd.kappa])))[0]

@@ -10,13 +10,13 @@ an independent time-domain oracle for the same fixed point.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .dynamics import (DriftDiffusion, InternalConsistencyError,
-                       StabilityReport, _labelled, classify_stability)
+                       StabilityReport, _labelled, classify_stability,
+                       record_items, record_stack)
 
 RESIDUAL_BOUND = 1e-10      # times ||D||_max
 PHYSICALITY_SLACK = 1e-9    # allowed dip of symplectic eigenvalues below 1/2
@@ -30,14 +30,12 @@ class UnstableDriftError(ValueError):
     """Lyapunov solve refused: the drift matrix is not strictly stable."""
 
 
-@dataclass(frozen=True)
-class CovarianceMatrix:
+class CovarianceMatrix(NamedTuple):
     V: np.ndarray
     residual: float  # ||A V + V A^T + D||_max
 
 
-@dataclass(frozen=True)
-class ObservableSet:
+class ObservableSet(NamedTuple):
     E_N: float
     eta_minus: float
     S_Q: float
@@ -78,24 +76,24 @@ def _lyapunov_operator(A: np.ndarray) -> np.ndarray:
     return (A.reshape(lead + (16,)) @ _LYAPUNOV_TABLE).reshape(lead + (10, 10))
 
 
-def strictly_stable(verdicts) -> np.ndarray:
-    """Mask of the stable, non-marginal items of ``classify_batch`` verdicts."""
-    return verdicts[3] & ~verdicts[4]
+def strictly_stable(report) -> np.ndarray:
+    """Mask of the stable, non-marginal items of a StabilityReport stack."""
+    return report.stable & ~report.marginal
 
 
-def lyapunov_batch(A, D, verdicts, names=None) -> tuple:
-    """``solve_lyapunov`` of the stacks ``A`` and ``D`` with ``classify_batch``
-    arrays ``verdicts`` in one stacked solve, labelling a failing item by
-    ``names``: the (N,4,4) covariances and the (N,) residuals."""
-    _, max_real, _, _, marginal, scale = verdicts
-    bad = np.flatnonzero(~strictly_stable(verdicts))
+def lyapunov_batch(dd, report, names=None) -> CovarianceMatrix:
+    """``solve_lyapunov`` of the DriftDiffusion stacks ``dd`` with their
+    ``classify_batch`` report in one stacked solve, labelling a failing item
+    by ``names``: the CovarianceMatrix stacks."""
+    bad = np.flatnonzero(~strictly_stable(report))
     if bad.size:
         i = bad[0]
-        kind = "marginal" if marginal[i] else "unstable"
+        kind = "marginal" if report.marginal[i] else "unstable"
         raise UnstableDriftError(_labelled(
             names, i, f"drift matrix is {kind} (max_real_part="
-            f"{max_real[i]:.6e} rad/s); no stationary covariance"))
-    scale = scale[:, None, None]
+            f"{report.max_real_part[i]:.6e} rad/s); no stationary covariance"))
+    A, D = dd.A, dd.D
+    scale = np.max(np.abs(A), axis=(1, 2))[:, None, None]
     L = _lyapunov_operator(A / scale)
     rhs = -_sym_vec(D / scale)[..., None]
     v = np.linalg.solve(L, rhs)
@@ -110,7 +108,7 @@ def lyapunov_batch(A, D, verdicts, names=None) -> tuple:
         raise InternalConsistencyError(_labelled(
             names, i, f"Lyapunov residual {resid[i]:.3e} exceeds bound "
             f"{bound[i]:.3e}"))
-    return V, resid
+    return CovarianceMatrix(V, resid)
 
 
 def solve_lyapunov(dd: DriftDiffusion,
@@ -125,9 +123,8 @@ def solve_lyapunov(dd: DriftDiffusion,
     """
     if report is None:
         report = classify_stability(dd)
-    verdicts = [np.array([x]) for x in (*astuple(report), np.abs(dd.A).max())]
-    V, resid = lyapunov_batch(dd.A[None], dd.D[None], verdicts)
-    return CovarianceMatrix(V=V[0], residual=resid.item())
+    return record_items(
+        lyapunov_batch(record_stack(dd), record_stack(report)))[0]
 
 
 def integrate_moment_ode(dd: DriftDiffusion, V0: np.ndarray,
@@ -270,28 +267,30 @@ def squeezing_and_excitation(V: np.ndarray) -> tuple[float, float]:
     return s_q, n_inc
 
 
-def observables_batch(V, names=None) -> tuple:
-    """``observable_set`` of every covariance of the stack ``V`` at once:
-    the (N,) arrays E_N, eta_minus, S_Q, S_P and n_incoherent."""
+def observables_batch(dd, cov, names=None) -> ObservableSet:
+    """``observable_set`` of the DriftDiffusion and CovarianceMatrix stacks
+    ``dd`` and ``cov`` at once, labelling a failing item by ``names``."""
+    V = cov.V
     _require_physical(V, names)
     e_n, eta_minus = logarithmic_negativity(V, names)
     s_q, n_inc = squeezing_and_excitation(V)
-    return e_n, eta_minus, s_q, 2.0 * V[:, 3, 3] - 1.0, n_inc
+    return ObservableSet(e_n, eta_minus, s_q, 2.0 * V[:, 3, 3] - 1.0, n_inc,
+                         dd.omega_B, dd.n_c)
 
 
 def observable_set(dd: DriftDiffusion, cov: CovarianceMatrix) -> ObservableSet:
     """All Gaussian observables for one stable branch."""
-    values = (x.item() for x in observables_batch(cov.V[None]))
-    return ObservableSet(*values, omega_B=dd.omega_B, n_c=dd.n_c)
+    return record_items(
+        observables_batch(record_stack(dd), record_stack(cov)))[0]
 
 
-def gaussian_states(A, D, verdicts, names=None, among=None) -> tuple:
-    """Positions, covariances and ``observables_batch`` arrays of the strictly
-    stable items among the positions ``among`` (default all) of the stacks
-    ``A`` and ``D`` with ``classify_batch`` arrays ``verdicts``."""
-    idx = np.arange(len(A)) if among is None else np.asarray(among, np.intp)
-    solved = idx[strictly_stable(verdicts)[idx]]
+def gaussian_states(dd, report, names=None, among=None) -> tuple:
+    """Positions, CovarianceMatrix stacks and ObservableSet stacks of the
+    strictly stable items among the positions ``among`` (default all) of the
+    DriftDiffusion stacks ``dd`` with their ``classify_batch`` report."""
+    idx = np.arange(len(dd.A)) if among is None else np.asarray(among, np.intp)
+    solved = idx[strictly_stable(report)[idx]]
     label = [names[i] for i in solved] if names else None
-    V, _ = lyapunov_batch(A[solved], D[solved],
-                          tuple(x[solved] for x in verdicts), label)
-    return solved, V, observables_batch(V, label)
+    dd = dd._make(x[solved] for x in dd)
+    cov = lyapunov_batch(dd, report._make(x[solved] for x in report), label)
+    return solved, cov, observables_batch(dd, cov, label)

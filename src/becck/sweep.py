@@ -153,16 +153,16 @@ def classify_points(ds, labels) -> tuple:
     them in one ``classify_batch`` call; a failing branch is named
     ``f"{labels[point]}branch {index}"``. Returns the BranchSet of each
     point; per branch in point order, its (point index, branch) pair; the
-    ``drift_diffusion_stacks`` and ``classify_batch`` arrays of all
-    branches; and the branch names."""
+    DriftDiffusion and StabilityReport stacks of all branches; and the
+    branch names."""
     bsets = [enumerate_branches(d, roots)
              for d, roots in zip(ds, branch_candidates(ds))]
     branches = [(p, b) for p, bset in enumerate(bsets) for b in bset]
-    stacks = drift_diffusion_stacks([(ds[p], b) for p, b in branches])
+    dd = drift_diffusion_stacks([(ds[p], b) for p, b in branches])
     names = [f"{labels[p]}branch {b.branch_index}" for p, b in branches]
     try:
-        return (bsets, branches, stacks,
-                classify_batch(stacks[0], stacks[2], names), names)
+        return (bsets, branches, dd, classify_batch(dd.A, dd.kappa, names),
+                names)
     except ValueError as exc:  # the parameters overflow the drift matrix
         raise InternalConsistencyError(str(exc)) from exc
 
@@ -175,11 +175,11 @@ def _rows_for_points(spec: SweepSpec, values) -> list:
               for ck in cks]
     ds = [derive_params(replace(spec.base, ck_enabled=ck, **{spec.var: value}))
           for _, value, ck in points]
-    bsets, branches, (A, D, _, omega_B, _), verdicts, names = classify_points(
+    bsets, branches, dd, report, names = classify_points(
         ds, [f"{spec.var}={value!r} ck={ck} " for _, value, ck in points])
     # a branch only counts as stable for covariance purposes when it is
     # strictly stable and outside the near-marginal band
-    grade = strictly_stable(verdicts).tolist()
+    grade = strictly_stable(report).tolist()
     pick = {"lowest": 0, "highest": -1}.get(spec.branch_policy)
     selected, no_stable, first = [], set(), 0
     for bset in bsets:
@@ -193,16 +193,16 @@ def _rows_for_points(spec: SweepSpec, values) -> list:
         else:
             selected.append(ids[0])
             no_stable.add(ids[0])
-    solved, V, observables = gaussian_states(A, D, verdicts, names, selected)
-    states = dict(zip(solved.tolist(),
-                      zip(V, *(x.tolist() for x in observables))))
+    solved, cov, obs = gaussian_states(dd, report, names, selected)
+    states = dict(zip(solved.tolist(), zip(cov.V, *(x.tolist() for x in (
+        obs.E_N, obs.S_Q, obs.S_P, obs.n_incoherent)))))
 
     keyed = []
-    omega_B, max_real = omega_B.tolist(), verdicts[1].tolist()
+    omega_B, max_real = dd.omega_B.tolist(), report.max_real_part.tolist()
     for i in selected:
         p, b = branches[i]
         (j, value, ck), d, bset = points[p], ds[p], bsets[p]
-        cov, E_N, _, S_Q, S_P, n_inc = states.get(i, (None,) * 6)
+        V, E_N, S_Q, S_P, n_inc = states.get(i, (None,) * 5)
         flags = validity_flags(d, b.n_photon, n_inc)
         keyed.append(((j, b.branch_index, ck), SweepRow(
             sweep_var=spec.var, sweep_value=value, ck_enabled=ck,
@@ -215,7 +215,7 @@ def _rows_for_points(spec: SweepSpec, values) -> list:
             bogoliubov_ok=flags["bogoliubov_ok"],
             warnings=bset.warnings + (("no-stable-branch",)
                                       if i in no_stable else ()),
-            covariance=cov, max_real_part=max_real[i],
+            covariance=V, max_real_part=max_real[i],
         )))
     # deterministic order: grid value, then branch index, then ck off before on
     keyed.sort(key=lambda item: item[0])

@@ -15,9 +15,9 @@ import math
 
 import numpy as np
 
-from .dynamics import (InternalConsistencyError, build_drift_diffusion,
-                       classify_batch, drift_matrix,
-                       finite_difference_jacobian, quadrature_fixed_point)
+from .dynamics import (InternalConsistencyError, classify_batch,
+                       drift_matrix, finite_difference_jacobian,
+                       quadrature_fixed_point, record_items)
 from .meanfield import branch_candidates, enumerate_branches
 from .model import SystemParams, derive_params
 from .steadystate import (integrate_moment_ode, logarithmic_negativity,
@@ -39,30 +39,33 @@ def _random_point(rng, base: SystemParams, eta_min: float):
 
 def _random_stable_points(rng, count, base: SystemParams):
     """The first ``count`` strictly stable branches of random parameter
-    points, in draw order: their (d, branch) pairs, then their drift and
-    diffusion stacks A and D and their ``classify_batch`` arrays.
+    points, in draw order: their (d, branch) pairs, then their
+    DriftDiffusion and StabilityReport stacks.
 
     Points are drawn and classified in blocks of as many points as branches
     are still missing; the draws past the last kept branch are discarded.
     """
-    points, blocks = [], []
+    points, dds, reports = [], [], []
     while len(points) < count:
         ds = [_random_point(rng, base, 0.1) for _ in range(count - len(points))]
-        _, branches, (A, D, *_), verdicts, _ = classify_points(
+        _, branches, dd, report, _ = classify_points(
             ds, [f"delta_c={d.delta_c!r} eta={d.eta!r} omega_sw="
                  f"{d.omega_sw!r} ck={d.ck_enabled} " for d in ds])
-        keep = strictly_stable(verdicts)
+        keep = strictly_stable(report)
         points += [(ds[p], b) for (p, b), k in zip(branches, keep) if k]
-        blocks.append((A[keep], D[keep], *(x[keep] for x in verdicts)))
-    return points[:count], *(np.concatenate(x)[:count] for x in zip(*blocks))
+        dds.append(dd._make(x[keep] for x in dd))
+        reports.append(report._make(x[keep] for x in report))
+    return points[:count], *(rs[0]._make(np.concatenate(x)[:count]
+                                         for x in zip(*rs))
+                             for rs in (dds, reports))
 
 
 def verify_jacobian(rng, base: SystemParams, count: int = 100,
                     perturb: float = 0.0):
     """Analytic drift matrix against a finite-difference Jacobian."""
     errs, where = [], []
-    points, A, *_ = _random_stable_points(rng, count, base)
-    for (d, b), drift in zip(points, A * (1.0 + perturb)):
+    points, dd, _ = _random_stable_points(rng, count, base)
+    for (d, b), drift in zip(points, dd.A * (1.0 + perturb)):
         J = finite_difference_jacobian(d, quadrature_fixed_point(b))
         errs.append(float(np.max(np.abs(drift - J)) / np.max(np.abs(drift))))
         where.append((d.delta_c, d.eta, d.omega_sw, d.ck_enabled))
@@ -72,12 +75,12 @@ def verify_jacobian(rng, base: SystemParams, count: int = 100,
 
 def verify_lyapunov_ode(rng, base: SystemParams, count: int = 12):
     errs, where = [], []
-    points, A, D, *verdicts = _random_stable_points(rng, count, base)
-    covariances, _ = lyapunov_batch(A, D, verdicts)
-    for (d, b), V, max_real in zip(points, covariances, verdicts[1].tolist()):
-        t_final = 50.0 / abs(max_real)
-        W = integrate_moment_ode(build_drift_diffusion(d, b), 0.5 * np.eye(4),
-                                 t_final)
+    points, dd, report = _random_stable_points(rng, count, base)
+    covariances = lyapunov_batch(dd, report).V
+    for (d, _), branch_dd, rep, V in zip(points, record_items(dd),
+                                         record_items(report), covariances):
+        t_final = 50.0 / abs(rep.max_real_part)
+        W = integrate_moment_ode(branch_dd, 0.5 * np.eye(4), t_final)
         errs.append(float(np.max(np.abs(W - V)) / np.max(np.abs(V))))
         where.append((d.delta_c, d.eta, d.omega_sw, d.ck_enabled))
     i = int(np.argmax(errs))  # the first NaN deviation, if any, is the worst

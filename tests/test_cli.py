@@ -530,7 +530,7 @@ def _full_parse(argv):
     ["sweep", "--preset", "fig9"], ["steady", "--", "x"], ["--", "steady"],
     ["verify", "--seed", "7", "--perturb-drift", "1e-3", "--dump-config"],
     ["sweep", "--workers", "two"], ["verify", "--perturb-drift", "-1"],
-    ["verify", "--", "--perturb-drift", "-1e-3"],
+    ["verify", "--", "--perturb-drift", "-1e-3"], ["verify", "--p", "-1e-3"],
 ], ids=lambda argv: " ".join(argv) or "no-arguments")
 def test_dispatch_matches_the_full_parser(argv):
     def direct(argv):
@@ -540,9 +540,10 @@ def test_dispatch_matches_the_full_parser(argv):
 
 
 def test_spaced_negative_perturbation_reaches_verify():
-    for eps in ("-1e-3", "-inf", "-.5", "-1E+2"):
-        command, args = parse_command_line(["verify", "--perturb-drift", eps])
-        assert (command, args.perturb_drift) == ("verify", float(eps))
+    for flag in ("--perturb-drift", "--perturb", "--pe"):
+        for eps in ("-1e-3", "-inf", "-.5", "-1E+2"):
+            command, args = parse_command_line(["verify", flag, eps])
+            assert (command, args.perturb_drift) == ("verify", float(eps))
 
 
 def test_verify_suites_fail_on_a_nan_deviation(monkeypatch):

@@ -38,19 +38,21 @@ def test_coupling_coefficients_from_branch():
     d, b, dd = _branch_dd(5.0, 2.0)
     aR, aI = b.alpha.real, b.alpha.imag
     bR, bI = b.beta.real, b.beta.imag
-    assert dd.G_R == pytest.approx(2.0 * aR * (d.zeta + d.g * bR), rel=1e-12)
-    assert dd.G_I == pytest.approx(2.0 * aI * (d.zeta + d.g * bR), rel=1e-12)
-    assert dd.F_R == pytest.approx(2.0 * d.g * aR * bI, rel=1e-12)
-    assert dd.F_I == pytest.approx(2.0 * d.g * aI * bI, rel=1e-12)
+    # the couplings are entries of A: -G_R, G_I, F_R and F_I
+    G_R, G_I, F_R, F_I = -dd.A[3, 0], dd.A[0, 2], dd.A[2, 0], dd.A[2, 1]
+    assert G_R == pytest.approx(2.0 * aR * (d.zeta + d.g * bR), rel=1e-12)
+    assert G_I == pytest.approx(2.0 * aI * (d.zeta + d.g * bR), rel=1e-12)
+    assert F_R == pytest.approx(2.0 * d.g * aR * bI, rel=1e-12)
+    assert F_I == pytest.approx(2.0 * d.g * aI * bI, rel=1e-12)
     assert np.array_equal(dd.A, drift_matrix(
         b.Delta, b.Omega_plus, b.Omega_minus, d.kappa, d.gamma,
-        dd.G_R, dd.G_I, dd.F_R, dd.F_I))
+        G_R, G_I, F_R, F_I))
 
 
 def test_cross_kerr_off_kills_f_couplings():
     _, _, dd = _branch_dd(5.0, 2.0, ck=False)
-    assert dd.F_R == 0.0
-    assert dd.F_I == 0.0
+    assert dd.A[2, 0] == 0.0  # F_R
+    assert dd.A[2, 1] == 0.0  # F_I
 
 
 def test_diffusion_matrix_diagonal():
@@ -142,9 +144,8 @@ def _similar_drift(rng, slow_re):
     B[2:, 2:] = rotation(-rng.uniform(0.1, 2.0), rng.uniform(0.0, 20.0))
     S = rng.normal(size=(4, 4)) + 2.0 * np.eye(4)
     return DriftDiffusion(A=S @ (B * KAPPA) @ np.linalg.inv(S),
-                          D=KAPPA * np.eye(4), G_R=0.0, G_I=0.0, F_R=0.0,
-                          F_I=0.0, n_c=0.0, kappa=KAPPA, gamma=0.0,
-                          omega_B=1.0)
+                          D=KAPPA * np.eye(4), kappa=KAPPA, omega_B=1.0,
+                          n_c=0.0)
 
 
 def test_routh_hurwitz_near_the_marginal_band():
@@ -152,12 +153,12 @@ def test_routh_hurwitz_near_the_marginal_band():
     slow = [sign * x for x in (1.5e-6, 3e-6, 1e-5, 1e-4)
             for sign in (-1.0, 1.0) for _ in range(225)]
     A = np.stack([_similar_drift(rng, x).A for x in slow])
-    _, _, rh, stable, marginal, _ = classify_batch(A, np.full(len(A), KAPPA))
+    _, _, rh, stable, marginal = classify_batch(A, np.full(len(A), KAPPA))
     assert list(zip(stable.tolist(), rh.tolist(), marginal.tolist())) \
         == [(x < 0.0, x < 0.0, False) for x in slow]
     inside = rng.uniform(-0.5, 0.5, 500) * MARGINAL_BAND
     A = np.stack([_similar_drift(rng, x).A for x in inside])
-    _, _, _, _, marginal, _ = classify_batch(A, np.full(len(A), KAPPA))
+    _, _, _, _, marginal = classify_batch(A, np.full(len(A), KAPPA))
     assert all(marginal)
 
 
@@ -184,9 +185,7 @@ def test_classify_middle_branch_unstable():
 def test_classify_marginal_band():
     slow = 0.5 * MARGINAL_BAND * KAPPA
     A = np.diag([-slow, -KAPPA, -KAPPA, -KAPPA])
-    dd = DriftDiffusion(A=A, D=np.eye(4), G_R=0.0, G_I=0.0, F_R=0.0,
-                        F_I=0.0, n_c=0.0, kappa=KAPPA, gamma=0.0,
-                        omega_B=1.0)
+    dd = DriftDiffusion(A=A, D=np.eye(4), kappa=KAPPA, omega_B=1.0, n_c=0.0)
     rep = classify_stability(dd)
     assert rep.marginal is True
     assert rep.stable is True
@@ -208,9 +207,7 @@ def test_eigenvalues_conjugate_pairs_weak_drive():
 
 def test_classify_rejects_nonfinite():
     A = np.full((4, 4), np.nan)
-    dd = DriftDiffusion(A=A, D=np.eye(4), G_R=0.0, G_I=0.0, F_R=0.0,
-                        F_I=0.0, n_c=0.0, kappa=KAPPA, gamma=0.0,
-                        omega_B=1.0)
+    dd = DriftDiffusion(A=A, D=np.eye(4), kappa=KAPPA, omega_B=1.0, n_c=0.0)
     with pytest.raises(ValueError):
         classify_stability(dd)
 

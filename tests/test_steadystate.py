@@ -1,7 +1,7 @@
 import json
 import math
 import sys
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from becck import (CovarianceMatrix, DriftDiffusion,
                    paper_base_params, preset_spec, run_sweep, solve_lyapunov,
                    squeezing_and_excitation, symplectic_eigenvalues)
 from becck.cli import main
-from becck.dynamics import classify_batch
+from becck.dynamics import classify_batch, drift_diffusion_stacks
 from becck.steadystate import (PHYSICALITY_SLACK, RESIDUAL_BOUND,
                                gaussian_states, lyapunov_batch,
                                observables_batch)
@@ -33,8 +33,7 @@ def _stable_dd(delta_c_mult=5.0, eta_mult=2.0, index=0, **over):
 
 
 def _synthetic_dd(A, D):
-    return DriftDiffusion(A=A, D=D, G_R=0.0, G_I=0.0, F_R=0.0, F_I=0.0,
-                          n_c=0.0, kappa=KAPPA, gamma=0.0, omega_B=1.0)
+    return DriftDiffusion(A=A, D=D, kappa=KAPPA, omega_B=1.0, n_c=0.0)
 
 
 def tms_covariance(r):
@@ -347,31 +346,29 @@ def _random_stable_dds(seed, count):
     return out[:count]
 
 
-def _stacks(dds):
-    """The (A, D, kappa) stacks of a list of DriftDiffusion, as the batch
-    functions take them."""
-    return (np.stack([dd.A for dd in dds]), np.stack([dd.D for dd in dds]),
-            np.array([dd.kappa for dd in dds]))
+def _stacks(dds) -> DriftDiffusion:
+    """A list of DriftDiffusion as one DriftDiffusion of stacks, as the batch
+    functions take it."""
+    return DriftDiffusion(*(np.array(x) for x in zip(*dds)))
 
 
-def _report(verdicts, i) -> StabilityReport:
-    """Item ``i`` of the ``classify_batch`` arrays as a StabilityReport."""
-    eigs, *fields, _ = verdicts
-    return StabilityReport(tuple(eigs[i].tolist()),
-                           *(x[i].item() for x in fields))
+def _report(report, i) -> StabilityReport:
+    """Item ``i`` of a StabilityReport of stacks as the report of one
+    branch."""
+    return StabilityReport(tuple(report.eigenvalues[i].tolist()),
+                           *(x[i].item() for x in report[1:]))
 
 
-def _observables(dd, observables, i) -> ObservableSet:
-    """Item ``i`` of the ``observables_batch`` arrays as an ObservableSet."""
-    return ObservableSet(*(x[i].item() for x in observables),
-                         omega_B=dd.omega_B, n_c=dd.n_c)
+def _observables(observables, i) -> ObservableSet:
+    """Item ``i`` of an ObservableSet of stacks as the set of one branch."""
+    return ObservableSet(*(x[i].item() for x in observables))
 
 
 def test_batched_covariance_matches_scipy_lyapunov_solver():
     linalg = pytest.importorskip("scipy.linalg")
     pairs = _random_stable_dds(11, 60)
-    A, D, kappa = _stacks([dd for dd, _ in pairs])
-    V, _ = lyapunov_batch(A, D, classify_batch(A, kappa))
+    stacks = _stacks([dd for dd, _ in pairs])
+    V = lyapunov_batch(stacks, classify_batch(stacks.A, stacks.kappa)).V
     for (dd, _), cov in zip(pairs, V):
         ref = linalg.solve_continuous_lyapunov(dd.A, -dd.D)
         assert np.max(np.abs(cov - ref)) <= 1e-9 * np.max(np.abs(ref))
@@ -380,25 +377,31 @@ def test_batched_covariance_matches_scipy_lyapunov_solver():
 def test_batch_of_k_is_bitwise_k_batches_of_one():
     pairs = _random_stable_dds(12, 25)
     dds = [dd for dd, _ in pairs]
-    A, D, kappa = _stacks(dds)
-    verdicts = classify_batch(A, kappa)
-    assert np.array_equal(verdicts[-1], np.max(np.abs(A), axis=(1, 2)))
-    V, resid = lyapunov_batch(A, D, verdicts)
-    obs = observables_batch(V)
+    stacks = _stacks(dds)
+    report = classify_batch(stacks.A, stacks.kappa)
+    covs = lyapunov_batch(stacks, report)
+    obs = observables_batch(stacks, covs)
+    # each stack function returns the record type of its stage
+    d, b, single_dd = _stable_dd()
+    built = drift_diffusion_stacks([(d, b)])
+    assert [type(r) for r in (built, report, covs, obs)] \
+        == [DriftDiffusion, StabilityReport, CovarianceMatrix, ObservableSet]
+    assert np.array_equal(built.A[0], single_dd.A)
     for i, dd in enumerate(dds):
-        rep = _report(verdicts, i)
+        rep = _report(report, i)
         assert classify_stability(dd) == rep
         single = solve_lyapunov(dd, rep)
-        assert np.array_equal(single.V, V[i])
-        assert single.residual == resid[i]
-        assert observable_set(dd, single) == _observables(dd, obs, i)
+        assert np.array_equal(single.V, covs.V[i])
+        assert single.residual == covs.residual[i]
+        assert observable_set(dd, single) == _observables(obs, i)
     # the batch pipeline and a loop of single-branch calls agree too
-    solved, V, obs = gaussian_states(A, D, verdicts)
+    solved, covs, obs = gaussian_states(stacks, report)
+    assert (type(covs), type(obs)) == (CovarianceMatrix, ObservableSet)
     assert solved.tolist() == list(range(len(dds)))
     for i, dd in enumerate(dds):
         cov = solve_lyapunov(dd)
-        assert np.array_equal(V[i], cov.V)
-        assert _observables(dd, obs, i) == observable_set(dd, cov)
+        assert np.array_equal(covs.V[i], cov.V)
+        assert _observables(obs, i) == observable_set(dd, cov)
 
 
 def _single_branch_chain(d, index):
@@ -457,7 +460,7 @@ def test_steady_report_equals_the_single_branch_chain_bitwise(tmp_path,
             "routh_hurwitz_pass": rep.routh_hurwitz_pass,
             "stable": rep.stable, "marginal": rep.marginal}
         assert branch["observables"] == (None if obs is None else {
-            f.name.lower(): getattr(obs, f.name) for f in fields(obs)})
+            name.lower(): value for name, value in obs._asdict().items()})
     assert [b["observables"] is None for b in report["branches"]] \
         == [False, True, False]
 
@@ -528,24 +531,24 @@ def test_batch_failure_raises_the_loop_exception_naming_the_branch(
     reports = [classify_stability(dd) for dd in dds]
     with pytest.raises(UnstableDriftError) as loop_exc:
         solve_lyapunov(middle, reports[1])
-    A, D, kappa = _stacks(dds)
+    stacks = _stacks(dds)
+    report = classify_batch(stacks.A, stacks.kappa)
     with pytest.raises(UnstableDriftError, match="^middle: ") as batch_exc:
-        lyapunov_batch(A, D, classify_batch(A, kappa), names)
+        lyapunov_batch(stacks, report, names)
     assert str(batch_exc.value) == f"middle: {loop_exc.value}"
     # gaussian_states solves the strictly stable items among those it is given
-    verdicts = classify_batch(A, kappa)
-    assert gaussian_states(A, D, verdicts, names)[0].tolist() == [0, 2]
-    assert gaussian_states(A, D, verdicts, names, [1, 2])[0].tolist() == [2]
-    assert gaussian_states(A, D, verdicts, names, [1])[0].size == 0
+    assert gaussian_states(stacks, report, names)[0].tolist() == [0, 2]
+    assert gaussian_states(stacks, report, names, [1, 2])[0].tolist() == [2]
+    assert gaussian_states(stacks, report, names, [1])[0].size == 0
 
-    A, D, kappa = _stacks([low, high])
-    V, _ = lyapunov_batch(A, D, classify_batch(A, kappa))
+    pair = _stacks([low, high])
+    covs = lyapunov_batch(pair, classify_batch(pair.A, pair.kappa))
     bad = CovarianceMatrix(V=0.1 * np.eye(4), residual=0.0)
     with pytest.raises(InternalConsistencyError):
         observable_set(low, bad)
-    V[1] = bad.V
+    covs.V[1] = bad.V
     with pytest.raises(InternalConsistencyError, match="^high: covariance"):
-        observables_batch(V, ["low", "high"])
+        observables_batch(pair, covs, ["low", "high"])
 
     # a Routh-Hurwitz verdict that contradicts the eigenvalues of one item
     import becck.dynamics
@@ -561,4 +564,4 @@ def test_batch_failure_raises_the_loop_exception_naming_the_branch(
         classify_stability(high)
     with pytest.raises(InternalConsistencyError,
                        match="^high: Routh-Hurwitz verdict"):
-        classify_batch(*_stacks(dds)[::2], names)
+        classify_batch(stacks.A, stacks.kappa, names)

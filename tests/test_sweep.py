@@ -3,7 +3,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from becck import (InternalConsistencyError, SweepSpec,
+from becck import (InternalConsistencyError, StabilityReport, SweepSpec,
                    bistable_window, ck_comparison_metrics, paper_base_params,
                    preset_names, preset_spec, run_sweep)
 from becck.cli import row_to_csv
@@ -183,9 +183,10 @@ def test_ck_comparison_rejects_multibranch_rows():
 def test_no_stable_branch_marker(monkeypatch):
     def verdict_unstable(A, kappa, names=None):
         n = len(A)
-        return (np.full((n, 4), 1.0 + 0j), np.ones(n), np.zeros(n, bool),
-                np.zeros(n, bool), np.zeros(n, bool),
-                np.max(np.abs(A), axis=(1, 2)))
+        return StabilityReport(
+            eigenvalues=np.full((n, 4), 1.0 + 0j), max_real_part=np.ones(n),
+            routh_hurwitz_pass=np.zeros(n, bool), stable=np.zeros(n, bool),
+            marginal=np.zeros(n, bool))
 
     monkeypatch.setattr("becck.sweep.classify_batch", verdict_unstable)
     rows = run_sweep(_spec(-1.0, 0.0, 2, policy="lowest", ck_mode="on"),

@@ -25,16 +25,14 @@ rounds. Recorded per side:
   (build, classify, and ``gaussian_states`` on the strictly stable ones:
   ``downstream_8_us``) and ``gaussian_states`` alone
   (``gaussian_states_8_us``, with the stable count in
-  ``gaussian_states_8_branches``), on either generation of the stack API
-  (records of stacks, or tuples of arrays);
+  ``gaussian_states_8_branches``);
 * the serial wall time of each of the nine presets (one run per round, in
   seconds);
 * the command path around the stacks, per command (a bistable ``steady``
   point, a 2-point fig2b CSV slice, a 4-point fig6 json-lines slice, and
   ``verify --seed 7 --perturb-drift 1e-3``), in microseconds per call:
-  parsing its argv (``parse_us``, on either generation of the parser: the
-  full parser, or the direct subcommand dispatch of
-  ``cli.parse_command_line``), reading its config file
+  parsing its argv (``parse_us``, ``cli.parse_command_line``), reading its
+  config file
   (``config_load_us``) and ``build_config`` on what was read
   (``build_config_us``);
 * end to end through the command line (``becck.cli.main`` in process,
@@ -127,12 +125,7 @@ def _downstream_us(base, dc, eta, size=8):
     arguments: building their drift and diffusion matrices, classifying them
     and evaluating ``gaussian_states`` on the strictly stable ones (the
     three together), and ``gaussian_states`` alone; with the count of
-    stable branches.
-
-    Runs on both generations of the stack API: the DriftDiffusion and
-    StabilityReport records of stacks, or the bare tuples of arrays that
-    ``drift_diffusion_stacks`` and ``classify_batch`` returned before them.
-    """
+    stable branches."""
     import numpy as np
 
     from becck import dynamics, steadystate
@@ -148,22 +141,12 @@ def _downstream_us(base, dc, eta, size=8):
     def build():
         return dynamics.drift_diffusion_stacks(pairs)
 
-    if hasattr(stacks, "A"):  # records of stacks
-        def downstream():
-            dd = build()
-            return gaussian_states(
-                dd, dynamics.classify_batch(dd.A, dd.kappa, names), names)
+    def downstream():
+        dd = build()
+        return gaussian_states(
+            dd, dynamics.classify_batch(dd.A, dd.kappa, names), names)
 
-        args = (*(r._make(x[keep] for x in r) for r in (stacks, verdicts)),
-                kept)
-    else:  # tuples of arrays
-        def downstream():
-            A, D, kappa, _, _ = build()
-            return gaussian_states(
-                A, D, dynamics.classify_batch(A, kappa, names), names)
-
-        args = (stacks[0][keep], stacks[1][keep],
-                tuple(x[keep] for x in verdicts), kept)
+    args = (*(r._make(x[keep] for x in r) for r in (stacks, verdicts)), kept)
     return {f"build_{size}_us": _median_us(build, number=50),
             f"downstream_{size}_us": _median_us(downstream, number=50),
             f"gaussian_states_{size}_us": _median_us(
@@ -198,10 +181,6 @@ def command_path() -> dict:
     """Per command of COMMANDS: parse, config read and ``build_config``."""
     from becck import cli
 
-    if hasattr(cli, "parse_command_line"):  # direct subcommand dispatch
-        parse = cli.parse_command_line
-    else:
-        parse = cli.build_parser().parse_args
     times = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, (argv, config) in COMMANDS.items():
@@ -209,7 +188,7 @@ def command_path() -> dict:
             path = argv[-1] if config is not None else None
             data = cli._load_config_data(path)
             times[name] = {
-                "parse_us": _median_us(lambda: parse(argv)),
+                "parse_us": _median_us(lambda: cli.parse_command_line(argv)),
                 "config_load_us": _median_us(
                     lambda: cli._load_config_data(path)),
                 "build_config_us": _median_us(

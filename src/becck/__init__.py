@@ -29,7 +29,8 @@ from .steadystate import (CovarianceMatrix, ObservableSet,
                           squeezing_and_excitation, symplectic_eigenvalues)
 from .sweep import (CkComparison, SweepRow, SweepSpec, bistable_window,
                     ck_comparison_metrics, paper_base_params, preset_names,
-                    preset_spec, run_sweep)
+                    run_sweep)
+from .cli import preset_spec
 
 __version__ = "0.1.0"
 

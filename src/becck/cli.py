@@ -22,7 +22,7 @@ from .dynamics import InternalConsistencyError, record_items
 from .model import DomainError, SystemParams, derive_params, validity_flags
 from .steadystate import UnstableDriftError, gaussian_states
 from .sweep import (DEFAULT_GRID_COUNT, SweepSpec, SweepRow, classify_points,
-                    preset_names, preset_spec, resolve_workers, run_sweep)
+                    preset_config, preset_names, resolve_workers, run_sweep)
 from .verify import run_suites
 
 EXIT_OK = 0
@@ -125,10 +125,15 @@ def _config_value(data: dict, key: str, kappa: float, omega_R: float):
 
 
 def build_config(data: dict) -> RunConfig:
-    """Validate a flat key-value mapping into a RunConfig."""
+    """Validate a flat mapping over its preset's keys into a RunConfig."""
     unknown = sorted(set(data) - set(PARAM_KEYS + _RUN_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    if "preset" in data:
+        if data["preset"] not in preset_names():
+            raise ConfigError(f"preset: unknown preset {data['preset']!r}; "
+                              "expected one of " + ", ".join(preset_names()))
+        data = {**preset_config(data["preset"]), **data}
 
     # kappa and omega_R resolve first so '*kappa'/'*omegaR' can reference them
     kappa = parse_quantity(data.get("kappa", _PARAM_DEFAULTS["kappa"]),
@@ -148,9 +153,6 @@ def build_config(data: dict) -> RunConfig:
               for key in _RUN_KEYS if key in data}
     if extras.get("format", "csv") not in ("csv", "json-lines"):
         raise ConfigError("format: expected 'csv' or 'json-lines'")
-    if extras.get("preset", "fig2a") not in preset_names():
-        raise ConfigError("preset: expected one of "
-                          + ", ".join(preset_names()))
     return RunConfig(params=params, **extras)
 
 
@@ -163,24 +165,27 @@ def dump_config(cfg: RunConfig) -> str:
 
 
 def sweep_spec_from_config(cfg: RunConfig) -> SweepSpec:
-    """The preset of ``cfg`` (its sweep variable stays) or its explicit
-    range, with every other sweep key that ``cfg`` gives applied."""
-    overrides = {k: v for k, v in (
-        ("start", cfg.sweep_min), ("stop", cfg.sweep_max),
-        ("count", cfg.sweep_count), ("ck_mode", cfg.ck_mode),
-        ("branch_policy", cfg.branch_policy)) if v is not None}
+    """The sweep of ``cfg``: its sweep keys over its parameters."""
     missing = [k for k in ("sweep_var", "sweep_min", "sweep_max")
                if getattr(cfg, k) is None]
-    if cfg.preset is None and missing:
+    if missing:
         raise ConfigError("sweep needs a preset or explicit "
                           f"{', '.join(missing)}")
+    optional = {k: v for k, v in (
+        ("count", cfg.sweep_count), ("ck_mode", cfg.ck_mode),
+        ("branch_policy", cfg.branch_policy)) if v is not None}
     try:
-        if cfg.preset is not None:
-            return dataclasses.replace(preset_spec(cfg.preset), **overrides)
-        return SweepSpec(var=cfg.sweep_var, base=cfg.params,
-                         **{"count": DEFAULT_GRID_COUNT, **overrides})
+        return SweepSpec(var=cfg.sweep_var, start=cfg.sweep_min,
+                         stop=cfg.sweep_max, base=cfg.params,
+                         **{"count": DEFAULT_GRID_COUNT, **optional})
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+@functools.cache
+def preset_spec(name: str) -> SweepSpec:
+    """The sweep of a config that names only the figure preset ``name``."""
+    return sweep_spec_from_config(build_config({"preset": name}))
 
 
 # ---------------------------------------------------------------------------

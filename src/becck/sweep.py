@@ -9,7 +9,6 @@ in one process; the row list is deterministic (bitwise) for a given spec.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -42,7 +41,6 @@ class SweepSpec:
     base: SystemParams
     ck_mode: str = "paired"
     branch_policy: str = "all"
-    preset: Optional[str] = None
 
     def __post_init__(self):
         if self.var not in SWEEP_VARS:
@@ -94,14 +92,14 @@ class SweepRow:
 
 
 def paper_base_params(**overrides) -> SystemParams:
-    """The experimental parameter set used by all figure presets: the
-    ``SystemParams`` defaults with the drive eta = kappa."""
+    """The experimental parameter set: the ``SystemParams`` defaults with
+    the drive eta = kappa."""
     base = SystemParams()
     return replace(base, **{"eta": base.kappa, **overrides})
 
 
 _K, _WR = SystemParams().kappa, SystemParams().omega_R
-# name: (sweep variable, start, stop, branch policy, base-parameter overrides)
+# name: (sweep variable, start, stop, branch policy, parameter keys)
 _PRESETS = {
     "fig2a": ("delta_c", -10 * _K, 15 * _K, "lowest",
               {"eta": _K, "omega_sw": _WR}),
@@ -114,7 +112,7 @@ _PRESETS = {
     "fig4": ("delta_c", -10 * _K, 15 * _K, "all",
              {"eta": 2 * _K, "omega_sw": _WR}),
     "fig5": ("eta", 0.0, 3 * _K, "highest",
-             {"delta_c": 5 * _K, "omega_sw": _WR}),
+             {"delta_c": 5 * _K, "eta": _K, "omega_sw": _WR}),
     "fig6": ("delta_c", -10 * _K, 9 * _K, "lowest",
              {"eta": 7 * _K, "omega_sw": _WR}),
     "fig7": ("delta_c", -20 * _K, 20 * _K, "all",
@@ -124,9 +122,9 @@ _PRESETS = {
 }
 
 
-@functools.cache
-def preset_spec(name: str) -> SweepSpec:
-    """Expand a figure preset name into a full SweepSpec.
+def preset_config(name: str) -> dict:
+    """The config keys of figure preset ``name``, frequencies in rad/s;
+    the keys of a config that names the preset override them.
 
     Sweep ranges are generous supersets of the plotted axes. The fig6, fig7
     and fig8 presets mark multi-branch points explicitly through their branch
@@ -134,13 +132,9 @@ def preset_spec(name: str) -> SweepSpec:
     cross-Kerr settings have a unique stable branch, since observables there
     are compared pointwise between the two settings.
     """
-    if name not in _PRESETS:
-        raise ValueError(f"unknown preset {name!r}; "
-                         f"choose from {sorted(_PRESETS)}")
-    var, lo, hi, policy, overrides = _PRESETS[name]
-    return SweepSpec(var=var, start=lo, stop=hi, count=DEFAULT_GRID_COUNT,
-                     base=paper_base_params(**overrides), ck_mode="paired",
-                     branch_policy=policy, preset=name)
+    var, lo, hi, policy, params = _PRESETS[name]
+    return {"sweep_var": var, "sweep_min": lo, "sweep_max": hi,
+            "branch_policy": policy, **params}
 
 
 def preset_names() -> tuple:

@@ -1,5 +1,4 @@
 import os
-from dataclasses import replace
 
 import pytest
 
@@ -14,13 +13,13 @@ def _worker_count() -> int:
 def preset_rows():
     """Memoized preset sweeps; several suites share the same row sets.
 
-    The cache is keyed on the spec without its preset name, so presets
-    that describe the same sweep (fig2b and fig4) run it once.
+    The cache is keyed on the spec, so presets that describe the same
+    sweep (fig2b and fig4) run it once.
     """
     cache: dict = {}
 
     def get(name: str):
-        spec = replace(preset_spec(name), preset=None)
+        spec = preset_spec(name)
         if spec not in cache:
             cache[spec] = run_sweep(spec, workers=_worker_count())
         return cache[spec]

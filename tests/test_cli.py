@@ -105,11 +105,61 @@ def test_sweep_spec_needs_preset_or_range():
     with pytest.raises(ConfigError, match="sweep_var"):
         sweep_spec_from_config(build_config({}))
     spec = sweep_spec_from_config(build_config({"preset": "fig2a"}))
-    assert spec.preset == "fig2a"
     assert spec.count == 501
     narrowed = sweep_spec_from_config(
         build_config({"preset": "fig2a", "sweep_count": 5}))
     assert narrowed.count == 5
+
+
+# a preset lies beneath the config's own keys
+FIG2B_SLICE = {"preset": "fig2b", "sweep_min": "4*kappa",
+               "sweep_max": "5*kappa", "sweep_count": 3,
+               "eta": "0.5*kappa", "T": 0}
+
+
+def _sweep_csv(tmp_path, capsys, data) -> str:
+    assert main(["sweep", "--config", _write(tmp_path, data)]) == 0
+    return capsys.readouterr().out
+
+
+def test_config_keys_override_the_preset_and_its_dump_runs_the_same(
+        tmp_path, capsys):
+    csv = _sweep_csv(tmp_path, capsys, FIG2B_SLICE)
+    explicit = {k: v for k, v in FIG2B_SLICE.items() if k != "preset"}
+    explicit.update(sweep_var="delta_c", branch_policy="all",
+                    omega_sw="1*omegaR")
+    assert csv == _sweep_csv(tmp_path, capsys, explicit)
+    assert main(["sweep", "--config", _write(tmp_path, FIG2B_SLICE),
+                 "--dump-config"]) == 0
+    dumped = capsys.readouterr().out
+    assert json.loads(dumped)["eta"] == 0.5 * KAPPA
+    assert csv == _sweep_csv(tmp_path, capsys, json.loads(dumped))
+
+
+def test_config_sweep_var_overrides_the_preset():
+    spec = sweep_spec_from_config(build_config(
+        {"preset": "fig5", "sweep_var": "delta_c", "sweep_count": 2}))
+    assert spec.var == "delta_c"
+
+
+def test_preset_range_and_run_share_the_config_kappa():
+    kappa = 2.0 * math.pi * 2.6e6
+    spec = sweep_spec_from_config(build_config(
+        {"preset": "fig2b", "kappa": "2pi*2.6MHz", "sweep_min": "4*kappa",
+         "sweep_max": "5*kappa", "sweep_count": 3}))
+    assert spec.base.kappa == kappa
+    assert (spec.start, spec.stop) == (4 * kappa, 5 * kappa)
+
+
+def test_steady_preset_runs_at_the_preset_parameters(capsys):
+    assert main(["steady", "--preset", "fig2b"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["params"]["eta"] == 2 * KAPPA
+
+
+def test_bad_preset_is_reported_before_a_bad_parameter():
+    with pytest.raises(ConfigError, match="preset"):
+        build_config({"preset": "nope", "kappa": "fast"})
 
 
 # ------------------------------------------------------------ subcommands

@@ -127,5 +127,15 @@ def _exit_code(tmp_path, command, data) -> int:
     "ck_enabled": False, "sweep_var": "delta_c", "sweep_min": 1e-300,
     "sweep_max": 9.3e8, "sweep_count": 4, "format": "json-lines"})
 @example(command="steady", data={"out": OUTS[2], "sweep_count": 2})
+# a preset lies beneath the config's own keys
+@example(command="sweep", data={"preset": "fig2b", "sweep_min": "4*kappa",
+                                "sweep_max": "5*kappa", "sweep_count": 3,
+                                "eta": "0.5*kappa", "T": 0})
+@example(command="sweep", data={"preset": "fig5", "sweep_var": "delta_c",
+                                "sweep_count": 2})
+@example(command="sweep", data={"preset": "fig2b", "kappa": "2pi*2.6MHz",
+                                "sweep_min": "4*kappa",
+                                "sweep_max": "5*kappa", "sweep_count": 3})
+@example(command="steady", data={"preset": "fig2b"})
 def test_every_config_ends_in_a_documented_exit_code(tmp_path, command, data):
     assert _exit_code(tmp_path, command, data) in DOCUMENTED_EXITS

@@ -26,7 +26,6 @@ def test_preset_table():
         spec = preset_spec(name)
         assert spec.count == 501
         assert spec.ck_mode == "paired"
-        assert spec.preset == name
     assert preset_spec("fig5").var == "eta"
     assert preset_spec("fig8").var == "omega_sw"
     with pytest.raises(ValueError, match="unknown preset"):

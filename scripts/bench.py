@@ -34,7 +34,9 @@ rounds. Recorded per side:
   parsing its argv (``parse_us``, ``cli.parse_command_line``), reading its
   config file
   (``config_load_us``) and ``build_config`` on what was read
-  (``build_config_us``);
+  (``build_config_us``); for the ``steady`` point also writing its report
+  (``steady_report_us``: ``cli.indented_json``, or in a checkout without
+  it, the ``json.dumps(indent=2)`` call it replaced);
 * end to end through the command line (``becck.cli.main`` in process,
   stdout discarded): one ``steady`` point (bistable, in milliseconds), the
   4-point fig6 json-lines slice (in milliseconds) and one ``verify`` run at
@@ -63,6 +65,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -178,9 +181,12 @@ def _write_config(tmp: str, name: str, config) -> list:
 
 
 def command_path() -> dict:
-    """Per command of COMMANDS: parse, config read and ``build_config``."""
+    """Per command of COMMANDS: parse, config read and ``build_config``,
+    and for ``steady`` writing its report."""
     from becck import cli
 
+    write = getattr(cli, "indented_json", None) or functools.partial(
+        json.dumps, indent=2, allow_nan=False)
     times = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, (argv, config) in COMMANDS.items():
@@ -194,6 +200,11 @@ def command_path() -> dict:
                 "build_config_us": _median_us(
                     lambda: cli.build_config(data)),
             }
+    # the report as cmd_steady builds it: its values are Python scalars,
+    # lists and dicts, which its JSON text gives back exactly
+    report = json.loads(cli.cmd_steady(cli.build_config(
+        dict(COMMANDS["steady"][1])))[1])
+    times["steady"]["steady_report_us"] = _median_us(lambda: write(report))
     return times
 
 

@@ -11,9 +11,11 @@ import dataclasses
 import functools
 import json
 import math
+import operator
 import re
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -133,7 +135,10 @@ def build_config(data: dict) -> RunConfig:
         if data["preset"] not in preset_names():
             raise ConfigError(f"preset: unknown preset {data['preset']!r}; "
                               "expected one of " + ", ".join(preset_names()))
-        data = {**preset_config(data["preset"]), **data}
+        preset = preset_config(data["preset"])
+        if data.get("sweep_var", preset["sweep_var"]) != preset["sweep_var"]:
+            del preset["sweep_min"], preset["sweep_max"]  # not this variable's
+        data = {**preset, **data}
 
     # kappa and omega_R resolve first so '*kappa'/'*omegaR' can reference them
     kappa = parse_quantity(data.get("kappa", _PARAM_DEFAULTS["kappa"]),
@@ -158,19 +163,19 @@ def build_config(data: dict) -> RunConfig:
 
 def dump_config(cfg: RunConfig) -> str:
     """Canonical JSON form; re-parsing it reproduces the same RunConfig."""
-    data = _fields(cfg.params)
-    data.update((k, v) for k, v in _fields(cfg, skip="params").items()
-                if v is not None)
-    return json.dumps(data, indent=2, sort_keys=True)
+    data = {**vars(cfg), **vars(cfg.params)}
+    return indented_json(dict(sorted(
+        (k, v) for k, v in data.items() if k != "params" and v is not None)))
 
 
 def sweep_spec_from_config(cfg: RunConfig) -> SweepSpec:
     """The sweep of ``cfg``: its sweep keys over its parameters."""
     missing = [k for k in ("sweep_var", "sweep_min", "sweep_max")
                if getattr(cfg, k) is None]
-    if missing:
-        raise ConfigError("sweep needs a preset or explicit "
-                          f"{', '.join(missing)}")
+    if missing:  # a preset's range is only for its own sweep_var
+        raise ConfigError(f"sweep needs explicit {', '.join(missing)}" + (
+            f" for a sweep_var other than preset {cfg.preset}'s"
+            if cfg.preset else " or a preset"))
     optional = {k: v for k, v in (
         ("count", cfg.sweep_count), ("ck_mode", cfg.ck_mode),
         ("branch_policy", cfg.branch_policy)) if v is not None}
@@ -237,9 +242,49 @@ def row_to_json(row: SweepRow) -> str:
     return _JSON_TEMPLATES[row.E_N is None] % _row_cells(row, _JSON_FLAGS)
 
 
-def _fields(record, skip=None) -> dict:
-    return {f.name: getattr(record, f.name) for f in dataclasses.fields(record)
-            if f.name != skip}
+# the JSON text of each scalar type, in the isinstance order of json (a bool
+# is no int); a float is checked for finiteness, and a subclass of it (such
+# as np.float64) is written by float.__repr__
+_SCALAR_TEXT = {str: encode_basestring_ascii, type(None): {None: "null"}.get,
+                bool: {True: "true", False: "false"}.get,
+                int: int.__repr__, float: repr}
+_key_texts = functools.lru_cache(maxsize=64)(  # per tuple of a dict's keys
+    lambda keys: [encode_basestring_ascii(k) + ": " for k in keys])
+
+
+def indented_json(x, nl: str = "\n") -> str:
+    """``json.dumps(x, indent=2, allow_nan=False)`` byte for byte, or its
+    error at the first value it cannot write (for str keys); ``nl`` is the
+    line break and indent of the line that ``x`` starts on."""
+    t = type(x)
+    if t is dict or t is list:
+        ends = "{}" if t is dict else "[]"
+        if not x:
+            return ends
+        inner, values = nl + "  ", x.values() if t is dict else x
+        text = _SCALAR_TEXT.get
+        try:  # a scalar is written inline, without a call of its own
+            parts = [f(v) if (f := text(type(v))) else indented_json(v, inner)
+                     for v in values]
+            if "nan" in parts or "inf" in parts or "-inf" in parts:
+                raise ValueError
+        except (ValueError, TypeError):  # raise the first error, in order
+            for v in values:
+                indented_json(v, inner)
+        if t is dict:
+            parts = map(operator.add, _key_texts(tuple(x)), parts)
+        return ends[0] + inner + ("," + inner).join(parts) + nl + ends[1]
+    if isinstance(x, (list, tuple, dict)):  # subclasses, as json reads them
+        return indented_json((dict if isinstance(x, dict) else list)(x), nl)
+    if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError("Out of range float values are not JSON "
+                             "compliant: " + repr(x))
+        return float.__repr__(x)
+    for kind, write in _SCALAR_TEXT.items():
+        if isinstance(x, kind):
+            return write(x)
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
 def branch_report(b, report, observables, flags_ok) -> dict:
@@ -282,12 +327,12 @@ def cmd_steady(cfg: RunConfig) -> tuple[int, str]:
         flags = validity_flags(d, b.n_photon, o.n_incoherent if o else None)
         branches.append(branch_report(b, rep, o, flags))
     report = {
-        "params": _fields(d),
+        "params": vars(d),
         "warnings": list(bset.warnings),
         "branches": branches,
     }
     try:
-        text = json.dumps(report, indent=2, allow_nan=False)
+        text = indented_json(report)
     except ValueError as exc:
         raise InternalConsistencyError(f"steady report: {exc}") from exc
     return EXIT_OK, text + "\n"

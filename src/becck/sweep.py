@@ -98,33 +98,33 @@ def paper_base_params(**overrides) -> SystemParams:
     return replace(base, **{"eta": base.kappa, **overrides})
 
 
-_K, _WR = SystemParams().kappa, SystemParams().omega_R
-# name: (sweep variable, start, stop, branch policy, parameter keys)
+# name: (sweep variable, start, stop, branch policy, parameter keys), the
+# frequencies in units of the run's own kappa and omega_R
 _PRESETS = {
-    "fig2a": ("delta_c", -10 * _K, 15 * _K, "lowest",
-              {"eta": _K, "omega_sw": _WR}),
-    "fig2b": ("delta_c", -10 * _K, 15 * _K, "all",
-              {"eta": 2 * _K, "omega_sw": _WR}),
-    "fig3a": ("delta_c", -10 * _K, 15 * _K, "lowest",
-              {"eta": 2 * _K, "omega_sw": 5 * _WR}),
-    "fig3b": ("delta_c", -10 * _K, 15 * _K, "lowest",
-              {"eta": 2 * _K, "omega_sw": 10 * _WR}),
-    "fig4": ("delta_c", -10 * _K, 15 * _K, "all",
-             {"eta": 2 * _K, "omega_sw": _WR}),
-    "fig5": ("eta", 0.0, 3 * _K, "highest",
-             {"delta_c": 5 * _K, "eta": _K, "omega_sw": _WR}),
-    "fig6": ("delta_c", -10 * _K, 9 * _K, "lowest",
-             {"eta": 7 * _K, "omega_sw": _WR}),
-    "fig7": ("delta_c", -20 * _K, 20 * _K, "all",
-             {"eta": 2 * _K, "omega_sw": _WR}),
-    "fig8": ("omega_sw", 0.0, 40 * _WR, "lowest",
-             {"delta_c": -15 * _K, "eta": 5 * _K}),
+    "fig2a": ("delta_c", "-10*kappa", "15*kappa", "lowest",
+              {"eta": "1*kappa", "omega_sw": "1*omegaR"}),
+    "fig2b": ("delta_c", "-10*kappa", "15*kappa", "all",
+              {"eta": "2*kappa", "omega_sw": "1*omegaR"}),
+    "fig3a": ("delta_c", "-10*kappa", "15*kappa", "lowest",
+              {"eta": "2*kappa", "omega_sw": "5*omegaR"}),
+    "fig3b": ("delta_c", "-10*kappa", "15*kappa", "lowest",
+              {"eta": "2*kappa", "omega_sw": "10*omegaR"}),
+    "fig4": ("delta_c", "-10*kappa", "15*kappa", "all",
+             {"eta": "2*kappa", "omega_sw": "1*omegaR"}),
+    "fig5": ("eta", "0*kappa", "3*kappa", "highest",
+             {"delta_c": "5*kappa", "eta": "1*kappa", "omega_sw": "1*omegaR"}),
+    "fig6": ("delta_c", "-10*kappa", "9*kappa", "lowest",
+             {"eta": "7*kappa", "omega_sw": "1*omegaR"}),
+    "fig7": ("delta_c", "-20*kappa", "20*kappa", "all",
+             {"eta": "2*kappa", "omega_sw": "1*omegaR"}),
+    "fig8": ("omega_sw", "0*omegaR", "40*omegaR", "lowest",
+             {"delta_c": "-15*kappa", "eta": "5*kappa"}),
 }
 
 
 def preset_config(name: str) -> dict:
-    """The config keys of figure preset ``name``, frequencies in rad/s;
-    the keys of a config that names the preset override them.
+    """The config keys of figure preset ``name``, in units of kappa and
+    omega_R; the keys of a config that names the preset override them.
 
     Sweep ranges are generous supersets of the plotted axes. The fig6, fig7
     and fig8 presets mark multi-branch points explicitly through their branch

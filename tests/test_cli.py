@@ -15,6 +15,7 @@ from becck import SweepSpec, paper_base_params, run_sweep
 from becck.cli import (CSV_HEADER, ConfigError, build_config, build_parser,
                        dump_config, main, parse_command_line, parse_quantity,
                        row_to_csv, row_to_json, sweep_spec_from_config)
+from becck.sweep import preset_config
 
 KAPPA = paper_base_params().kappa
 OMEGA_R = paper_base_params().omega_R
@@ -138,8 +139,40 @@ def test_config_keys_override_the_preset_and_its_dump_runs_the_same(
 
 def test_config_sweep_var_overrides_the_preset():
     spec = sweep_spec_from_config(build_config(
-        {"preset": "fig5", "sweep_var": "delta_c", "sweep_count": 2}))
-    assert spec.var == "delta_c"
+        {"preset": "fig5", "sweep_var": "delta_c", "sweep_min": "1*kappa",
+         "sweep_max": "2*kappa", "sweep_count": 2}))
+    assert (spec.var, spec.start, spec.stop) == ("delta_c", KAPPA, 2 * KAPPA)
+    assert spec.base.eta == KAPPA  # fig5's other keys stay
+
+
+@pytest.mark.parametrize("preset,extra,missing", [
+    ("fig8", {}, "sweep_min, sweep_max"),
+    ("fig5", {"sweep_min": "0*kappa"}, "sweep_max"),
+    ("fig2b", {"sweep_max": "1*kappa"}, "sweep_min"),
+])
+def test_sweep_var_other_than_the_presets_needs_its_own_range(
+        tmp_path, capsys, preset, extra, missing):
+    data = {"preset": preset, "sweep_var": "eta" if preset == "fig2b" else
+            "delta_c", "sweep_count": 2, **extra}
+    assert main(["sweep", "--config", _write(tmp_path, data)]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: sweep needs explicit {missing} for a "
+                   f"sweep_var other than preset {preset}'s\n")
+    # the preset's own variable keeps the preset's range
+    same = dict(data, sweep_var=preset_config(preset)["sweep_var"])
+    assert main(["sweep", "--config", _write(tmp_path, same)]) == 0
+
+
+def test_presets_scale_with_the_config_kappa_and_omega_R():
+    kappa, omega_R = 2.0 * math.pi * 2.6e6, 3.0e4
+    spec = sweep_spec_from_config(build_config(
+        {"preset": "fig2b", "kappa": "2pi*2.6MHz"}))
+    assert (spec.start, spec.stop) == (-10 * kappa, 15 * kappa)
+    assert spec.base.eta == 2 * kappa
+    spec = sweep_spec_from_config(build_config(
+        {"preset": "fig8", "kappa": "2pi*2.6MHz", "omega_R": omega_R}))
+    assert (spec.start, spec.stop) == (0.0, 40 * omega_R)
+    assert (spec.base.delta_c, spec.base.eta) == (-15 * kappa, 5 * kappa)
 
 
 def test_preset_range_and_run_share_the_config_kappa():

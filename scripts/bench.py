@@ -5,10 +5,11 @@
 
 Measures the package in this checkout's ``src/`` ("after") and, with
 ``--before``, the ``src/`` of another checkout, such as an export of the
-parent commit ("before"). Each measurement runs in a fresh interpreter with
-one BLAS thread. The sides take turns: each of the ``--repeats`` rounds
-measures both, the first side alternating from round to round, so a change
-in the load of a shared machine reaches both alike. Every timing is
+parent commit ("before"). Both are loaded into this one interpreter, with
+one BLAS thread, the before side as the package ``becck_before``. The sides
+take turns: each of the ``--repeats`` rounds measures both, the first side
+alternating from round to round, so a change in the load of a shared
+machine reaches both alike. Every timing is
 reported per side as the median and the quartiles (``q1``, ``q3``) over the
 rounds. Recorded per side:
 
@@ -48,9 +49,9 @@ Recorded once per side, since they do not vary from run to run:
 
 * ``lines``: the line count of each ``src/becck/*.py``;
 * ``outputs``: the exit code and the SHA-256 digests of stdout and stderr
-  of command-line runs (in process, in a fresh interpreter): the CSV and
-  the json-lines of each of the nine presets, ``steady``
-  at 30 seeded random points, and ``verify`` at its default seed and at
+  of command-line runs (the side's ``cli.main`` in process): the CSV and
+  the json-lines of each of the nine presets, ``steady`` at 30 seeded
+  random points, and ``verify`` at its default seed and at
   ``--seed 7 --perturb-drift 1e-3``.
 
 With ``--before``, ``differing_outputs`` lists the outputs whose record
@@ -67,6 +68,7 @@ import argparse
 import contextlib
 import functools
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -99,31 +101,39 @@ def _per_item_us(fn, items):
     return _median_us(lambda: [fn(*it) for it in items]) / len(items)
 
 
-def _batch_points(base, dc, eta, size):
-    """``size`` points from delta_c = dc*kappa in steps of 0.01 kappa, both
-    cross-Kerr settings unless ``size`` is 1, as ``classify_points`` takes
-    them."""
-    import dataclasses
+def load_package(name: str, checkout: Path):
+    """The package ``src/becck`` of ``checkout``, imported as ``name``."""
+    src = checkout / "src" / "becck"
+    spec = importlib.util.spec_from_file_location(
+        name, src / "__init__.py", submodule_search_locations=[str(src)])
+    package = sys.modules[name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(package)
+    return package
 
-    import becck
+
+def _batch_args(becck, base, dc, eta, size):
+    """The ``classify_points`` arguments of ``size`` points from delta_c =
+    dc*kappa in steps of 0.01 kappa, both cross-Kerr settings unless
+    ``size`` is 1, as a paired sweep builds them."""
+    import dataclasses
 
     k = base.kappa
     cks = (True,) if size == 1 else (False, True)
-    return [becck.derive_params(dataclasses.replace(
+    ds = [becck.derive_params(dataclasses.replace(
         base, delta_c=(dc + 0.01 * j) * k, eta=eta * k, ck_enabled=ck))
         for j in range(size // len(cks)) for ck in cks]
+    # a checkout before classify_points(ds) also takes one label per point
+    return (ds,) + ([""] * size,) * (
+        becck.sweep.classify_points.__code__.co_argcount - 1)
 
 
-def _batch_us(base, dc, eta, size):
-    """``classify_points`` on the ``_batch_points`` of the arguments."""
-    from becck.sweep import classify_points
-
-    ds = _batch_points(base, dc, eta, size)
-    labels = [""] * size
-    return _median_us(lambda: classify_points(ds, labels), number=20)
+def _batch_us(becck, base, dc, eta, size):
+    """``classify_points`` on the ``_batch_args`` of the arguments."""
+    args = _batch_args(becck, base, dc, eta, size)
+    return _median_us(lambda: becck.sweep.classify_points(*args), number=20)
 
 
-def _downstream_us(base, dc, eta, size=8):
+def _downstream_us(becck, base, dc, eta, size=8):
     """Timings on the branches of the ``classify_points`` batch of the
     arguments: building their drift and diffusion matrices, classifying them
     and evaluating ``gaussian_states`` on the strictly stable ones (the
@@ -131,12 +141,11 @@ def _downstream_us(base, dc, eta, size=8):
     stable branches."""
     import numpy as np
 
-    from becck import dynamics, steadystate
-    from becck.steadystate import gaussian_states
-    from becck.sweep import classify_points
-
-    ds = _batch_points(base, dc, eta, size)
-    _, branches, stacks, verdicts, names = classify_points(ds, [""] * size)
+    dynamics, steadystate = becck.dynamics, becck.steadystate
+    gaussian_states = steadystate.gaussian_states
+    args = _batch_args(becck, base, dc, eta, size)
+    ds = args[0]
+    _, branches, stacks, verdicts, names = becck.sweep.classify_points(*args)
     pairs = [(ds[p], b) for p, b in branches]
     keep = np.flatnonzero(steadystate.strictly_stable(verdicts))
     kept = [names[i] for i in keep]
@@ -180,11 +189,10 @@ def _write_config(tmp: str, name: str, config) -> list:
     return ["--config", str(path)]
 
 
-def command_path() -> dict:
+def command_path(becck) -> dict:
     """Per command of COMMANDS: parse, config read and ``build_config``,
     and for ``steady`` writing its report."""
-    from becck import cli
-
+    cli = becck.cli
     write = getattr(cli, "indented_json", None) or functools.partial(
         json.dumps, indent=2, allow_nan=False)
     times = {}
@@ -208,15 +216,13 @@ def command_path() -> dict:
     return times
 
 
-def measure() -> dict:
-    """One round of timings of the becck package found first on sys.path."""
+def measure(becck) -> dict:
+    """One round of timings of the package ``becck``."""
     import dataclasses
 
     import numpy
 
-    import becck
-    from becck.cli import row_to_csv, row_to_json
-
+    row_to_csv, row_to_json = becck.cli.row_to_csv, becck.cli.row_to_json
     base = becck.paper_base_params()
     k = base.kappa
     layers = {}
@@ -247,9 +253,10 @@ def measure() -> dict:
             "row_to_json_us": _per_item_us(row_to_json, [(r,) for r in rows]),
             "sweep_2_points_us": _median_us(
                 lambda: becck.run_sweep(spec, workers=1), number=20),
-            **{f"classify_points_{size}_us": _batch_us(base, dc, eta, size)
+            **{f"classify_points_{size}_us": _batch_us(becck, base, dc, eta,
+                                                       size)
                for size in (1, 4, 8)},
-            **_downstream_us(base, dc, eta),
+            **_downstream_us(becck, base, dc, eta),
         }
     presets = {}
     for name in becck.preset_names():
@@ -257,13 +264,13 @@ def measure() -> dict:
         presets[name] = timeit.Timer(
             lambda: becck.run_sweep(spec, workers=1)).timeit(number=1)
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "per_layer": layers, "command_path": command_path(),
-            "preset_wall_s": presets, "end_to_end": end_to_end()}
+            "per_layer": layers, "command_path": command_path(becck),
+            "preset_wall_s": presets, "end_to_end": end_to_end(becck)}
 
 
-def end_to_end() -> dict:
+def end_to_end(becck) -> dict:
     """Wall time of CLI commands run in process, stdout discarded."""
-    from becck.cli import main
+    main = becck.cli.main
 
     def run(argv):
         with contextlib.redirect_stdout(io.StringIO()):
@@ -284,11 +291,10 @@ def end_to_end() -> dict:
             "verify_s": verify_s}
 
 
-def outputs() -> dict:
+def outputs(becck) -> dict:
     """Exit code and stdout/stderr digests of the commands listed in the
     module docstring, run through ``becck.cli.main`` in process."""
-    import becck
-    from becck.cli import main
+    main = becck.cli.main
 
     def run(argv):
         out, err = io.StringIO(), io.StringIO()
@@ -349,17 +355,6 @@ def tier1(checkout: Path) -> dict:
     return {"wall_s": wall, "summary": lines[-1] if lines else ""}
 
 
-def measure_in(checkout: Path, mode: str = "--measure") -> dict:
-    """One round of ``measure`` (or, with ``mode`` "--outputs", the
-    ``outputs``) in a fresh interpreter on ``checkout``."""
-    env = dict(os.environ, PYTHONPATH=str(checkout / "src"),
-               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, __file__, mode],
-                          capture_output=True, text=True, env=env, check=True)
-    return json.loads(proc.stdout)
-
-
 def summarize(rounds: list):
     """The rounds merged leaf by leaf: a float becomes its median and
     quartiles over the rounds; any other leaf is taken from the first."""
@@ -381,14 +376,7 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=int, default=5,
                         help="rounds per side (median and quartiles "
                              "reported)")
-    parser.add_argument("--measure", action="store_true",
-                        help=argparse.SUPPRESS)
-    parser.add_argument("--outputs", action="store_true",
-                        help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
-    if args.measure or args.outputs:
-        print(json.dumps(measure() if args.measure else outputs()))
-        return 0
     if args.out is None:
         parser.error("--out is required")
     if args.repeats < 1:
@@ -396,18 +384,24 @@ def main(argv=None) -> int:
     sides = {"after": ROOT}
     if args.before is not None:
         sides["before"] = args.before.resolve()
+    # one BLAS thread for both sides, set before either imports NumPy
+    os.environ.update(dict.fromkeys(
+        ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1"))
+    packages = {side: load_package("becck" if side == "after" else
+                                   "becck_before", checkout)
+                for side, checkout in sides.items()}
     rounds = {side: [] for side in sides}
     for i in range(args.repeats):
         order = list(sides) if i % 2 == 0 else list(sides)[::-1]
         for side in order:
-            rounds[side].append(measure_in(sides[side]))
+            rounds[side].append(measure(packages[side]))
     report = {"machine": {"cpu": cpu_model(), "cpu_count": os.cpu_count(),
                           "platform": platform.platform()},
               "repeats": args.repeats}
     for side, checkout in sides.items():
         report[side] = {**summarize(rounds[side]), "tier1": tier1(checkout),
                         "lines": line_counts(checkout),
-                        "outputs": measure_in(checkout, "--outputs")}
+                        "outputs": outputs(packages[side])}
     if "before" in sides:
         before = report["before"]["outputs"]
         report["differing_outputs"] = sorted(

@@ -198,21 +198,19 @@ def preset_spec(name: str) -> SweepSpec:
 
 def _row_cells(row: SweepRow, flags: dict) -> tuple:
     """The 19 column values of a row, in CSV_HEADER order, with its three
-    flags spelled as ``flags`` maps them."""
-    return (row.sweep_var, row.sweep_value, "on" if row.ck_enabled else "off",
-            row.branch_index, row.n_photon, row.alpha.real, row.alpha.imag,
-            row.beta.real, row.beta.imag, row.Delta, row.omega_B,
-            row.omega_B_ratio, flags[row.stable], row.E_N, row.S_Q, row.S_P,
-            row.n_incoherent, flags[row.lattice_ok], flags[row.bogoliubov_ok])
-
-
-def _check_finite(row: SweepRow) -> None:
-    for name, x in zip(CSV_COLUMNS, _row_cells(row, _CSV_FLAGS)):
+    flags spelled as ``flags`` maps them; a float cell that is not finite
+    raises InternalConsistencyError."""
+    cells = (row.sweep_var, row.sweep_value, "on" if row.ck_enabled else "off",
+             row.branch_index, row.n_photon, row.alpha.real, row.alpha.imag,
+             row.beta.real, row.beta.imag, row.Delta, row.omega_B,
+             row.omega_B_ratio, flags[row.stable], row.E_N, row.S_Q, row.S_P,
+             row.n_incoherent, flags[row.lattice_ok], flags[row.bogoliubov_ok])
+    for name, x in zip(CSV_COLUMNS, cells):
         if isinstance(x, float) and not math.isfinite(x):
             raise InternalConsistencyError(
-                f"sweep row {row.sweep_var}={row.sweep_value!r} "
-                f"ck={'on' if row.ck_enabled else 'off'} branch "
-                f"{row.branch_index}: {name} = {x!r} is not finite")
+                f"sweep row {row.sweep_var}={row.sweep_value!r} ck={cells[2]} "
+                f"branch {row.branch_index}: {name} = {x!r} is not finite")
+    return cells
 
 
 # One %-template per format for a row with its observables and one for a row
@@ -318,7 +316,7 @@ def branch_report(b, report, observables, flags_ok) -> dict:
 
 def cmd_steady(cfg: RunConfig) -> tuple[int, str]:
     d = derive_params(cfg.params)
-    (bset,), _, dd, stability, names = classify_points([d], [""])
+    (bset,), _, dd, stability, names = classify_points([d])
     solved, _, obs = gaussian_states(dd, stability, names)
     states = dict(zip(solved.tolist(), record_items(obs)))
     branches = []
@@ -345,10 +343,9 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, str]:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     rows = run_sweep(spec, workers=workers)
-    for row in rows:  # nothing is serialized unless every cell is finite
-        _check_finite(row)
     serialize = row_to_json if cfg.format == "json-lines" else row_to_csv
     lines = [CSV_HEADER] if cfg.format == "csv" else []
+    # a cell that is not finite raises, so no row is written unless all are
     lines += [serialize(row) for row in rows]
     return EXIT_OK, "".join(line + "\n" for line in lines)
 

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedParams, InternalConsistencyError, omega_pm
+from .model import DerivedParams, InternalConsistencyError
 
 BISECT_RTOL = 1e-12  # residual reached at the paper's parameters, not a bound
 # companion-matrix roots kept as candidates: |Im x| <= IMAG_TOL*max(1, |x|)
@@ -103,21 +103,23 @@ def upper_bound_photons(d: DerivedParams) -> float:
 
 def _root_function(d: DerivedParams):
     """f(n) at the point ``d``, for a float or an ndarray n, as one closure
-    over the subexpressions that do not depend on n. It raises
-    ZeroDivisionError at a float n where den(n) = 0.
+    over the subexpressions that do not depend on n; ``f(n, state=True)``
+    also gives the mean-field state at n, as (f(n), Omega_minus, Omega_plus,
+    beta, Delta). It raises ZeroDivisionError at a float n where den(n) = 0.
     """
     om0, op0 = d.Omega_c - 0.5 * d.omega_sw, d.Omega_c + 0.5 * d.omega_sw
     g, gam, gam2, dc = d.g, d.gamma, d.gamma * d.gamma, d.delta_c
     mzeta, zeta2 = -d.zeta, 2.0 * d.zeta
     k2, e2 = d.kappa * d.kappa, d.eta * d.eta
 
-    def f(n):
+    def f(n, state=False):
         gn = g * n
-        om = om0 + gn
-        scale = mzeta * n / ((op0 + gn) * om + gam2)
+        om, op = om0 + gn, op0 + gn
+        scale = mzeta * n / (op * om + gam2)
         bR, bI = scale * om, scale * gam
         D = dc + zeta2 * bR + g * (bR * bR + bI * bI)
-        return n * (D * D + k2) - e2
+        fn = n * (D * D + k2) - e2
+        return (fn, om, op, complex(bR, bI), D) if state else fn
 
     return f
 
@@ -125,25 +127,22 @@ def _root_function(d: DerivedParams):
 def _branch_from_root(d: DerivedParams, n: float, index: int,
                       f) -> MeanFieldBranch:
     n = float(n)
-    om, op = omega_pm(d, n)
-    try:  # beta and Delta in the order of operations of ``_root_function``
-        scale = -d.zeta * n / (op * om + d.gamma * d.gamma)
-        bR, bI = scale * om, scale * d.gamma
-        D = d.delta_c + 2.0 * d.zeta * bR + d.g * (bR * bR + bI * bI)
+    try:
+        fn, om, op, beta, D = f(n, state=True)
         den = D * D + d.kappa * d.kappa
         aR = -d.eta * d.kappa / den
         aI = d.eta * D / den
-        resid = abs(f(n))
     except ZeroDivisionError:  # den(n) underflows to 0 at the root
         raise InternalConsistencyError(
             f"division by zero in the branch at n = {n:.6e}, "
             f"eta = {d.eta:.6e} rad/s") from None
+    resid = abs(fn)
     if d.eta * d.eta > 0.0:
         resid /= d.eta * d.eta
     return MeanFieldBranch(
         n_photon=n,
         alpha=complex(aR, aI),
-        beta=complex(bR, bI),
+        beta=beta,
         Delta=D,
         Omega_plus=op,
         Omega_minus=om,

@@ -141,18 +141,21 @@ def preset_names() -> tuple:
     return tuple(_PRESETS)
 
 
-def classify_points(ds, labels) -> tuple:
+def classify_points(ds) -> tuple:
     """Enumerate every branch of the points ``ds`` (DerivedParams), from
     one stacked companion eigen-solve per matrix size, and classify all of
-    them in one ``classify_batch`` call; a failing branch is named
-    ``f"{labels[point]}branch {index}"``. Returns the BranchSet of each
+    them in one ``classify_batch`` call. Returns the BranchSet of each
     point; per branch in point order, its (point index, branch) pair; the
     DriftDiffusion and StabilityReport stacks of all branches; and the
-    branch names."""
+    branch names, ``delta_c=<x> eta=<x> omega_sw=<x> ck=<bool> branch <i>``
+    (the reprs of the point's values in rad/s), which label a failing
+    branch."""
     bsets = [enumerate_branches(d, roots)
              for d, roots in zip(ds, branch_candidates(ds))]
     branches = [(p, b) for p, bset in enumerate(bsets) for b in bset]
     dd = drift_diffusion_stacks([(ds[p], b) for p, b in branches])
+    labels = [f"delta_c={d.delta_c!r} eta={d.eta!r} omega_sw={d.omega_sw!r} "
+              f"ck={d.ck_enabled} " for d in ds]
     names = [f"{labels[p]}branch {b.branch_index}" for p, b in branches]
     try:
         return (bsets, branches, dd, classify_batch(dd.A, dd.kappa, names),
@@ -169,24 +172,18 @@ def _rows_for_points(spec: SweepSpec, values) -> list:
               for ck in cks]
     ds = [derive_params(replace(spec.base, ck_enabled=ck, **{spec.var: value}))
           for _, value, ck in points]
-    bsets, branches, dd, report, names = classify_points(
-        ds, [f"{spec.var}={value!r} ck={ck} " for _, value, ck in points])
+    bsets, branches, dd, report, names = classify_points(ds)
     # a branch only counts as stable for covariance purposes when it is
     # strictly stable and outside the near-marginal band
     grade = strictly_stable(report).tolist()
     pick = {"lowest": 0, "highest": -1}.get(spec.branch_policy)
-    selected, no_stable, first = [], set(), 0
+    selected, first = [], 0
     for bset in bsets:
         ids = range(first, first + len(bset))
         first += len(ids)
-        stable_ids = [i for i in ids if grade[i]]
-        if pick is None:
-            selected += ids
-        elif stable_ids:
-            selected.append(stable_ids[pick])
-        else:
-            selected.append(ids[0])
-            no_stable.add(ids[0])
+        # where no branch is stable, the first is picked (and flagged below)
+        stable_ids = [i for i in ids if grade[i]] or ids[:1]
+        selected += ids if pick is None else [stable_ids[pick]]
     solved, cov, obs = gaussian_states(dd, report, names, selected)
     states = dict(zip(solved.tolist(), zip(cov.V, *(x.tolist() for x in (
         obs.E_N, obs.S_Q, obs.S_P, obs.n_incoherent)))))
@@ -207,8 +204,8 @@ def _rows_for_points(spec: SweepSpec, values) -> list:
             stable=grade[i], E_N=E_N, S_Q=S_Q, S_P=S_P, n_incoherent=n_inc,
             lattice_ok=flags["lattice_depth_ok"],
             bogoliubov_ok=flags["bogoliubov_ok"],
-            warnings=bset.warnings + (("no-stable-branch",)
-                                      if i in no_stable else ()),
+            warnings=bset.warnings + ("no-stable-branch",) * (
+                pick is not None and not grade[i]),
             covariance=V, max_real_part=max_real[i],
         )))
     # deterministic order: grid value, then branch index, then ck off before on

@@ -48,9 +48,7 @@ def _random_stable_points(rng, count, base: SystemParams):
     points, dds, reports = [], [], []
     while len(points) < count:
         ds = [_random_point(rng, base, 0.1) for _ in range(count - len(points))]
-        _, branches, dd, report, _ = classify_points(
-            ds, [f"delta_c={d.delta_c!r} eta={d.eta!r} omega_sw="
-                 f"{d.omega_sw!r} ck={d.ck_enabled} " for d in ds])
+        _, branches, dd, report, _ = classify_points(ds)
         keep = strictly_stable(report)
         points += [(ds[p], b) for (p, b), k in zip(branches, keep) if k]
         dds.append(dd._make(x[keep] for x in dd))

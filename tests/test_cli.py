@@ -675,6 +675,23 @@ def test_verify_names_the_draw_whose_verdicts_disagree(monkeypatch, capsys):
     assert lines[-1] == "verify: FAIL"
 
 
+@pytest.mark.parametrize("command, data", [
+    ("steady", {}), ("sweep", {"preset": "fig2a", "sweep_count": 2})])
+def test_a_failing_branch_is_named_by_its_full_point(tmp_path, monkeypatch,
+                                                     capsys, command, data):
+    import becck.dynamics
+    verdict = becck.dynamics.routh_hurwitz_quartic
+    monkeypatch.setattr("becck.dynamics.routh_hurwitz_quartic",
+                        lambda *coefficients: ~verdict(*coefficients))
+    assert main([command, "--config", _write(tmp_path, data)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("internal consistency error: delta_c=")
+    assert captured.err.count("\n") == 1
+    for part in (" eta=", " omega_sw=", " ck=", " branch 0: Routh-Hurwitz"):
+        assert part in captured.err
+
+
 def test_exit_codes_are_disjoint():
     from becck import cli
     assert (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INTERNAL, cli.EXIT_IO,

@@ -352,9 +352,9 @@ def test_bracket_polish_cuts_root_function_calls(monkeypatch):
     def counting(d):
         f = _root_function(d)
 
-        def counted(n):
+        def counted(n, state=False):
             counts[-1] += 1
-            return f(n)
+            return f(n, state=state)
 
         return counted
 

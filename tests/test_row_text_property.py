@@ -1,7 +1,11 @@
 """Property test of the row text: the %-templates of ``row_to_csv`` and
-``row_to_json`` write every row exactly as the per-cell formulas below do."""
+``row_to_json`` write every row exactly as the per-cell formulas below do,
+and both refuse a row with a float cell that is not finite."""
 
 import json
+import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +15,7 @@ from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from becck.cli import CSV_COLUMNS, row_to_csv, row_to_json  # noqa: E402
+from becck.dynamics import InternalConsistencyError  # noqa: E402
 from becck.sweep import SWEEP_VARS, SweepRow  # noqa: E402
 
 
@@ -73,3 +78,33 @@ def test_row_text_equals_the_per_cell_formulas(row_and_cells):
     assert row_to_csv(row) == ",".join(_fmt(cell) for cell in cells)
     assert row_to_json(row) == json.dumps(dict(zip(CSV_COLUMNS, cells)))
 
+
+
+# the row field behind each float column, and the part of a complex field
+FLOAT_CELLS = {"sweep_value": ("sweep_value", None),
+               "n_photon": ("n_photon", None), "alpha_re": ("alpha", "real"),
+               "alpha_im": ("alpha", "imag"), "beta_re": ("beta", "real"),
+               "beta_im": ("beta", "imag"), "delta_eff": ("Delta", None),
+               "omega_b": ("omega_B", None),
+               "omega_b_ratio": ("omega_B_ratio", None),
+               "e_n": ("E_N", None), "s_q": ("S_Q", None),
+               "s_p": ("S_P", None), "n_incoh": ("n_incoherent", None)}
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(rows(), st.sampled_from(sorted(FLOAT_CELLS)),
+       st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_row_writers_refuse_a_cell_that_is_not_finite(row_and_cells, column,
+                                                      x):
+    row = row_and_cells[0]
+    field, part = FLOAT_CELLS[column]
+    if part is not None:
+        z = getattr(row, field)
+        x = complex(x, z.imag) if part == "real" else complex(z.real, x)
+    row = replace(row, **{field: x})
+    bad = getattr(x, part) if part else x
+    for write in (row_to_csv, row_to_json):
+        with pytest.raises(InternalConsistencyError,
+                           match=rf": {column} = {re.escape(repr(bad))} is "
+                                 "not finite$"):
+            write(row)

@@ -6,12 +6,13 @@
 Measures the package in this checkout's ``src/`` ("after") and, with
 ``--before``, the ``src/`` of another checkout, such as an export of the
 parent commit ("before"). Both are loaded into this one interpreter, with
-one BLAS thread, the before side as the package ``becck_before``. The sides
-take turns: each of the ``--repeats`` rounds measures both, the first side
-alternating from round to round, so a change in the load of a shared
-machine reaches both alike. Every timing is
-reported per side as the median and the quartiles (``q1``, ``q3``) over the
-rounds. Recorded per side:
+one BLAS thread, the before side as the package ``becck_before``. Each side
+has one table of timed calls; every call is timed for both sides back to
+back, repeat by repeat, the side going first alternating, so a change in
+the load of a shared machine reaches both alike. A round's figure of a
+call is the median of its repeats; each is reported per side as the
+median and the quartiles (``q1``, ``q3``) over the ``--repeats`` rounds.
+Recorded per side:
 
 * per-layer medians at three fixed points (monostable, bistable, and the
   strong drive eta = 7 kappa), each in microseconds per call:
@@ -33,11 +34,9 @@ rounds. Recorded per side:
   point, a 2-point fig2b CSV slice, a 4-point fig6 json-lines slice, and
   ``verify --seed 7 --perturb-drift 1e-3``), in microseconds per call:
   parsing its argv (``parse_us``, ``cli.parse_command_line``), reading its
-  config file
-  (``config_load_us``) and ``build_config`` on what was read
+  config file (``config_load_us``) and ``build_config`` on what was read
   (``build_config_us``); for the ``steady`` point also writing its report
-  (``steady_report_us``: ``cli.indented_json``, or in a checkout without
-  it, the ``json.dumps(indent=2)`` call it replaced);
+  (``steady_report_us``, ``cli.indented_json``);
 * end to end through the command line (``becck.cli.main`` in process,
   stdout discarded): one ``steady`` point (bistable, in milliseconds), the
   4-point fig6 json-lines slice (in milliseconds) and one ``verify`` run at
@@ -66,10 +65,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import functools
+import dataclasses
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import platform
@@ -81,6 +81,7 @@ import tempfile
 import time
 import timeit
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -89,16 +90,19 @@ POINTS = {"monostable": (-5.0, 2.0), "bistable": (5.0, 2.0),
           "strong": (0.0, 7.0)}
 
 
-def _median_us(fn, number: int = 200, repeat: int = 7) -> float:
-    runs = timeit.Timer(fn).repeat(repeat=repeat, number=number)
-    return statistics.median(runs) / number * 1e6
+class Timed(NamedTuple):
+    """``fn`` run ``number`` times per repeat: a round's figure is the median
+    over ``repeat`` repeats of the time per run, times ``unit``."""
+    fn: Callable
+    number: int = 200
+    unit: float = 1e6
+    repeat: int = 7
 
 
-def _per_item_us(fn, items):
-    """Median time of ``fn`` per item, over all items in one timed call."""
-    if not items:
-        return None
-    return _median_us(lambda: [fn(*it) for it in items]) / len(items)
+def _per_item(fn, items):
+    """``fn`` on every item in one timed call, in microseconds per item."""
+    return Timed(lambda: [fn(*it) for it in items],
+                 unit=1e6 / len(items)) if items else None
 
 
 def load_package(name: str, checkout: Path):
@@ -111,41 +115,28 @@ def load_package(name: str, checkout: Path):
     return package
 
 
-def _batch_args(becck, base, dc, eta, size):
-    """The ``classify_points`` arguments of ``size`` points from delta_c =
+def _batch_points(becck, base, dc, eta, size):
+    """``size`` points for ``classify_points`` from delta_c =
     dc*kappa in steps of 0.01 kappa, both cross-Kerr settings unless
     ``size`` is 1, as a paired sweep builds them."""
-    import dataclasses
-
     k = base.kappa
     cks = (True,) if size == 1 else (False, True)
-    ds = [becck.derive_params(dataclasses.replace(
+    return [becck.derive_params(dataclasses.replace(
         base, delta_c=(dc + 0.01 * j) * k, eta=eta * k, ck_enabled=ck))
         for j in range(size // len(cks)) for ck in cks]
-    # a checkout before classify_points(ds) also takes one label per point
-    return (ds,) + ([""] * size,) * (
-        becck.sweep.classify_points.__code__.co_argcount - 1)
 
 
-def _batch_us(becck, base, dc, eta, size):
-    """``classify_points`` on the ``_batch_args`` of the arguments."""
-    args = _batch_args(becck, base, dc, eta, size)
-    return _median_us(lambda: becck.sweep.classify_points(*args), number=20)
-
-
-def _downstream_us(becck, base, dc, eta, size=8):
-    """Timings on the branches of the ``classify_points`` batch of the
-    arguments: building their drift and diffusion matrices, classifying them
-    and evaluating ``gaussian_states`` on the strictly stable ones (the
-    three together), and ``gaussian_states`` alone; with the count of
-    stable branches."""
+def _downstream(becck, base, dc, eta, size=8):
+    """Timed calls on the branches of the ``classify_points`` batch of the
+    arguments: building their drift and diffusion matrices; that, their
+    classification and ``gaussian_states`` on the strictly stable ones;
+    and ``gaussian_states`` alone; with the count of stable branches."""
     import numpy as np
 
     dynamics, steadystate = becck.dynamics, becck.steadystate
     gaussian_states = steadystate.gaussian_states
-    args = _batch_args(becck, base, dc, eta, size)
-    ds = args[0]
-    _, branches, stacks, verdicts, names = becck.sweep.classify_points(*args)
+    ds = _batch_points(becck, base, dc, eta, size)
+    _, branches, stacks, verdicts, names = becck.sweep.classify_points(ds)
     pairs = [(ds[p], b) for p, b in branches]
     keep = np.flatnonzero(steadystate.strictly_stable(verdicts))
     kept = [names[i] for i in keep]
@@ -159,10 +150,10 @@ def _downstream_us(becck, base, dc, eta, size=8):
             dd, dynamics.classify_batch(dd.A, dd.kappa, names), names)
 
     args = (*(r._make(x[keep] for x in r) for r in (stacks, verdicts)), kept)
-    return {f"build_{size}_us": _median_us(build, number=50),
-            f"downstream_{size}_us": _median_us(downstream, number=50),
-            f"gaussian_states_{size}_us": _median_us(
-                lambda: gaussian_states(*args), number=50),
+    return {f"build_{size}_us": Timed(build, 50),
+            f"downstream_{size}_us": Timed(downstream, 50),
+            f"gaussian_states_{size}_us": Timed(
+                lambda: gaussian_states(*args), 50),
             f"gaussian_states_{size}_branches": len(keep)}
 
 
@@ -189,37 +180,33 @@ def _write_config(tmp: str, name: str, config) -> list:
     return ["--config", str(path)]
 
 
-def command_path(becck) -> dict:
+def command_path(becck, tmp: str) -> dict:
     """Per command of COMMANDS: parse, config read and ``build_config``,
     and for ``steady`` writing its report."""
     cli = becck.cli
-    write = getattr(cli, "indented_json", None) or functools.partial(
-        json.dumps, indent=2, allow_nan=False)
-    times = {}
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, (argv, config) in COMMANDS.items():
-            argv = argv + _write_config(tmp, name, config)
-            path = argv[-1] if config is not None else None
-            data = cli._load_config_data(path)
-            times[name] = {
-                "parse_us": _median_us(lambda: cli.parse_command_line(argv)),
-                "config_load_us": _median_us(
-                    lambda: cli._load_config_data(path)),
-                "build_config_us": _median_us(
-                    lambda: cli.build_config(data)),
-            }
+    calls = {}
+    for name, (argv, config) in COMMANDS.items():
+        argv = argv + _write_config(tmp, name, config)
+        path = argv[-1] if config is not None else None
+        data = cli._load_config_data(path)
+        calls[name] = {
+            "parse_us": Timed(lambda argv=argv: cli.parse_command_line(argv)),
+            "config_load_us": Timed(
+                lambda path=path: cli._load_config_data(path)),
+            "build_config_us": Timed(lambda data=data: cli.build_config(data)),
+        }
     # the report as cmd_steady builds it: its values are Python scalars,
     # lists and dicts, which its JSON text gives back exactly
     report = json.loads(cli.cmd_steady(cli.build_config(
         dict(COMMANDS["steady"][1])))[1])
-    times["steady"]["steady_report_us"] = _median_us(lambda: write(report))
-    return times
+    calls["steady"]["steady_report_us"] = Timed(
+        lambda: cli.indented_json(report))
+    return calls
 
 
-def measure(becck) -> dict:
-    """One round of timings of the package ``becck``."""
-    import dataclasses
-
+def timed_calls(becck, tmp: str) -> dict:
+    """The table of timed calls of the package ``becck``, nested as the
+    report; a leaf that is no Timed is recorded as it is."""
     import numpy
 
     row_to_csv, row_to_json = becck.cli.row_to_csv, becck.cli.row_to_json
@@ -238,38 +225,36 @@ def measure(becck) -> dict:
         spec = becck.SweepSpec(var="delta_c", start=dc * k,
                                stop=(dc + 0.01) * k, count=2,
                                base=dataclasses.replace(base, eta=eta * k))
-        rows = becck.run_sweep(spec, workers=1)
+        rows = becck.run_sweep(spec)
         layers[name] = {
             "branches": len(branches), "stable": len(stable),
-            "enumerate_us": _median_us(lambda: becck.enumerate_branches(d),
-                                       number=50),
-            "build_us": _per_item_us(becck.build_drift_diffusion,
-                                     [(d, b) for b in branches]),
-            "classify_us": _per_item_us(becck.classify_stability,
-                                        [(dd,) for dd in dds]),
-            "lyapunov_us": _per_item_us(becck.solve_lyapunov, stable),
-            "observables_us": _per_item_us(becck.observable_set, covs),
-            "row_to_csv_us": _per_item_us(row_to_csv, [(r,) for r in rows]),
-            "row_to_json_us": _per_item_us(row_to_json, [(r,) for r in rows]),
-            "sweep_2_points_us": _median_us(
-                lambda: becck.run_sweep(spec, workers=1), number=20),
-            **{f"classify_points_{size}_us": _batch_us(becck, base, dc, eta,
-                                                       size)
-               for size in (1, 4, 8)},
-            **_downstream_us(becck, base, dc, eta),
+            "enumerate_us": Timed(lambda d=d: becck.enumerate_branches(d),
+                                  50),
+            "build_us": _per_item(becck.build_drift_diffusion,
+                                  [(d, b) for b in branches]),
+            "classify_us": _per_item(becck.classify_stability,
+                                     [(dd,) for dd in dds]),
+            "lyapunov_us": _per_item(becck.solve_lyapunov, stable),
+            "observables_us": _per_item(becck.observable_set, covs),
+            "row_to_csv_us": _per_item(row_to_csv, [(r,) for r in rows]),
+            "row_to_json_us": _per_item(row_to_json, [(r,) for r in rows]),
+            "sweep_2_points_us": Timed(
+                lambda spec=spec: becck.run_sweep(spec), 20),
+            **{f"classify_points_{size}_us": Timed(
+                lambda ds=_batch_points(becck, base, dc, eta, size):
+                becck.sweep.classify_points(ds), 20) for size in (1, 4, 8)},
+            **_downstream(becck, base, dc, eta),
         }
-    presets = {}
-    for name in becck.preset_names():
-        spec = becck.preset_spec(name)
-        presets[name] = timeit.Timer(
-            lambda: becck.run_sweep(spec, workers=1)).timeit(number=1)
+    presets = {name: Timed(lambda spec=becck.preset_spec(name):
+                           becck.run_sweep(spec), 1, 1.0, 1)
+               for name in becck.preset_names()}
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "per_layer": layers, "command_path": command_path(becck),
-            "preset_wall_s": presets, "end_to_end": end_to_end(becck)}
+            "per_layer": layers, "command_path": command_path(becck, tmp),
+            "preset_wall_s": presets, "end_to_end": end_to_end(becck, tmp)}
 
 
-def end_to_end(becck) -> dict:
-    """Wall time of CLI commands run in process, stdout discarded."""
+def end_to_end(becck, tmp: str) -> dict:
+    """CLI commands run in process, stdout discarded."""
     main = becck.cli.main
 
     def run(argv):
@@ -277,18 +262,33 @@ def end_to_end(becck) -> dict:
             main(argv)
 
     dc, eta = POINTS["bistable"]
-    with tempfile.TemporaryDirectory() as tmp:
-        point = Path(tmp) / "point.json"
-        point.write_text(json.dumps({"delta_c": f"{dc}*kappa",
-                                     "eta": f"{eta}*kappa"}))
-        steady_ms = _median_us(lambda: run(["steady", "--config", str(point)]),
-                               number=20) / 1e3
-        argv, config = COMMANDS["sweep_fig6_jsonl"]
-        argv = argv + _write_config(tmp, "fig6", config)
-        fig6_ms = _median_us(lambda: run(argv), number=20) / 1e3
-    verify_s = timeit.Timer(lambda: run(["verify"])).timeit(number=1)
-    return {"steady_point_ms": steady_ms, "sweep_fig6_4_jsonl_ms": fig6_ms,
-            "verify_s": verify_s}
+    point = _write_config(tmp, "point", {"delta_c": f"{dc}*kappa",
+                                         "eta": f"{eta}*kappa"})
+    argv, config = COMMANDS["sweep_fig6_jsonl"]
+    fig6 = argv + _write_config(tmp, "fig6", config)
+    return {"steady_point_ms": Timed(lambda: run(["steady", *point]), 20,
+                                     1e3),
+            "sweep_fig6_4_jsonl_ms": Timed(lambda: run(fig6), 20, 1e3),
+            "verify_s": Timed(lambda: run(["verify"]), 1, 1.0, 1)}
+
+
+def one_round(tables: list, turns) -> list:
+    """One round of the tables ``tables`` (one per side, nested alike), each
+    Timed leaf replaced by its figure: timed for all sides back to back,
+    repeat by repeat, the side that goes first moving on at each repeat."""
+    if isinstance(tables[0], dict):
+        parts = {k: one_round([t[k] for t in tables], turns)
+                 for k in tables[0]}
+        return [dict(zip(parts, side)) for side in zip(*parts.values())]
+    timed = [i for i, t in enumerate(tables) if isinstance(t, Timed)]
+    times = {i: [] for i in timed}
+    for _ in range(max((tables[i].repeat for i in timed), default=0)):
+        first = next(turns) % len(timed)
+        for i in timed[first:] + timed[:first]:
+            fn, number, unit, _ = tables[i]
+            times[i].append(timeit.Timer(fn).timeit(number) / number * unit)
+    return [statistics.median(times[i]) if i in times else t
+            for i, t in enumerate(tables)]
 
 
 def outputs(becck) -> dict:
@@ -390,11 +390,11 @@ def main(argv=None) -> int:
     packages = {side: load_package("becck" if side == "after" else
                                    "becck_before", checkout)
                 for side, checkout in sides.items()}
-    rounds = {side: [] for side in sides}
-    for i in range(args.repeats):
-        order = list(sides) if i % 2 == 0 else list(sides)[::-1]
-        for side in order:
-            rounds[side].append(measure(packages[side]))
+    with tempfile.TemporaryDirectory() as tmp:
+        tables = [timed_calls(packages[side], tmp) for side in sides]
+        turns = itertools.count()
+        rounds = dict(zip(sides, zip(*(one_round(tables, turns)
+                                       for _ in range(args.repeats)))))
     report = {"machine": {"cpu": cpu_model(), "cpu_count": os.cpu_count(),
                           "platform": platform.platform()},
               "repeats": args.repeats}

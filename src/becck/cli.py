@@ -22,9 +22,9 @@ import numpy as np
 
 from .dynamics import InternalConsistencyError, record_items
 from .model import DomainError, SystemParams, derive_params, validity_flags
-from .steadystate import UnstableDriftError, gaussian_states
-from .sweep import (DEFAULT_GRID_COUNT, SweepSpec, SweepRow, classify_points,
-                    preset_config, preset_names, resolve_workers, run_sweep)
+from .steadystate import UnstableDriftError
+from .sweep import (DEFAULT_GRID_COUNT, SweepSpec, SweepRow, evaluate_points,
+                    preset_config, preset_names, run_sweep)
 from .verify import run_suites
 
 EXIT_OK = 0
@@ -158,6 +158,8 @@ def build_config(data: dict) -> RunConfig:
               for key in _RUN_KEYS if key in data}
     if extras.get("format", "csv") not in ("csv", "json-lines"):
         raise ConfigError("format: expected 'csv' or 'json-lines'")
+    if extras.get("workers", 1) < 1:
+        raise ConfigError("workers must be >= 1")
     return RunConfig(params=params, **extras)
 
 
@@ -285,11 +287,13 @@ def indented_json(x, nl: str = "\n") -> str:
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
-def branch_report(b, report, observables, flags_ok) -> dict:
-    """Report of branch ``b`` from its StabilityReport and its ObservableSet
-    (or None)."""
+def branch_report(d, b, report, observables) -> dict:
+    """Report of branch ``b`` of the point ``d`` from its StabilityReport
+    and its ObservableSet (or None)."""
     stability = report._asdict()
     eigenvalues = stability.pop("eigenvalues")
+    flags_ok = validity_flags(d, b.n_photon, None if observables is None
+                              else observables.n_incoherent)
     return {
         "branch_index": b.branch_index,
         "n_photon": b.n_photon,
@@ -316,18 +320,13 @@ def branch_report(b, report, observables, flags_ok) -> dict:
 
 def cmd_steady(cfg: RunConfig) -> tuple[int, str]:
     d = derive_params(cfg.params)
-    (bset,), _, dd, stability, names = classify_points([d])
-    solved, _, obs = gaussian_states(dd, stability, names)
-    states = dict(zip(solved.tolist(), record_items(obs)))
-    branches = []
-    for (i, b), rep in zip(enumerate(bset), record_items(stability)):
-        o = states.get(i)
-        flags = validity_flags(d, b.n_photon, o.n_incoherent if o else None)
-        branches.append(branch_report(b, rep, o, flags))
+    (bset,), _, stability, evaluated = evaluate_points([d])
     report = {
         "params": vars(d),
         "warnings": list(bset.warnings),
-        "branches": branches,
+        "branches": [branch_report(d, b, rep, state and state[1])
+                     for (_, _, b, state), rep in zip(
+                         evaluated, record_items(stability))],
     }
     try:
         text = indented_json(report)
@@ -337,12 +336,7 @@ def cmd_steady(cfg: RunConfig) -> tuple[int, str]:
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple[int, str]:
-    spec = sweep_spec_from_config(cfg)
-    try:
-        workers = resolve_workers(cfg.workers)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    rows = run_sweep(spec, workers=workers)
+    rows = run_sweep(sweep_spec_from_config(cfg), workers=cfg.workers)
     serialize = row_to_json if cfg.format == "json-lines" else row_to_csv
     lines = [CSV_HEADER] if cfg.format == "csv" else []
     # a cell that is not finite raises, so no row is written unless all are
@@ -382,9 +376,6 @@ def build_parser() -> tuple:
         s.add_argument("--preset", choices=preset_names(),
                        help="figure preset name")
         s.add_argument("--out", help="output path (default stdout)")
-        s.add_argument("--workers", type=int,
-                       help="validated for compatibility; sweeps run in "
-                            "one process (default BECCK_WORKERS or 1)")
         s.add_argument("--dump-config", action="store_true",
                        help="print the canonical config and exit")
         if name == "verify":
@@ -446,7 +437,7 @@ def main(argv=None) -> int:
     command, args = parse_command_line(sys.argv[1:] if argv is None else argv)
     try:
         data = _load_config_data(args.config)
-        data.update((k, getattr(args, k)) for k in ("preset", "out", "workers")
+        data.update((k, getattr(args, k)) for k in ("preset", "out")
                     if getattr(args, k) is not None)
         cfg = build_config(data)
     except ConfigError as exc:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .meanfield import MeanFieldBranch
 from .model import (DerivedParams, InternalConsistencyError,
-                    bogoliubov_frequency, thermal_occupation)
+                    thermal_occupation)
 
 MARGINAL_BAND = 1e-6  # in units of kappa
 
@@ -80,7 +80,7 @@ def drift_diffusion_stacks(pairs) -> DriftDiffusion:
         G_I = 2.0 * aI * (d.zeta + d.g * bR)
         F_R = 2.0 * d.g * aR * bI
         F_I = 2.0 * d.g * aI * bI
-        omega_B = bogoliubov_frequency(d, b.n_photon)
+        omega_B = math.sqrt(b.Omega_minus * b.Omega_plus)
         n_c = thermal_occupation(omega_B, d.T)
         therm = d.gamma * (2.0 * n_c + 1.0)
         k, gm = d.kappa, d.gamma

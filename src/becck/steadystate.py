@@ -141,10 +141,10 @@ def integrate_moment_ode(dd: DriftDiffusion, V0: np.ndarray,
         raise ValueError("t_final must be positive and finite")
     scale = float(np.max(np.abs(dd.A)))
     h_max = 1e-2 / scale if scale > 0.0 else t_final
-    n_steps = max(1, int(math.ceil(t_final / h_max)))
-    if n_steps > 2 ** 62:
+    if not (steps := t_final / h_max) <= 2 ** 62:  # inf where it overflows
         raise OverflowError("step-size underflow: required step count "
-                            f"{t_final / h_max:.3e} is not representable")
+                            f"{steps:.3e} is not representable")
+    n_steps = max(1, int(math.ceil(steps)))
     h = t_final / n_steps
 
     L = _lyapunov_operator(dd.A)

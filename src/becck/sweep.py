@@ -10,18 +10,17 @@ in one process; the row list is deterministic (bitwise) for a given spec.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .dynamics import (InternalConsistencyError, classify_batch,
-                       drift_diffusion_stacks)
+                       drift_diffusion_stacks, record_items)
 from .meanfield import branch_candidates, enumerate_branches
 from .model import (SystemParams, bogoliubov_frequency, derive_params,
                     validity_flags)
-from .steadystate import gaussian_states, strictly_stable
+from .steadystate import ObservableSet, gaussian_states, strictly_stable
 
 SWEEP_VARS = ("delta_c", "eta", "omega_sw")
 CK_MODES = ("on", "off", "paired")
@@ -164,48 +163,61 @@ def classify_points(ds) -> tuple:
         raise InternalConsistencyError(str(exc)) from exc
 
 
+def evaluate_points(ds, pick=None) -> tuple:
+    """``classify_points`` of ``ds``; at each point every branch (``pick``
+    None), else its ``pick``-th strictly stable one (0 lowest, -1 highest)
+    or its first, solved in one ``gaussian_states`` call. Returns the
+    BranchSets, the DriftDiffusion and StabilityReport stacks, and per
+    selected branch (stack position, point index, branch, (V, ObservableSet)
+    or None): None exactly where it is not strictly stable."""
+    bsets, branches, dd, report, names = classify_points(ds)
+    # a branch only counts as stable for covariance purposes when it is
+    # strictly stable and outside the near-marginal band
+    grade = strictly_stable(report).tolist()
+    selected, first = [], 0
+    for bset in bsets:
+        ids = range(first, first + len(bset))
+        first += len(ids)
+        stable_ids = [i for i in ids if grade[i]] or ids[:1]
+        selected += ids if pick is None else [stable_ids[pick]]
+    solved, cov, obs = gaussian_states(dd, report, names, selected)
+    states = dict(zip(solved.tolist(), zip(cov.V, record_items(obs))))
+    return bsets, dd, report, [(i, *branches[i], states.get(i))
+                               for i in selected]
+
+
+_UNSOLVED = (None, ObservableSet._make([None] * len(ObservableSet._fields)))
+
+
 def _rows_for_points(spec: SweepSpec, values) -> list:
-    """Rows of the grid ``values``, in grid order: one branch enumeration
-    per (value, ck setting), then one batched evaluation of all branches."""
+    """Rows of the grid ``values`` in grid order, from one evaluation of
+    all points (value, ck setting)."""
     cks = {"on": (True,), "off": (False,), "paired": (False, True)}[spec.ck_mode]
     points = [(j, float(value), ck) for j, value in enumerate(values)
               for ck in cks]
     ds = [derive_params(replace(spec.base, ck_enabled=ck, **{spec.var: value}))
           for _, value, ck in points]
-    bsets, branches, dd, report, names = classify_points(ds)
-    # a branch only counts as stable for covariance purposes when it is
-    # strictly stable and outside the near-marginal band
-    grade = strictly_stable(report).tolist()
     pick = {"lowest": 0, "highest": -1}.get(spec.branch_policy)
-    selected, first = [], 0
-    for bset in bsets:
-        ids = range(first, first + len(bset))
-        first += len(ids)
-        # where no branch is stable, the first is picked (and flagged below)
-        stable_ids = [i for i in ids if grade[i]] or ids[:1]
-        selected += ids if pick is None else [stable_ids[pick]]
-    solved, cov, obs = gaussian_states(dd, report, names, selected)
-    states = dict(zip(solved.tolist(), zip(cov.V, *(x.tolist() for x in (
-        obs.E_N, obs.S_Q, obs.S_P, obs.n_incoherent)))))
-
+    bsets, dd, report, evaluated = evaluate_points(ds, pick)
     keyed = []
     omega_B, max_real = dd.omega_B.tolist(), report.max_real_part.tolist()
-    for i in selected:
-        p, b = branches[i]
+    for i, p, b, state in evaluated:
         (j, value, ck), d, bset = points[p], ds[p], bsets[p]
-        V, E_N, S_Q, S_P, n_inc = states.get(i, (None,) * 5)
-        flags = validity_flags(d, b.n_photon, n_inc)
+        V, obs = state or _UNSOLVED
+        flags = validity_flags(d, b.n_photon, obs.n_incoherent)
         keyed.append(((j, b.branch_index, ck), SweepRow(
             sweep_var=spec.var, sweep_value=value, ck_enabled=ck,
             branch_index=b.branch_index, n_branches=len(bset),
             n_photon=b.n_photon, alpha=b.alpha, beta=b.beta, Delta=b.Delta,
             omega_B=omega_B[i],
             omega_B_ratio=omega_B[i] / bogoliubov_frequency(d, 0.0),
-            stable=grade[i], E_N=E_N, S_Q=S_Q, S_P=S_P, n_incoherent=n_inc,
+            stable=state is not None, E_N=obs.E_N, S_Q=obs.S_Q, S_P=obs.S_P,
+            n_incoherent=obs.n_incoherent,
             lattice_ok=flags["lattice_depth_ok"],
             bogoliubov_ok=flags["bogoliubov_ok"],
+            # where no branch is stable, the first is picked and flagged
             warnings=bset.warnings + ("no-stable-branch",) * (
-                pick is not None and not grade[i]),
+                pick is not None and state is None),
             covariance=V, max_real_part=max_real[i],
         )))
     # deterministic order: grid value, then branch index, then ck off before on
@@ -214,21 +226,17 @@ def _rows_for_points(spec: SweepSpec, values) -> list:
 
 
 def resolve_workers(workers: Optional[int] = None) -> int:
-    """Validated worker count: ``workers``, else BECCK_WORKERS, else 1.
-
-    Accepted for compatibility only: every sweep runs in one process.
-    """
-    if workers is None:
-        env = os.environ.get("BECCK_WORKERS", "").strip()
-        workers = int(env) if env else 1
+    """Validated worker count, default 1: every sweep runs in one process
+    (with ``run_sweep``'s ``workers``, to go in ROADMAP item 1, step 2)."""
+    workers = 1 if workers is None else workers
     if workers < 1:
         raise ValueError("workers must be >= 1")
     return workers
 
 
 def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> list:
-    """Evaluate the sweep and return rows in deterministic grid order."""
-    resolve_workers(workers)
+    """Evaluate the sweep and return rows in deterministic grid order;
+    ``workers`` is ignored (see ``resolve_workers``)."""
     return _rows_for_points(spec, spec.grid())
 
 

@@ -85,6 +85,8 @@ def test_build_config_rejects_unknown_and_bad_types():
         build_config({"format": "xml"})
     with pytest.raises(ConfigError, match="T"):
         build_config({"T": "cold"})
+    with pytest.raises(ConfigError, match="^workers must be >= 1$"):
+        build_config({"workers": 0})
 
 
 def test_build_config_domain_violation_names_key():
@@ -290,8 +292,10 @@ def _becck(tmp_path, command, data):
     ("steady", {"eta": 10 ** 400}),
     ("steady", {"N": 10 ** 400}),
     ("steady", {"T": 10 ** 400}),
+    ("steady", {"workers": 0}),
 ], ids=["sweep-preset", "steady-preset", "eta-below-0", "omega_sw-below-0",
-        "nonfinite-grid", "eta-huge-int", "N-huge-int", "T-huge-int"])
+        "nonfinite-grid", "eta-huge-int", "N-huge-int", "T-huge-int",
+        "steady-workers-0"])
 def test_run_time_config_errors_exit_2(tmp_path, command, data):
     proc = _becck(tmp_path, command, data)
     assert proc.returncode == 2
@@ -698,22 +702,15 @@ def test_exit_codes_are_disjoint():
             cli.EXIT_VERIFY) == (0, 2, 3, 4, 5)
 
 
-def test_malformed_workers_env_is_config_error(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BECCK_WORKERS", "several")
-    cfg = _write(tmp_path, {"preset": "fig2a", "sweep_count": 2})
-    assert main(["sweep", "--config", cfg]) == 2
-    assert "config error" in capsys.readouterr().err
-
-
 def test_workers_flag_matches_serial_output(tmp_path):
-    cfg = _write(tmp_path, {
-        "eta": "2*kappa", "sweep_var": "delta_c", "sweep_min": "3.8*kappa",
-        "sweep_max": "4.4*kappa", "sweep_count": 4,
-    })
-    one = tmp_path / "one.csv"
-    two = tmp_path / "two.csv"
-    assert main(["sweep", "--config", cfg, "--workers", "1",
-                 "--out", str(one)]) == 0
-    assert main(["sweep", "--config", cfg, "--workers", "2",
-                 "--out", str(two)]) == 0
-    assert one.read_text() == two.read_text()
+    # the workers config key is the one way to give a worker count
+    outputs = []
+    for workers in (1, 2):
+        cfg = _write(tmp_path, {
+            "eta": "2*kappa", "sweep_var": "delta_c", "sweep_min": "3.8*kappa",
+            "sweep_max": "4.4*kappa", "sweep_count": 4, "workers": workers,
+        }, name=f"workers{workers}.json")
+        out = tmp_path / f"workers{workers}.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        outputs.append(out.read_text())
+    assert outputs[0] == outputs[1]

@@ -565,3 +565,33 @@ def test_batch_failure_raises_the_loop_exception_naming_the_branch(
     with pytest.raises(InternalConsistencyError,
                        match="^high: Routh-Hurwitz verdict"):
         classify_batch(stacks.A, stacks.kappa, names)
+
+
+def test_lyapunov_residual_over_its_bound_is_refused():
+    # a NaN in the diffusion matrix gives a NaN residual, which fails too
+    stacks = _stacks([_stable_dd()[2]])
+    stacks.D[0, 0, 0] = math.nan
+    report = classify_batch(stacks.A, stacks.kappa)
+    with pytest.raises(InternalConsistencyError,
+                       match="^lyap: Lyapunov residual nan exceeds bound nan"):
+        lyapunov_batch(stacks, report, ["lyap"])
+
+
+def test_unrepresentable_step_count_is_refused():
+    _, _, dd = _stable_dd()
+    for t_final, steps in ((1e30, r"\d\.\d{3}e\+\d+"), (1e300, "inf")):
+        with pytest.raises(OverflowError, match=f"required step count "
+                           f"{steps} is not representable"):
+            integrate_moment_ode(dd, 0.5 * np.eye(4), t_final)
+
+
+@pytest.mark.parametrize("x, y, c, message", [
+    (1.0, 2.0, 2.0, r"negative discriminant -7\.000e\+00"),
+    (1.0, 1.0, 2.0, r"nonpositive partial-transpose eigenvalue "
+                    r"\(inner=-6\.000e\+00\)"),
+], ids=["negative-discriminant", "nonpositive-partial-transpose"])
+def test_logarithmic_negativity_refusals(x, y, c, message):
+    I2 = np.eye(2)
+    V = np.block([[x * I2, c * I2], [c * I2, y * I2]])
+    with pytest.raises(InternalConsistencyError, match="^neg: " + message):
+        logarithmic_negativity(V[None], ["neg"])

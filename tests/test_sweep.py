@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -199,18 +199,11 @@ def test_no_stable_branch_marker(monkeypatch):
         assert r.covariance is None
 
 
-def test_resolve_workers(monkeypatch):
-    monkeypatch.delenv("BECCK_WORKERS", raising=False)
+def test_resolve_workers():
     assert resolve_workers(None) == 1
     assert resolve_workers(4) == 4
-    monkeypatch.setenv("BECCK_WORKERS", "3")
-    assert resolve_workers(None) == 3
-    assert resolve_workers(2) == 2
     with pytest.raises(ValueError):
         resolve_workers(0)
-    monkeypatch.setenv("BECCK_WORKERS", "many")
-    with pytest.raises(ValueError):
-        resolve_workers(None)
 
 
 def test_one_batch_gives_the_rows_of_one_batch_per_point():
@@ -235,3 +228,22 @@ def test_sweep_failure_names_the_point_and_branch(monkeypatch):
     with pytest.raises(InternalConsistencyError,
                        match=r"^delta_c=-\d.*ck=False branch 0: covariance"):
         run_sweep(_spec(-1.0, 0.0, 2, policy="lowest"))
+
+
+def test_ck_comparison_rejects_mismatched_grids():
+    rows = run_sweep(_spec(-2.0, 0.0, 3, policy="lowest"))
+    on = [i for i, r in enumerate(rows) if r.ck_enabled]
+    del rows[on[-1]]
+    with pytest.raises(ValueError, match="mismatched grids"):
+        ck_comparison_metrics(rows)
+
+
+def test_ck_comparison_skips_a_point_without_a_stable_branch():
+    rows = run_sweep(_spec(-2.0, 0.0, 3, policy="lowest"))
+    flagged = replace(rows[2], warnings=rows[2].warnings + (
+        "no-stable-branch",))
+    rows[2] = flagged
+    m = ck_comparison_metrics(rows)
+    assert m.skipped == (flagged.sweep_value,)
+    assert flagged.sweep_value not in m.values
+    assert m.values.shape == (2,)

@@ -54,11 +54,16 @@ Recorded once per side, since they do not vary from run to run:
   ``--seed 7 --perturb-drift 1e-3``.
 
 With ``--before``, ``differing_outputs`` lists the outputs whose record
-differs between the sides (empty when every output is byte-identical).
+differs between the sides (empty when every output is byte-identical), and
+``after_over_before`` holds, per timed figure, the median and quartiles
+over the rounds of its per-round ratio after/before. Both sides of a round
+are timed back to back, so the ratio follows the code where each side's
+own figure also follows the load of the machine.
 
 Timings on a shared machine swing by up to 2x; compare sides measured in
-one invocation, and a median only where the quartiles of the two sides do
-not overlap. Nothing here asserts a time.
+one invocation by their ratio, and against the ratios of a run with
+``--before`` an unmodified copy of the same tree: identical code can put a
+ratio's quartiles a few percent off 1. Nothing here asserts a time.
 """
 
 from __future__ import annotations
@@ -368,6 +373,18 @@ def summarize(rounds: list):
     return {"median": median, "q1": q1, "q3": q3}
 
 
+def round_ratios(after, before):
+    """The after/before ratio of each timed figure of one round (both
+    sides' tables come from ``timed_calls``, nested alike), nested as the
+    report; a leaf that is no timing on both sides is left out."""
+    if isinstance(after, dict):
+        parts = {k: round_ratios(v, before[k]) for k, v in after.items()}
+        return {k: v for k, v in parts.items() if v is not None and v != {}}
+    if isinstance(after, float) and isinstance(before, float):
+        return after / before
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--before", type=Path,
@@ -407,6 +424,9 @@ def main(argv=None) -> int:
         report["differing_outputs"] = sorted(
             name for name in set(before) | set(report["after"]["outputs"])
             if before.get(name) != report["after"]["outputs"].get(name))
+        report["after_over_before"] = summarize([
+            round_ratios(a, b) for a, b in zip(rounds["after"],
+                                               rounds["before"])])
     args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {args.out}")
     return 0

@@ -23,9 +23,9 @@ import numpy as np
 from .dynamics import InternalConsistencyError, record_items
 from .model import DomainError, SystemParams, derive_params, validity_flags
 from .steadystate import UnstableDriftError
-from .sweep import (DEFAULT_GRID_COUNT, SweepSpec, SweepRow, evaluate_points,
-                    preset_config, preset_names, run_sweep)
-from .verify import run_suites
+from .sweep import (SweepSpec, SweepRow, evaluate_points, preset_config,
+                    preset_names, run_sweep)
+from .verify import DEFAULT_SEED, run_suites
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,12 +51,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class RunConfig:
     params: SystemParams
-    sweep_var: Optional[str] = None
-    sweep_min: Optional[float] = None
-    sweep_max: Optional[float] = None
-    sweep_count: Optional[int] = None
-    ck_mode: Optional[str] = None
-    branch_policy: Optional[str] = None
+    sweep: Optional[SweepSpec] = None
     preset: Optional[str] = None
     out: Optional[str] = None
     format: str = "csv"
@@ -68,9 +63,12 @@ PARAM_KEYS = tuple(f.name for f in dataclasses.fields(SystemParams))
 _PARAM_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SystemParams)}
 # every parameter but these three is a frequency in rad/s
 FREQ_KEYS = tuple(k for k in PARAM_KEYS if k not in ("N", "T", "ck_enabled"))
-_RUN_KEYS = tuple(f.name for f in dataclasses.fields(RunConfig))[1:]
-# RunConfig lists the sweep keys first, then out, format and workers
-SWEEP_KEYS, OTHER_KEYS = _RUN_KEYS[:-3], _RUN_KEYS[-3:]
+# the SweepSpec field of each sweep key, the range first
+_SPEC_FIELDS = {"sweep_var": "var", "sweep_min": "start", "sweep_max": "stop",
+                "sweep_count": "count", "ck_mode": "ck_mode",
+                "branch_policy": "branch_policy"}
+SWEEP_KEYS = tuple(_SPEC_FIELDS)
+OTHER_KEYS = ("preset", "out", "format", "workers")
 
 
 def parse_quantity(raw, kappa: Optional[float] = None,
@@ -81,30 +79,25 @@ def parse_quantity(raw, kappa: Optional[float] = None,
     ``2pi*<value><Hz|kHz|MHz|GHz>``. NaN, infinities and values that
     overflow to them are rejected.
     """
-    value = _parse_quantity(raw, kappa, omega_R, key)
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: value must be finite, got {raw!r}")
-    return value
-
-
-def _parse_quantity(raw, kappa, omega_R, key) -> float:
     if isinstance(raw, bool):
         raise ConfigError(f"{key}: expected a frequency, got a boolean")
     if isinstance(raw, (int, float)):
         # an integer beyond the float range counts as infinite
-        return float(raw) if abs(raw) <= sys.float_info.max else math.inf
-    if not isinstance(raw, str):
+        value = float(raw) if abs(raw) <= sys.float_info.max else math.inf
+    elif not isinstance(raw, str):
         raise ConfigError(f"{key}: expected a number or unit string")
-    m = _RE_2PI.match(raw)
-    if m:
-        return 2.0 * math.pi * float(m.group(1)) * _HZ_MULT[m.group(2)]
-    m = _RE_UNIT.match(raw)
-    if m:
+    elif m := _RE_2PI.match(raw):
+        value = 2.0 * math.pi * float(m.group(1)) * _HZ_MULT[m.group(2)]
+    elif m := _RE_UNIT.match(raw):
         unit = {"kappa": kappa, "omegaR": omega_R}[m.group(2)]
         if unit is None:
             raise ConfigError(f"{key}: '*{m.group(2)}' form cannot be used here")
-        return float(m.group(1)) * unit
-    raise ConfigError(f"{key}: cannot parse quantity {raw!r}")
+        value = float(m.group(1)) * unit
+    else:
+        raise ConfigError(f"{key}: cannot parse quantity {raw!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: value must be finite, got {raw!r}")
+    return value
 
 
 # (JSON types, description) of the keys that take neither a frequency
@@ -127,8 +120,9 @@ def _config_value(data: dict, key: str, kappa: float, omega_R: float):
 
 
 def build_config(data: dict) -> RunConfig:
-    """Validate a flat mapping over its preset's keys into a RunConfig."""
-    unknown = sorted(set(data) - set(PARAM_KEYS + _RUN_KEYS))
+    """Validate a flat mapping over its preset's keys into a RunConfig, its
+    sweep keys into one SweepSpec (None without any)."""
+    unknown = sorted(set(data) - set(PARAM_KEYS + SWEEP_KEYS + OTHER_KEYS))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     if "preset" in data:
@@ -154,45 +148,49 @@ def build_config(data: dict) -> RunConfig:
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc
 
-    extras = {key: _config_value(data, key, kappa, omega_R)
-              for key in _RUN_KEYS if key in data}
-    if extras.get("format", "csv") not in ("csv", "json-lines"):
+    values = {key: _config_value(data, key, kappa, omega_R)
+              for key in SWEEP_KEYS + OTHER_KEYS if key in data}
+    if values.get("format", "csv") not in ("csv", "json-lines"):
         raise ConfigError("format: expected 'csv' or 'json-lines'")
-    if extras.get("workers", 1) < 1:
+    if values.get("workers", 1) < 1:
         raise ConfigError("workers must be >= 1")
-    return RunConfig(params=params, **extras)
+    sweep = {_SPEC_FIELDS[k]: values.pop(k) for k in SWEEP_KEYS if k in values}
+    spec = _sweep_spec(sweep, params, values.get("preset")) if sweep else None
+    return RunConfig(params=params, sweep=spec, **values)
+
+
+def _sweep_spec(fields: dict, params: SystemParams, preset) -> SweepSpec:
+    """The SweepSpec of the ``fields`` that a config's sweep keys give, over
+    ``params``; a preset's range is only for its own sweep_var."""
+    missing = [k for k in SWEEP_KEYS[:3] if _SPEC_FIELDS[k] not in fields]
+    if missing:
+        raise ConfigError(f"sweep needs explicit {', '.join(missing)}" + (
+            f" for a sweep_var other than preset {preset}'s" if preset else
+            " or a preset"))
+    try:
+        return SweepSpec(base=params, **fields)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def dump_config(cfg: RunConfig) -> str:
-    """Canonical JSON form; re-parsing it reproduces the same RunConfig."""
-    data = {**vars(cfg), **vars(cfg.params)}
-    return indented_json(dict(sorted(
-        (k, v) for k, v in data.items() if k != "params" and v is not None)))
+    """Canonical JSON form, the resolved sweep as its sweep keys; re-parsing
+    it reproduces the same RunConfig."""
+    data = {**vars(cfg), **vars(cfg.params), **{
+        k: getattr(cfg.sweep, f) for k, f in _SPEC_FIELDS.items() if cfg.sweep}}
+    return indented_json(dict(sorted((k, v) for k, v in data.items() if k not in
+                                     ("params", "sweep") and v is not None)))
 
 
 def sweep_spec_from_config(cfg: RunConfig) -> SweepSpec:
-    """The sweep of ``cfg``: its sweep keys over its parameters."""
-    missing = [k for k in ("sweep_var", "sweep_min", "sweep_max")
-               if getattr(cfg, k) is None]
-    if missing:  # a preset's range is only for its own sweep_var
-        raise ConfigError(f"sweep needs explicit {', '.join(missing)}" + (
-            f" for a sweep_var other than preset {cfg.preset}'s"
-            if cfg.preset else " or a preset"))
-    optional = {k: v for k, v in (
-        ("count", cfg.sweep_count), ("ck_mode", cfg.ck_mode),
-        ("branch_policy", cfg.branch_policy)) if v is not None}
-    try:
-        return SweepSpec(var=cfg.sweep_var, start=cfg.sweep_min,
-                         stop=cfg.sweep_max, base=cfg.params,
-                         **{"count": DEFAULT_GRID_COUNT, **optional})
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    """The sweep of ``cfg``, as ``build_config`` resolved it."""
+    return cfg.sweep or _sweep_spec({}, cfg.params, cfg.preset)  # raises
 
 
 @functools.cache
 def preset_spec(name: str) -> SweepSpec:
     """The sweep of a config that names only the figure preset ``name``."""
-    return sweep_spec_from_config(build_config({"preset": name}))
+    return build_config({"preset": name}).sweep
 
 
 # ---------------------------------------------------------------------------
@@ -344,8 +342,8 @@ def cmd_sweep(cfg: RunConfig) -> tuple[int, str]:
     return EXIT_OK, "".join(line + "\n" for line in lines)
 
 
-def cmd_verify(cfg: RunConfig, seed: int = 20260813,
-               perturb_drift: float = 0.0) -> tuple[int, str]:
+def cmd_verify(cfg: RunConfig, seed: int,
+               perturb_drift: float) -> tuple[int, str]:
     if seed < 0:
         raise ConfigError(f"--seed: expected a nonnegative integer, got {seed}")
     if not math.isfinite(perturb_drift):
@@ -379,7 +377,7 @@ def build_parser() -> tuple:
         s.add_argument("--dump-config", action="store_true",
                        help="print the canonical config and exit")
         if name == "verify":
-            s.add_argument("--seed", type=int, default=20260813,
+            s.add_argument("--seed", type=int, default=DEFAULT_SEED,
                            help="seed for randomized verification draws")
             s.add_argument("--perturb-drift", type=float, default=0.0,
                            metavar="EPS", help="fault injection: scale the "

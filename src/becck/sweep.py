@@ -36,8 +36,8 @@ class SweepSpec:
     var: str
     start: float
     stop: float
-    count: int
     base: SystemParams
+    count: int = DEFAULT_GRID_COUNT
     ck_mode: str = "paired"
     branch_policy: str = "all"
 

@@ -94,7 +94,7 @@ def test_build_config_domain_violation_names_key():
         build_config({"delta_a": 0})
 
 
-def test_dump_config_round_trip():
+def test_dump_config_round_trip(tmp_path, capsys):
     cfg = build_config({"eta": "2*kappa", "delta_c": "5*kappa",
                         "sweep_var": "delta_c", "sweep_min": "-1*kappa",
                         "sweep_max": "1*kappa", "sweep_count": 11,
@@ -102,6 +102,41 @@ def test_dump_config_round_trip():
     again = build_config(json.loads(dump_config(cfg)))
     assert again == cfg
     assert dump_config(again) == dump_config(cfg)
+    # the dump of a preset holds its resolved sweep, the defaults included
+    assert main(["sweep", "--preset", "fig2a", "--dump-config"]) == 0
+    dumped = json.loads(capsys.readouterr().out)
+    assert (dumped["sweep_count"], dumped["ck_mode"]) == (501, "paired")
+    assert _sweep_csv(tmp_path, capsys, dumped) == _sweep_csv(
+        tmp_path, capsys, {"preset": "fig2a"})
+
+
+RANGE = {"sweep_var": "delta_c", "sweep_min": "0*kappa",
+         "sweep_max": "1*kappa"}
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"preset": "fig2a", "ck_mode": "bogus"}, "unknown ck_mode 'bogus'"),
+    (dict(RANGE, ck_mode=""), "unknown ck_mode ''"),
+    ({"preset": "fig2b", "branch_policy": "x"}, "unknown branch_policy 'x'"),
+    (dict(RANGE, sweep_var="kappa"), "unknown sweep variable 'kappa'"),
+    ({"preset": "fig2a", "sweep_count": 1},
+     "grid count must be between 2 and 100000"),
+    (dict(RANGE, sweep_count=100001),
+     "grid count must be between 2 and 100000"),
+    (dict(RANGE, sweep_min="1*kappa"), "grid start must be below stop"),
+    ({"preset": "fig5", "sweep_min": "2*kappa", "sweep_max": "1*kappa"},
+     "grid start must be below stop"),
+    ({"ck_mode": "off"},
+     "sweep needs explicit sweep_var, sweep_min, sweep_max or a preset"),
+], ids=["ck_mode-bogus", "ck_mode-empty", "branch_policy-x", "sweep_var-kappa",
+        "count-1", "count-100001", "min-equals-max", "min-above-max",
+        "no-range"])
+def test_every_command_refuses_a_bad_sweep_alike(tmp_path, capsys, data,
+                                                 message):
+    path = _write(tmp_path, data)
+    for argv in (["steady"], ["sweep"], ["verify"], ["sweep", "--dump-config"]):
+        assert main([*argv, "--config", path]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
 
 
 def test_sweep_spec_needs_preset_or_range():

@@ -30,6 +30,11 @@ Recorded per side:
   ``gaussian_states_8_branches``);
 * the serial wall time of each of the nine presets (one run per round, in
   seconds);
+* the row path of the 4-point fig6 json-lines slice (``row_path``), per
+  row in microseconds: the derivation of its points (``derive_us``),
+  ``_rows_for_points`` with ``evaluate_points`` served from a memo
+  (``rows_us``: derivation, grid check and row records) and
+  ``row_to_json`` (``write_us``);
 * the command path around the stacks, per command (a bistable ``steady``
   point, a 2-point fig2b CSV slice, a 4-point fig6 json-lines slice, and
   ``verify --seed 7 --perturb-drift 1e-3``), in microseconds per call:
@@ -209,6 +214,48 @@ def command_path(becck, tmp: str) -> dict:
     return calls
 
 
+def row_path(becck) -> dict:
+    """Per row of the 4-point fig6 json-lines slice, in microseconds: the
+    derivation of its points as its sweep makes them (``derive_us``; one
+    ``derive_params`` of ``dataclasses.replace`` per point on a checkout
+    without ``sweep._grid_params``), ``_rows_for_points`` with
+    ``evaluate_points`` served from a memo (``rows_us``: derivation, grid
+    check and row records around the stacks) and ``row_to_json``
+    (``write_us``); ``rows`` is the row count."""
+    cli, sweep = becck.cli, becck.sweep
+    spec = cli.sweep_spec_from_config(cli.build_config(
+        dict(COMMANDS["sweep_fig6_jsonl"][1])))
+    grid, cks = spec.grid(), (False, True)
+    rows = becck.run_sweep(spec)
+    if hasattr(sweep, "_grid_params"):
+        def derive():
+            return [sweep._grid_params(spec, grid, ck) for ck in cks]
+    else:
+        def derive():
+            return [becck.derive_params(dataclasses.replace(
+                spec.base, ck_enabled=ck, **{spec.var: float(value)}))
+                for value in grid for ck in cks]
+    evaluate = sweep.evaluate_points
+    memo = {}
+
+    def served(ds, pick=None):
+        if pick not in memo:
+            memo[pick] = evaluate(ds, pick)
+        return memo[pick]
+
+    def rows_only():
+        sweep.evaluate_points = served
+        try:
+            return sweep._rows_for_points(spec, grid)
+        finally:
+            sweep.evaluate_points = evaluate
+
+    unit = 1e6 / len(rows)
+    return {"rows": len(rows), "derive_us": Timed(derive, unit=unit),
+            "rows_us": Timed(rows_only, unit=unit),
+            "write_us": _per_item(cli.row_to_json, [(r,) for r in rows])}
+
+
 def timed_calls(becck, tmp: str) -> dict:
     """The table of timed calls of the package ``becck``, nested as the
     report; a leaf that is no Timed is recorded as it is."""
@@ -254,7 +301,8 @@ def timed_calls(becck, tmp: str) -> dict:
                            becck.run_sweep(spec), 1, 1.0, 1)
                for name in becck.preset_names()}
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "per_layer": layers, "command_path": command_path(becck, tmp),
+            "per_layer": layers, "row_path": row_path(becck),
+            "command_path": command_path(becck, tmp),
             "preset_wall_s": presets, "end_to_end": end_to_end(becck, tmp)}
 
 

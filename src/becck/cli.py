@@ -320,7 +320,7 @@ def cmd_steady(cfg: RunConfig) -> tuple[int, str]:
     d = derive_params(cfg.params)
     (bset,), _, stability, evaluated = evaluate_points([d])
     report = {
-        "params": vars(d),
+        "params": d._asdict(),
         "warnings": list(bset.warnings),
         "branches": [branch_report(d, b, rep, state and state[1])
                      for (_, _, b, state), rep in zip(

@@ -189,6 +189,20 @@ def _labelled(names, i: int, message: str) -> str:
     return f"{names[i]}: {message}" if names else message
 
 
+class LazyNames:
+    """Batch item names in place of a list: ``item(i)`` makes name i when
+    an error reads it."""
+
+    def __init__(self, item, count: int):
+        self.item, self.range = item, range(count)
+
+    def __len__(self):
+        return len(self.range)
+
+    def __getitem__(self, i):
+        return self.item(self.range[i])
+
+
 def classify_batch(A, kappa, names=None) -> StabilityReport:
     """The StabilityReport stacks of ``classify_stability`` of every drift
     matrix of the (N,4,4) stack ``A`` at once, with ``kappa`` the (N,)
@@ -202,16 +216,21 @@ def classify_batch(A, kappa, names=None) -> StabilityReport:
                                   "drift matrix must be finite and nonzero"))
     eigs = np.linalg.eigvals(A).astype(complex)
     max_real = eigs.real.max(axis=1)
-    rh = routh_hurwitz_quartic(
-        *characteristic_coefficients(A / scale[:, None, None]))
+    coefficients = characteristic_coefficients(A / scale[:, None, None])
+    rh = routh_hurwitz_quartic(*coefficients)
     stable = max_real < 0.0
     marginal = np.abs(max_real) <= MARGINAL_BAND * kappa
     bad = np.flatnonzero(~marginal & (rh != stable))
     if bad.size:
         i = bad[0]
+        c = tuple(float(x[i]) for x in coefficients)
+        # a zero, subnormal or infinite coefficient: the quartic is lost
+        lost = not all(np.finfo(float).tiny <= abs(x) < math.inf for x in c)
         raise InternalConsistencyError(_labelled(
             names, i, f"Routh-Hurwitz verdict {rh[i]} contradicts eigenvalue "
-            f"verdict {stable[i]} (max_real_part={max_real[i]:.6e} rad/s)"))
+            f"verdict {stable[i]} (max_real_part={max_real[i]:.6e} rad/s)"
+            + lost * ("; the scaled characteristic coefficients (%.3e, %.3e, "
+                      "%.3e, %.3e) leave the float range" % c)))
     return StabilityReport(eigs, max_real, rh, stable, marginal)
 
 

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +54,7 @@ IMAG_TOL = 1e-6
 BRACKET_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class MeanFieldBranch:
+class MeanFieldBranch(NamedTuple):
     """One self-consistent mean-field solution."""
 
     n_photon: float
@@ -139,16 +139,7 @@ def _branch_from_root(d: DerivedParams, n: float, index: int,
     resid = abs(fn)
     if d.eta * d.eta > 0.0:
         resid /= d.eta * d.eta
-    return MeanFieldBranch(
-        n_photon=n,
-        alpha=complex(aR, aI),
-        beta=beta,
-        Delta=D,
-        Omega_plus=op,
-        Omega_minus=om,
-        branch_index=index,
-        residual=resid,
-    )
+    return MeanFieldBranch(n, complex(aR, aI), beta, D, op, om, index, resid)
 
 
 def _bisect(f, lo: float, hi: float, lo_negative: bool, tries=()) -> float:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 # SI-exact constants (2019 redefinition); hbar derived from exact h.
 HBAR = 6.62607015e-34 / (2.0 * math.pi)
@@ -98,8 +99,7 @@ class SystemParams:
         return replace(self, ck_enabled=enabled)
 
 
-@dataclass(frozen=True)
-class DerivedParams:
+class DerivedParams(NamedTuple):
     """Effective-model coefficients plus pass-through inputs."""
 
     U0: float
@@ -123,26 +123,15 @@ def derive_params(p: SystemParams) -> DerivedParams:
     U0 = g0^2 / delta_a is the lattice barrier height per photon,
     Omega_c = 4 omega_R + omega_sw, zeta = (sqrt(2N)/4) U0, and the
     cross-Kerr coupling is g = U0/2 when enabled (zero otherwise), so that
-    g/zeta = 2/sqrt(2N) exactly.
-    """
+    g/zeta = 2/sqrt(2N) exactly. Elementwise in delta_c, eta and omega_sw
+    (a sweep passes its grid as an array in a stand-in for ``p``)."""
     if p.delta_a == 0.0:
         raise DomainError("delta_a must be nonzero")
     U0 = p.g0 * p.g0 / p.delta_a
     return DerivedParams(
-        U0=U0,
-        Omega_c=4.0 * p.omega_R + p.omega_sw,
-        zeta=(math.sqrt(2.0 * p.N) / 4.0) * U0,
-        g=0.5 * U0 if p.ck_enabled else 0.0,
-        delta_c=p.delta_c,
-        eta=p.eta,
-        kappa=p.kappa,
-        gamma=p.gamma,
-        omega_sw=p.omega_sw,
-        omega_R=p.omega_R,
-        T=p.T,
-        N=p.N,
-        ck_enabled=p.ck_enabled,
-    )
+        U0, 4.0 * p.omega_R + p.omega_sw, (math.sqrt(2.0 * p.N) / 4.0) * U0,
+        0.5 * U0 if p.ck_enabled else 0.0, p.delta_c, p.eta, p.kappa,
+        p.gamma, p.omega_sw, p.omega_R, p.T, p.N, p.ck_enabled)
 
 
 def pump_rate_from_power(P: float, kappa: float, omega_p: float) -> float:

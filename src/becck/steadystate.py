@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import (DriftDiffusion, InternalConsistencyError,
+from .dynamics import (DriftDiffusion, InternalConsistencyError, LazyNames,
                        StabilityReport, _labelled, classify_stability,
                        record_items, record_stack)
 
@@ -287,10 +287,11 @@ def observable_set(dd: DriftDiffusion, cov: CovarianceMatrix) -> ObservableSet:
 def gaussian_states(dd, report, names=None, among=None) -> tuple:
     """Positions, CovarianceMatrix stacks and ObservableSet stacks of the
     strictly stable items among the positions ``among`` (default all) of the
-    DriftDiffusion stacks ``dd`` with their ``classify_batch`` report."""
+    DriftDiffusion stacks ``dd`` with their ``classify_batch`` report; a
+    name of ``names`` is read only for a failing item."""
     idx = np.arange(len(dd.A)) if among is None else np.asarray(among, np.intp)
     solved = idx[strictly_stable(report)[idx]]
-    label = [names[i] for i in solved] if names else None
+    label = names and LazyNames(lambda j: names[solved[j]], len(solved))
     dd = dd._make(x[solved] for x in dd)
     cov = lyapunov_batch(dd, report._make(x[solved] for x in report), label)
     return solved, cov, observables_batch(dd, cov, label)

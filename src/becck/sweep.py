@@ -11,23 +11,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
+from types import SimpleNamespace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import (InternalConsistencyError, classify_batch,
+from .dynamics import (InternalConsistencyError, LazyNames, classify_batch,
                        drift_diffusion_stacks, record_items)
 from .meanfield import branch_candidates, enumerate_branches
-from .model import (SystemParams, bogoliubov_frequency, derive_params,
-                    validity_flags)
+from .model import (DerivedParams, SystemParams, bogoliubov_frequency,
+                    derive_params, validity_flags)
 from .steadystate import ObservableSet, gaussian_states, strictly_stable
 
 SWEEP_VARS = ("delta_c", "eta", "omega_sw")
 CK_MODES = ("on", "off", "paired")
 BRANCH_POLICIES = ("all", "lowest", "highest")
 DEFAULT_GRID_COUNT = 501
-# a sweep holds all its rows in memory, about 6 kB each at peak (measured on
-# a 20001-point paired sweep), so the largest grid stays near 1 GB
+# a sweep holds all its rows in memory, about 3.6 kB each at peak (measured
+# on a 20001-point paired fig2a sweep), so the largest grid stays near 1 GB
 MAX_GRID_COUNT = 100_000
 
 
@@ -58,8 +59,7 @@ class SweepSpec:
         return np.linspace(self.start, self.stop, self.count)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One (grid point, branch, ck setting) record.
 
     Observable fields are None on branches without a strictly stable,
@@ -148,14 +148,15 @@ def classify_points(ds) -> tuple:
     DriftDiffusion and StabilityReport stacks of all branches; and the
     branch names, ``delta_c=<x> eta=<x> omega_sw=<x> ck=<bool> branch <i>``
     (the reprs of the point's values in rad/s), which label a failing
-    branch."""
+    branch and are made only for it (LazyNames)."""
     bsets = [enumerate_branches(d, roots)
              for d, roots in zip(ds, branch_candidates(ds))]
     branches = [(p, b) for p, bset in enumerate(bsets) for b in bset]
-    dd = drift_diffusion_stacks([(ds[p], b) for p, b in branches])
-    labels = [f"delta_c={d.delta_c!r} eta={d.eta!r} omega_sw={d.omega_sw!r} "
-              f"ck={d.ck_enabled} " for d in ds]
-    names = [f"{labels[p]}branch {b.branch_index}" for p, b in branches]
+    pairs = [(ds[p], b) for p, b in branches]
+    dd = drift_diffusion_stacks(pairs)
+    names = LazyNames(lambda i: "delta_c={0.delta_c!r} eta={0.eta!r} "
+                      "omega_sw={0.omega_sw!r} ck={0.ck_enabled} "
+                      "branch {1.branch_index}".format(*pairs[i]), len(pairs))
     try:
         return (bsets, branches, dd, classify_batch(dd.A, dd.kappa, names),
                 names)
@@ -189,37 +190,45 @@ def evaluate_points(ds, pick=None) -> tuple:
 _UNSOLVED = (None, ObservableSet._make([None] * len(ObservableSet._fields)))
 
 
+def _grid_params(spec: SweepSpec, grid: np.ndarray, ck: bool) -> list:
+    """DerivedParams at each value of ``grid`` with cross-Kerr ``ck``, from
+    one elementwise ``derive_params`` of the swept input as an array (so
+    Omega_c follows omega_sw), on a stand-in for SystemParams."""
+    d = derive_params(SimpleNamespace(
+        **{**vars(spec.base), "ck_enabled": ck, spec.var: grid}))
+    columns = [x.tolist() if isinstance(x, np.ndarray) else [x] * len(grid)
+               for x in d]
+    return list(map(DerivedParams._make, zip(*columns)))
+
+
 def _rows_for_points(spec: SweepSpec, values) -> list:
     """Rows of the grid ``values`` in grid order, from one evaluation of
     all points (value, ck setting)."""
+    grid = np.asarray(values, dtype=float)
+    # SystemParams bounds each input to an interval, so on a monotone grid
+    # the ends and the values that are not finite decide every point
+    for value in [grid[0], *grid[~np.isfinite(grid)], grid[-1]]:
+        replace(spec.base, **{spec.var: float(value)})
     cks = {"on": (True,), "off": (False,), "paired": (False, True)}[spec.ck_mode]
-    points = [(j, float(value), ck) for j, value in enumerate(values)
-              for ck in cks]
-    ds = [derive_params(replace(spec.base, ck_enabled=ck, **{spec.var: value}))
-          for _, value, ck in points]
+    ds = [d for ck_ds in zip(*(_grid_params(spec, grid, ck) for ck in cks))
+          for d in ck_ds]
     pick = {"lowest": 0, "highest": -1}.get(spec.branch_policy)
     bsets, dd, report, evaluated = evaluate_points(ds, pick)
     keyed = []
     omega_B, max_real = dd.omega_B.tolist(), report.max_real_part.tolist()
     for i, p, b, state in evaluated:
-        (j, value, ck), d, bset = points[p], ds[p], bsets[p]
+        d, bset = ds[p], bsets[p]
         V, obs = state or _UNSOLVED
         flags = validity_flags(d, b.n_photon, obs.n_incoherent)
-        keyed.append(((j, b.branch_index, ck), SweepRow(
-            sweep_var=spec.var, sweep_value=value, ck_enabled=ck,
-            branch_index=b.branch_index, n_branches=len(bset),
-            n_photon=b.n_photon, alpha=b.alpha, beta=b.beta, Delta=b.Delta,
-            omega_B=omega_B[i],
-            omega_B_ratio=omega_B[i] / bogoliubov_frequency(d, 0.0),
-            stable=state is not None, E_N=obs.E_N, S_Q=obs.S_Q, S_P=obs.S_P,
-            n_incoherent=obs.n_incoherent,
-            lattice_ok=flags["lattice_depth_ok"],
-            bogoliubov_ok=flags["bogoliubov_ok"],
+        keyed.append(((p // len(cks), b.branch_index, d.ck_enabled), SweepRow(
+            spec.var, getattr(d, spec.var), d.ck_enabled, b.branch_index,
+            len(bset), b.n_photon, b.alpha, b.beta, b.Delta, omega_B[i],
+            omega_B[i] / bogoliubov_frequency(d, 0.0), state is not None,
+            obs.E_N, obs.S_Q, obs.S_P, obs.n_incoherent,
+            flags["lattice_depth_ok"], flags["bogoliubov_ok"],
             # where no branch is stable, the first is picked and flagged
-            warnings=bset.warnings + ("no-stable-branch",) * (
-                pick is not None and state is None),
-            covariance=V, max_real_part=max_real[i],
-        )))
+            bset.warnings + ("no-stable-branch",) * (
+                pick is not None and state is None), V, max_real[i])))
     # deterministic order: grid value, then branch index, then ck off before on
     keyed.sort(key=lambda item: item[0])
     return [row for _, row in keyed]

@@ -669,8 +669,6 @@ def test_spaced_negative_perturbation_reaches_verify():
 
 
 def test_verify_suites_fail_on_a_nan_deviation(monkeypatch):
-    import dataclasses
-
     from becck import verify
     base = paper_base_params()
     ok, detail, _ = verify.verify_jacobian(np.random.default_rng(1), base,
@@ -695,7 +693,7 @@ def test_verify_suites_fail_on_a_nan_deviation(monkeypatch):
     assert where is not None
     monkeypatch.setattr(verify, "enumerate_branches", nan_after_first(
         verify.enumerate_branches, lambda bs: [
-            dataclasses.replace(b, residual=math.nan) for b in bs]))
+            b._replace(residual=math.nan) for b in bs]))
     ok, detail, _ = verify.verify_meanfield(np.random.default_rng(1), base,
                                             count=4)
     assert (ok, detail) == (False, "max substitution error nan")
@@ -729,6 +727,51 @@ def test_a_failing_branch_is_named_by_its_full_point(tmp_path, monkeypatch,
     assert captured.err.count("\n") == 1
     for part in (" eta=", " omega_sw=", " ck=", " branch 0: Routh-Hurwitz"):
         assert part in captured.err
+
+
+@pytest.mark.parametrize("command, data, name", [
+    ("steady", {"eta": "2*kappa"},
+     f"delta_c=0.0 eta={2.0 * KAPPA!r} omega_sw=23700.0 ck=True branch 0"),
+    ("sweep", {"preset": "fig2a", "sweep_count": 2},
+     f"delta_c={-10.0 * KAPPA!r} eta={1.0 * KAPPA!r} omega_sw=23700.0 "
+     "ck=False branch 0")])
+def test_a_failing_branch_line_carries_its_whole_name(tmp_path, monkeypatch,
+                                                      capsys, command, data,
+                                                      name):
+    # names are made only for a failing branch: the line is as it was
+    import becck.dynamics
+    verdict = becck.dynamics.routh_hurwitz_quartic
+    monkeypatch.setattr("becck.dynamics.routh_hurwitz_quartic",
+                        lambda *coefficients: ~verdict(*coefficients))
+    assert main([command, "--config", _write(tmp_path, data)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"internal consistency error: {name}: Routh-Hurwitz verdict ")
+
+
+def test_a_verdict_lost_beyond_the_float_range_says_so(tmp_path, capsys):
+    # at eta = 1e150 kappa the scaled quartic's constant term underflows to
+    # 0, and the Routh-Hurwitz verdict is lost with it
+    assert main(["steady", "--config",
+                 _write(tmp_path, {"eta": "1e150*kappa"})]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert re.fullmatch(
+        r"internal consistency error: delta_c=0\.0 eta=\S+ omega_sw=23700\.0 "
+        r"ck=True branch 0: Routh-Hurwitz verdict False contradicts "
+        r"eigenvalue verdict True \(max_real_part=\S+ rad/s\); the scaled "
+        r"characteristic coefficients \(\S+, \S+, \S+, 0\.000e\+00\) leave "
+        r"the float range\n", err)
+
+
+def test_a_sweep_grid_with_a_nan_inside_is_a_config_error(tmp_path, capsys):
+    # the grid step overflows, so linspace makes the points nan, inf, 1e308
+    # of a finite range
+    assert main(["sweep", "--config", _write(tmp_path, {
+        "preset": "fig2b", "sweep_min": -1e308, "sweep_max": 1e308,
+        "sweep_count": 3})]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "config error: delta_c must be finite\n")
 
 
 def test_exit_codes_are_disjoint():

@@ -5,7 +5,6 @@ and both refuse a row with a float cell that is not finite."""
 import json
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -101,7 +100,7 @@ def test_row_writers_refuse_a_cell_that_is_not_finite(row_and_cells, column,
     if part is not None:
         z = getattr(row, field)
         x = complex(x, z.imag) if part == "real" else complex(z.real, x)
-    row = replace(row, **{field: x})
+    row = row._replace(**{field: x})
     bad = getattr(x, part) if part else x
     for write in (row_to_csv, row_to_json):
         with pytest.raises(InternalConsistencyError,

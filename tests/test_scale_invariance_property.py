@@ -38,7 +38,10 @@ FAILURES = (InternalConsistencyError, UnstableDriftError, ArithmeticError)
 
 
 def _factor(lo, hi):
-    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+    # 0, or far from underflow: the property holds away from it (a drive of
+    # 2.2e-313 kappa leaves subnormal couplings in the drift matrix)
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False).filter(
+        lambda x: x == 0.0 or abs(x) >= 1e-100)
 
 
 @st.composite
@@ -111,10 +114,10 @@ def test_sweep_rows_scale_bitwise(data, lam):
                 continue
             assert len(rows_scaled) == len(rows)
             for row, row_scaled in zip(rows, rows_scaled):
-                for field in dataclasses.fields(SweepRow):
-                    x, y = (getattr(r, field.name) for r in (row, row_scaled))
-                    expected = lam * x if field.name in SCALED_FIELDS else x
-                    assert _bits(y) == _bits(expected), field.name
+                for field in SweepRow._fields:
+                    x, y = (getattr(r, field) for r in (row, row_scaled))
+                    expected = lam * x if field in SCALED_FIELDS else x
+                    assert _bits(y) == _bits(expected), field
 
 
 def _assert_scaled(x, y, lam, key=""):

@@ -3,11 +3,13 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from becck import (InternalConsistencyError, StabilityReport, SweepSpec,
-                   bistable_window, ck_comparison_metrics, paper_base_params,
+from becck import (DerivedParams, DomainError, InternalConsistencyError,
+                   StabilityReport, SweepSpec, bistable_window,
+                   ck_comparison_metrics, derive_params, paper_base_params,
                    preset_names, preset_spec, run_sweep)
 from becck.cli import row_to_csv
-from becck.sweep import MAX_GRID_COUNT, _rows_for_points, resolve_workers
+from becck.sweep import (MAX_GRID_COUNT, _grid_params, _rows_for_points,
+                         classify_points, resolve_workers)
 
 KAPPA = paper_base_params().kappa
 
@@ -240,10 +242,67 @@ def test_ck_comparison_rejects_mismatched_grids():
 
 def test_ck_comparison_skips_a_point_without_a_stable_branch():
     rows = run_sweep(_spec(-2.0, 0.0, 3, policy="lowest"))
-    flagged = replace(rows[2], warnings=rows[2].warnings + (
+    flagged = rows[2]._replace(warnings=rows[2].warnings + (
         "no-stable-branch",))
     rows[2] = flagged
     m = ck_comparison_metrics(rows)
     assert m.skipped == (flagged.sweep_value,)
     assert flagged.sweep_value not in m.values
     assert m.values.shape == (2,)
+
+
+@pytest.mark.parametrize("ck", [False, True])
+@pytest.mark.parametrize("preset", ["fig2b", "fig5", "fig8"])
+def test_grid_points_equal_their_own_derivation_bitwise(preset, ck):
+    # one derivation per ck setting, over a delta_c, an eta and an omega_sw
+    # grid; repr tells every float apart, -0.0 from 0.0 included
+    spec = preset_spec(preset)
+    grid = spec.grid()
+    points = _grid_params(spec, grid, ck)
+    assert len(points) == len(grid)
+    for d, value in zip(points, grid):
+        own = derive_params(replace(spec.base, ck_enabled=ck,
+                                    **{spec.var: float(value)}))
+        assert type(d) is DerivedParams
+        assert [(type(x), repr(x)) for x in d] == [
+            (type(x), repr(x)) for x in own]
+
+
+@pytest.mark.parametrize("var, lo, hi", [
+    ("delta_c", -1e308, 1e308),  # the step overflows: nan, inf, 1e308
+    ("eta", -1e308, 1e308),      # nan first, though the range starts < 0
+    ("eta", -1.0, 1.0),
+    ("omega_sw", -1.0, 1.0),
+    ("eta", 1.0, np.inf),
+])
+def test_a_grid_outside_the_domain_raises_the_first_points_refusal(var, lo,
+                                                                   hi):
+    spec = SweepSpec(var=var, start=lo, stop=hi, count=3,
+                     base=paper_base_params())
+    with np.errstate(all="ignore"):
+        grid = spec.grid()
+    messages = []
+    for value in grid:  # the parameters of each point, in grid order
+        try:
+            replace(spec.base, **{var: float(value)})
+        except DomainError as exc:
+            messages.append(str(exc))
+    with np.errstate(all="ignore"), pytest.raises(DomainError) as exc:
+        run_sweep(spec)
+    assert str(exc.value) == messages[0]
+
+
+def test_branch_names_are_made_when_read():
+    spec = _spec(4.0, 5.0, 2)
+    ds = [derive_params(replace(spec.base, ck_enabled=ck, delta_c=float(v)))
+          for v in spec.grid() for ck in (False, True)]
+    _, branches, _, _, names = classify_points(ds)
+    assert not isinstance(names, list)
+    assert len(names) == len(branches) > len(ds)
+    expected = [f"delta_c={ds[p].delta_c!r} eta={ds[p].eta!r} "
+                f"omega_sw={ds[p].omega_sw!r} ck={ds[p].ck_enabled} "
+                f"branch {b.branch_index}" for p, b in branches]
+    assert list(names) == expected
+    assert names[-1] == expected[-1]
+    with pytest.raises(IndexError):
+        names[len(branches)]

@@ -146,20 +146,18 @@ def _downstream(becck, base, dc, eta, size=8):
     dynamics, steadystate = becck.dynamics, becck.steadystate
     gaussian_states = steadystate.gaussian_states
     ds = _batch_points(becck, base, dc, eta, size)
-    _, branches, stacks, verdicts, names = becck.sweep.classify_points(ds)
+    _, branches, stacks, verdicts, *_ = becck.sweep.classify_points(ds)
     pairs = [(ds[p], b) for p, b in branches]
     keep = np.flatnonzero(steadystate.strictly_stable(verdicts))
-    kept = [names[i] for i in keep]
 
     def build():
         return dynamics.drift_diffusion_stacks(pairs)
 
     def downstream():
         dd = build()
-        return gaussian_states(
-            dd, dynamics.classify_batch(dd.A, dd.kappa, names), names)
+        return gaussian_states(dd, dynamics.classify_batch(dd.A, dd.kappa))
 
-    args = (*(r._make(x[keep] for x in r) for r in (stacks, verdicts)), kept)
+    args = [r._make(x[keep] for x in r) for r in (stacks, verdicts)]
     return {f"build_{size}_us": Timed(build, 50),
             f"downstream_{size}_us": Timed(downstream, 50),
             f"gaussian_states_{size}_us": Timed(
@@ -216,25 +214,19 @@ def command_path(becck, tmp: str) -> dict:
 
 def row_path(becck) -> dict:
     """Per row of the 4-point fig6 json-lines slice, in microseconds: the
-    derivation of its points as its sweep makes them (``derive_us``; one
-    ``derive_params`` of ``dataclasses.replace`` per point on a checkout
-    without ``sweep._grid_params``), ``_rows_for_points`` with
-    ``evaluate_points`` served from a memo (``rows_us``: derivation, grid
-    check and row records around the stacks) and ``row_to_json``
-    (``write_us``); ``rows`` is the row count."""
+    derivation of its points as its sweep makes them (``derive_us``),
+    ``_rows_for_points`` with ``evaluate_points`` served from a memo
+    (``rows_us``: derivation, grid check and row records around the stacks)
+    and ``row_to_json`` (``write_us``); ``rows`` is the row count."""
     cli, sweep = becck.cli, becck.sweep
     spec = cli.sweep_spec_from_config(cli.build_config(
         dict(COMMANDS["sweep_fig6_jsonl"][1])))
     grid, cks = spec.grid(), (False, True)
     rows = becck.run_sweep(spec)
-    if hasattr(sweep, "_grid_params"):
-        def derive():
-            return [sweep._grid_params(spec, grid, ck) for ck in cks]
-    else:
-        def derive():
-            return [becck.derive_params(dataclasses.replace(
-                spec.base, ck_enabled=ck, **{spec.var: float(value)}))
-                for value in grid for ck in cks]
+
+    def derive():
+        return [sweep._grid_params(spec, grid, ck) for ck in cks]
+
     evaluate = sweep.evaluate_points
     memo = {}
 

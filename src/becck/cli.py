@@ -22,7 +22,6 @@ import numpy as np
 
 from .dynamics import InternalConsistencyError, record_items
 from .model import DomainError, SystemParams, derive_params, validity_flags
-from .steadystate import UnstableDriftError
 from .sweep import (SweepSpec, SweepRow, evaluate_points, preset_config,
                     preset_names, run_sweep)
 from .verify import DEFAULT_SEED, run_suites
@@ -461,8 +460,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # ArithmeticError: a result beyond the float range
-    except (InternalConsistencyError, UnstableDriftError,
-            ArithmeticError) as exc:
+    except (InternalConsistencyError, ArithmeticError) as exc:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -184,36 +184,18 @@ def routh_hurwitz_quartic(a3, a2, a1, a0):
     return (c1 > 0.0) & (c2 > 0.0) & (c3 > 0.0) & (a0 > 0.0)
 
 
-def _labelled(names, i: int, message: str) -> str:
-    """``message`` prefixed with the name of batch item ``i``, if named."""
-    return f"{names[i]}: {message}" if names else message
-
-
-class LazyNames:
-    """Batch item names in place of a list: ``item(i)`` makes name i when
-    an error reads it."""
-
-    def __init__(self, item, count: int):
-        self.item, self.range = item, range(count)
-
-    def __len__(self):
-        return len(self.range)
-
-    def __getitem__(self, i):
-        return self.item(self.range[i])
-
-
-def classify_batch(A, kappa, names=None) -> StabilityReport:
+def classify_batch(A, kappa) -> StabilityReport:
     """The StabilityReport stacks of ``classify_stability`` of every drift
     matrix of the (N,4,4) stack ``A`` at once, with ``kappa`` the (N,)
-    cavity decay rates. ``names`` (optional) label the first failing item
-    in an exception."""
+    cavity decay rates. A drift matrix that is not finite or is zero, or
+    whose verdicts disagree, raises InternalConsistencyError with its
+    position as ``item``."""
     # scale out the rate magnitude so the quartic coefficients stay O(1)
     scale = np.max(np.abs(A), axis=(1, 2))
     bad = np.flatnonzero((scale == 0.0) | ~np.isfinite(scale))
     if bad.size:
-        raise ValueError(_labelled(names, bad[0],
-                                  "drift matrix must be finite and nonzero"))
+        raise InternalConsistencyError(
+            "drift matrix must be finite and nonzero", int(bad[0]))
     eigs = np.linalg.eigvals(A).astype(complex)
     max_real = eigs.real.max(axis=1)
     coefficients = characteristic_coefficients(A / scale[:, None, None])
@@ -222,15 +204,15 @@ def classify_batch(A, kappa, names=None) -> StabilityReport:
     marginal = np.abs(max_real) <= MARGINAL_BAND * kappa
     bad = np.flatnonzero(~marginal & (rh != stable))
     if bad.size:
-        i = bad[0]
+        i = int(bad[0])
         c = tuple(float(x[i]) for x in coefficients)
         # a zero, subnormal or infinite coefficient: the quartic is lost
         lost = not all(np.finfo(float).tiny <= abs(x) < math.inf for x in c)
-        raise InternalConsistencyError(_labelled(
-            names, i, f"Routh-Hurwitz verdict {rh[i]} contradicts eigenvalue "
+        raise InternalConsistencyError(
+            f"Routh-Hurwitz verdict {rh[i]} contradicts eigenvalue "
             f"verdict {stable[i]} (max_real_part={max_real[i]:.6e} rad/s)"
             + lost * ("; the scaled characteristic coefficients (%.3e, %.3e, "
-                      "%.3e, %.3e) leave the float range" % c)))
+                      "%.3e, %.3e) leave the float range" % c), i)
     return StabilityReport(eigs, max_real, rh, stable, marginal)
 
 

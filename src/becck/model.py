@@ -28,7 +28,12 @@ class DomainError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """Two independent computations of the same quantity disagree, or a
-    result is not representable."""
+    result is not representable. ``item`` is the stack position of the
+    failing item where a stage of stacks raises it, else None."""
+
+    def __init__(self, message: str, item=None):
+        super().__init__(message)
+        self.item = item
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,9 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import (DriftDiffusion, InternalConsistencyError, LazyNames,
-                       StabilityReport, _labelled, classify_stability,
-                       record_items, record_stack)
+from .dynamics import (DriftDiffusion, InternalConsistencyError,
+                       StabilityReport, classify_stability, record_items,
+                       record_stack)
 
 RESIDUAL_BOUND = 1e-10      # times ||D||_max
 PHYSICALITY_SLACK = 1e-9    # allowed dip of symplectic eigenvalues below 1/2
@@ -26,7 +26,7 @@ _PAIRS = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3),
           (2, 2), (2, 3), (3, 3)]
 
 
-class UnstableDriftError(ValueError):
+class UnstableDriftError(InternalConsistencyError, ValueError):
     """Lyapunov solve refused: the drift matrix is not strictly stable."""
 
 
@@ -81,17 +81,18 @@ def strictly_stable(report) -> np.ndarray:
     return report.stable & ~report.marginal
 
 
-def lyapunov_batch(dd, report, names=None) -> CovarianceMatrix:
+def lyapunov_batch(dd, report) -> CovarianceMatrix:
     """``solve_lyapunov`` of the DriftDiffusion stacks ``dd`` with their
-    ``classify_batch`` report in one stacked solve, labelling a failing item
-    by ``names``: the CovarianceMatrix stacks."""
+    ``classify_batch`` report in one stacked solve: the CovarianceMatrix
+    stacks. A failing item's error carries its position as ``item``."""
     bad = np.flatnonzero(~strictly_stable(report))
     if bad.size:
-        i = bad[0]
+        i = int(bad[0])
         kind = "marginal" if report.marginal[i] else "unstable"
-        raise UnstableDriftError(_labelled(
-            names, i, f"drift matrix is {kind} (max_real_part="
-            f"{report.max_real_part[i]:.6e} rad/s); no stationary covariance"))
+        raise UnstableDriftError(
+            f"drift matrix is {kind} (max_real_part="
+            f"{report.max_real_part[i]:.6e} rad/s); no stationary covariance",
+            i)
     A, D = dd.A, dd.D
     scale = np.max(np.abs(A), axis=(1, 2))[:, None, None]
     L = _lyapunov_operator(A / scale)
@@ -104,10 +105,10 @@ def lyapunov_batch(dd, report, names=None) -> CovarianceMatrix:
     bound = RESIDUAL_BOUND * np.max(np.abs(D), axis=(1, 2))
     bad = np.flatnonzero(~(resid <= bound))  # a NaN residual fails too
     if bad.size:
-        i = bad[0]
-        raise InternalConsistencyError(_labelled(
-            names, i, f"Lyapunov residual {resid[i]:.3e} exceeds bound "
-            f"{bound[i]:.3e}"))
+        i = int(bad[0])
+        raise InternalConsistencyError(
+            f"Lyapunov residual {resid[i]:.3e} exceeds bound {bound[i]:.3e}",
+            i)
     return CovarianceMatrix(V, resid)
 
 
@@ -197,10 +198,10 @@ def _positive_definite(M: np.ndarray) -> bool:
         return False
 
 
-def _require_physical(V: np.ndarray, names=None) -> None:
-    """Raise InternalConsistencyError naming the first covariance of V (one or
-    a stack, labelled by ``names``) that is not finite or has a symplectic
-    eigenvalue at or below 1/2 - PHYSICALITY_SLACK.
+def _require_physical(V: np.ndarray) -> None:
+    """Raise InternalConsistencyError at the first covariance of V (one or a
+    stack; its position is the error's ``item``) that is not finite or has a
+    symplectic eigenvalue at or below 1/2 - PHYSICALITY_SLACK.
 
     All exceed 1/2 - slack exactly when V + i(1/2 - slack)Omega is positive
     definite (Simon, Mukunda & Dutta, PRA 49, 1567 (1994)): one stacked
@@ -215,26 +216,26 @@ def _require_physical(V: np.ndarray, names=None) -> None:
         if not _positive_definite(Mi):
             nus = (symplectic_eigenvalues(V[i]) if np.isfinite(V[i]).all()
                    else "undefined (covariance not finite)")
-            raise InternalConsistencyError(_labelled(
-                names, i, "covariance violates the uncertainty relation: "
-                f"symplectic eigenvalues {nus}"))
+            raise InternalConsistencyError(
+                "covariance violates the uncertainty relation: "
+                f"symplectic eigenvalues {nus}", i)
 
 
-def check_physical(V: np.ndarray, names=None) -> np.ndarray:
-    """Validate the uncertainty relation of one covariance matrix or a stack,
-    labelled by ``names``; returns the symplectic eigenvalues."""
-    _require_physical(V, names)
+def check_physical(V: np.ndarray) -> np.ndarray:
+    """Validate the uncertainty relation of one covariance matrix or a stack;
+    returns the symplectic eigenvalues."""
+    _require_physical(V)
     return symplectic_eigenvalues(V)
 
 
-def logarithmic_negativity(V: np.ndarray, names=None) -> tuple:
+def logarithmic_negativity(V: np.ndarray) -> tuple:
     """(E_N, eta_minus) from the 2x2 block determinants of V.
 
     Sigma = det V_oo + det V_aa - 2 det V_oa, and eta_minus is the lowest
     symplectic eigenvalue of the partial transpose,
     eta_minus = 2^{-1/2} * sqrt(Sigma - sqrt(Sigma^2 - 4 det V)).
-    E_N = max(0, -ln(2*eta_minus)). A stack (..., 4, 4), labelled by
-    ``names``, gives arrays.
+    E_N = max(0, -ln(2*eta_minus)). A stack (..., 4, 4) gives arrays, and
+    an error the flat position of its failing item as ``item``.
     """
     oo, aa, oa = np.linalg.det(
         np.stack([V[..., :2, :2], V[..., 2:, 2:], V[..., :2, 2:]]))
@@ -242,15 +243,15 @@ def logarithmic_negativity(V: np.ndarray, names=None) -> tuple:
     disc = sigma * sigma - 4.0 * np.linalg.det(V)
     bad = np.flatnonzero(disc < -1e-12)
     if bad.size:
-        raise InternalConsistencyError(_labelled(
-            names, bad[0], f"negative discriminant "
-            f"{np.ravel(disc)[bad[0]]:.3e} in symplectic spectrum"))
+        raise InternalConsistencyError(
+            f"negative discriminant {np.ravel(disc)[bad[0]]:.3e} in "
+            "symplectic spectrum", int(bad[0]))
     inner = sigma - np.sqrt(np.maximum(disc, 0.0))
     bad = np.flatnonzero(inner <= 0.0)
     if bad.size:
-        raise InternalConsistencyError(_labelled(
-            names, bad[0], "nonpositive partial-transpose eigenvalue "
-            f"(inner={np.ravel(inner)[bad[0]]:.3e})"))
+        raise InternalConsistencyError(
+            "nonpositive partial-transpose eigenvalue "
+            f"(inner={np.ravel(inner)[bad[0]]:.3e})", int(bad[0]))
     eta_minus = np.sqrt(inner) / math.sqrt(2.0)
     return np.maximum(0.0, -np.log(2.0 * eta_minus)), eta_minus
 
@@ -267,12 +268,13 @@ def squeezing_and_excitation(V: np.ndarray) -> tuple[float, float]:
     return s_q, n_inc
 
 
-def observables_batch(dd, cov, names=None) -> ObservableSet:
+def observables_batch(dd, cov) -> ObservableSet:
     """``observable_set`` of the DriftDiffusion and CovarianceMatrix stacks
-    ``dd`` and ``cov`` at once, labelling a failing item by ``names``."""
+    ``dd`` and ``cov`` at once; a failing item's position is the ``item``
+    of the error."""
     V = cov.V
-    _require_physical(V, names)
-    e_n, eta_minus = logarithmic_negativity(V, names)
+    _require_physical(V)
+    e_n, eta_minus = logarithmic_negativity(V)
     s_q, n_inc = squeezing_and_excitation(V)
     return ObservableSet(e_n, eta_minus, s_q, 2.0 * V[:, 3, 3] - 1.0, n_inc,
                          dd.omega_B, dd.n_c)
@@ -284,14 +286,17 @@ def observable_set(dd: DriftDiffusion, cov: CovarianceMatrix) -> ObservableSet:
         observables_batch(record_stack(dd), record_stack(cov)))[0]
 
 
-def gaussian_states(dd, report, names=None, among=None) -> tuple:
+def gaussian_states(dd, report, among=None) -> tuple:
     """Positions, CovarianceMatrix stacks and ObservableSet stacks of the
     strictly stable items among the positions ``among`` (default all) of the
     DriftDiffusion stacks ``dd`` with their ``classify_batch`` report; a
-    name of ``names`` is read only for a failing item."""
+    failing item's error carries its position in ``dd`` as ``item``."""
     idx = np.arange(len(dd.A)) if among is None else np.asarray(among, np.intp)
     solved = idx[strictly_stable(report)[idx]]
-    label = names and LazyNames(lambda j: names[solved[j]], len(solved))
     dd = dd._make(x[solved] for x in dd)
-    cov = lyapunov_batch(dd, report._make(x[solved] for x in report), label)
-    return solved, cov, observables_batch(dd, cov, label)
+    try:
+        cov = lyapunov_batch(dd, report._make(x[solved] for x in report))
+        return solved, cov, observables_batch(dd, cov)
+    except InternalConsistencyError as exc:
+        exc.item = int(solved[exc.item])
+        raise

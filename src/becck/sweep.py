@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .dynamics import (InternalConsistencyError, LazyNames, classify_batch,
+from .dynamics import (InternalConsistencyError, classify_batch,
                        drift_diffusion_stacks, record_items)
 from .meanfield import branch_candidates, enumerate_branches
 from .model import (DerivedParams, SystemParams, bogoliubov_frequency,
@@ -140,38 +140,43 @@ def preset_names() -> tuple:
     return tuple(_PRESETS)
 
 
+def _branch_failure(exc, ds, branches) -> InternalConsistencyError:
+    """The error ``exc`` of a stage of the branch stacks, prefixed with the
+    name of its failing branch ``branches[exc.item]``: ``delta_c=<x> eta=<x>
+    omega_sw=<x> ck=<bool> branch <i>`` (the reprs of the point's values in
+    rad/s). Only a failing branch is named."""
+    p, b = branches[exc.item]
+    return InternalConsistencyError(
+        "delta_c={0.delta_c!r} eta={0.eta!r} omega_sw={0.omega_sw!r} "
+        "ck={0.ck_enabled} branch {1.branch_index}: {2}".format(ds[p], b, exc))
+
+
 def classify_points(ds) -> tuple:
     """Enumerate every branch of the points ``ds`` (DerivedParams), from
     one stacked companion eigen-solve per matrix size, and classify all of
     them in one ``classify_batch`` call. Returns the BranchSet of each
-    point; per branch in point order, its (point index, branch) pair; the
-    DriftDiffusion and StabilityReport stacks of all branches; and the
-    branch names, ``delta_c=<x> eta=<x> omega_sw=<x> ck=<bool> branch <i>``
-    (the reprs of the point's values in rad/s), which label a failing
-    branch and are made only for it (LazyNames)."""
+    point; per branch in point order, its (point index, branch) pair; and
+    the DriftDiffusion and StabilityReport stacks of all branches. A branch
+    that fails classification is named in the error."""
     bsets = [enumerate_branches(d, roots)
              for d, roots in zip(ds, branch_candidates(ds))]
     branches = [(p, b) for p, bset in enumerate(bsets) for b in bset]
-    pairs = [(ds[p], b) for p, b in branches]
-    dd = drift_diffusion_stacks(pairs)
-    names = LazyNames(lambda i: "delta_c={0.delta_c!r} eta={0.eta!r} "
-                      "omega_sw={0.omega_sw!r} ck={0.ck_enabled} "
-                      "branch {1.branch_index}".format(*pairs[i]), len(pairs))
+    dd = drift_diffusion_stacks([(ds[p], b) for p, b in branches])
     try:
-        return (bsets, branches, dd, classify_batch(dd.A, dd.kappa, names),
-                names)
-    except ValueError as exc:  # the parameters overflow the drift matrix
-        raise InternalConsistencyError(str(exc)) from exc
+        return bsets, branches, dd, classify_batch(dd.A, dd.kappa)
+    except InternalConsistencyError as exc:
+        raise _branch_failure(exc, ds, branches) from exc
 
 
 def evaluate_points(ds, pick=None) -> tuple:
     """``classify_points`` of ``ds``; at each point every branch (``pick``
     None), else its ``pick``-th strictly stable one (0 lowest, -1 highest)
-    or its first, solved in one ``gaussian_states`` call. Returns the
-    BranchSets, the DriftDiffusion and StabilityReport stacks, and per
-    selected branch (stack position, point index, branch, (V, ObservableSet)
-    or None): None exactly where it is not strictly stable."""
-    bsets, branches, dd, report, names = classify_points(ds)
+    or its first, solved in one ``gaussian_states`` call (a failing branch
+    is named in the error). Returns the BranchSets, the DriftDiffusion and
+    StabilityReport stacks, and per selected branch (stack position, point
+    index, branch, (V, ObservableSet) or None): None exactly where it is
+    not strictly stable."""
+    bsets, branches, dd, report = classify_points(ds)
     # a branch only counts as stable for covariance purposes when it is
     # strictly stable and outside the near-marginal band
     grade = strictly_stable(report).tolist()
@@ -181,7 +186,10 @@ def evaluate_points(ds, pick=None) -> tuple:
         first += len(ids)
         stable_ids = [i for i in ids if grade[i]] or ids[:1]
         selected += ids if pick is None else [stable_ids[pick]]
-    solved, cov, obs = gaussian_states(dd, report, names, selected)
+    try:
+        solved, cov, obs = gaussian_states(dd, report, selected)
+    except InternalConsistencyError as exc:
+        raise _branch_failure(exc, ds, branches) from exc
     states = dict(zip(solved.tolist(), zip(cov.V, record_items(obs))))
     return bsets, dd, report, [(i, *branches[i], states.get(i))
                                for i in selected]
@@ -284,15 +292,13 @@ def ck_comparison_metrics(rows, eps: float = 1e-12) -> CkComparison:
     """
     on: dict = {}
     off: dict = {}
-    seen: list = []
+    seen: dict = {}  # grid values in first-seen order
     for r in rows:
         table = on if r.ck_enabled else off
         if r.sweep_value in table:
             raise ValueError("multiple branches per point; run the sweep "
                              "with branch_policy 'lowest' or 'highest'")
-        table[r.sweep_value] = r
-        if r.sweep_value not in seen:
-            seen.append(r.sweep_value)
+        table[r.sweep_value] = seen[r.sweep_value] = r
     if set(on) != set(off):
         raise ValueError("mismatched grids between ck settings")
 

@@ -50,7 +50,7 @@ def _random_stable_points(rng, count, base: SystemParams):
     points, dds, reports = [], [], []
     while len(points) < count:
         ds = [_random_point(rng, base, 0.1) for _ in range(count - len(points))]
-        _, branches, dd, report, _ = classify_points(ds)
+        _, branches, dd, report = classify_points(ds)
         keep = strictly_stable(report)
         points += [(ds[p], b) for (p, b), k in zip(branches, keep) if k]
         dds.append(dd._make(x[keep] for x in dd))
@@ -90,10 +90,9 @@ def verify_lyapunov_ode(rng, base: SystemParams, count: int = 12):
 def verify_routh_hurwitz(rng, base: SystemParams, count: int = 2000):
     """Verdict agreement on random drift-parameter draws.
 
-    The draws are classified in one batch; ``classify_batch`` raises
-    InternalConsistencyError naming the first draw (``draw <i>``) whose
+    The draws are classified in one batch; the first draw whose
     Routh-Hurwitz verdict contradicts its eigenvalues outside the marginal
-    band.
+    band raises InternalConsistencyError, named ``draw <i>``.
     """
     k = base.kappa
     A = np.stack([drift_matrix(
@@ -107,7 +106,10 @@ def verify_routh_hurwitz(rng, base: SystemParams, count: int = 2000):
         F_R=float(rng.uniform(-0.01, 0.01)) * k,
         F_I=float(rng.uniform(-0.01, 0.01)) * k,
     ) for _ in range(count)])
-    classify_batch(A, np.full(count, k), [f"draw {i}" for i in range(count)])
+    try:
+        classify_batch(A, np.full(count, k))
+    except InternalConsistencyError as exc:
+        raise InternalConsistencyError(f"draw {exc.item}: {exc}") from exc
     return True, f"0 disagreements in {count} draws", None
 
 

@@ -28,12 +28,14 @@ DEFAULT = SystemParams()
 
 def _worst_relative_difference(ds):
     """The largest |det A - den f'| / max(|det A|, |den f'|) over every
-    branch of the points ``ds``, with the branch it was found at."""
-    _, branches, dd, _, names = classify_points(ds)
+    branch of the points ``ds``, with the point and branch index it was
+    found at."""
+    _, branches, dd, _ = classify_points(ds)
     det = np.linalg.det(dd.A)
     worst = (0.0, None)
-    for (p, b), det_A, name in zip(branches, det, names):
+    for (p, b), det_A in zip(branches, det):
         d, n = ds[p], b.n_photon
+        name = (d.delta_c, d.eta, d.omega_sw, d.ck_enabled, b.branch_index)
         h = 1e-20 * (n or 1.0)
         slope = _root_function(d)(n + 1j * h).imag / h
         rhs = (b.Omega_plus * b.Omega_minus + d.gamma ** 2) * slope

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from becck import (DriftDiffusion, build_drift_diffusion,
+from becck import (DriftDiffusion, InternalConsistencyError,
+                   build_drift_diffusion,
                    characteristic_coefficients, classify_stability,
                    derive_params, drift_matrix, enumerate_branches,
                    finite_difference_jacobian, langevin_drift_field,
@@ -208,8 +209,13 @@ def test_eigenvalues_conjugate_pairs_weak_drive():
 def test_classify_rejects_nonfinite():
     A = np.full((4, 4), np.nan)
     dd = DriftDiffusion(A=A, D=np.eye(4), kappa=KAPPA, omega_B=1.0, n_c=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InternalConsistencyError,
+                       match="^drift matrix must be finite and nonzero$"):
         classify_stability(dd)
+    stack = np.stack([-KAPPA * np.eye(4), A, np.zeros((4, 4))])
+    with pytest.raises(InternalConsistencyError) as exc:
+        classify_batch(stack, np.full(3, KAPPA))
+    assert exc.value.item == 1
 
 
 def test_thermal_occupation_enters_at_dressed_frequency():

@@ -1,4 +1,8 @@
+import json
+import random
+import time
 from dataclasses import fields, replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ from becck import (DerivedParams, DomainError, InternalConsistencyError,
                    StabilityReport, SweepSpec, bistable_window,
                    ck_comparison_metrics, derive_params, paper_base_params,
                    preset_names, preset_spec, run_sweep)
-from becck.cli import row_to_csv
+from becck.cli import main, row_to_csv
 from becck.sweep import (MAX_GRID_COUNT, _grid_params, _rows_for_points,
                          classify_points, resolve_workers)
 
@@ -175,6 +179,39 @@ def test_ck_comparison_metrics_paired_lowest():
     assert m.skipped == ()
 
 
+class _PairedRow(NamedTuple):
+    sweep_value: float
+    ck_enabled: bool
+    n_photon: float
+    warnings: tuple = ()
+
+
+def test_ck_comparison_keeps_first_seen_order_of_shuffled_rows():
+    values = [5.0, 1.0, 4.0, 2.0, 3.0]
+    rows = [_PairedRow(v, ck, v * (1.0 + 0.5 * ck),
+                       ("no-stable-branch",) * (v == 4.0 and ck))
+            for v in values for ck in (False, True)]
+    random.Random(1).shuffle(rows)
+    seen = list(dict.fromkeys(r.sweep_value for r in rows))
+    m = ck_comparison_metrics(rows)
+    assert m.values.tolist() == [v for v in seen if v != 4.0]
+    assert m.skipped == (4.0,)
+    assert m.differences.tolist() == [0.5] * 4
+    assert (m.max_difference, m.argmax_value) == (0.5, m.values[0])
+
+
+def test_ck_comparison_is_linear_in_the_grid_size():
+    # first-seen order was once a list searched per row: 32000 points took
+    # 16.5 s, so a grid of MAX_GRID_COUNT points would take minutes
+    rows = [_PairedRow(float(i), ck, 1.0 + ck) for i in range(MAX_GRID_COUNT)
+            for ck in (False, True)]
+    start = time.perf_counter()
+    m = ck_comparison_metrics(rows)
+    assert time.perf_counter() - start < 10.0
+    assert m.values.size == MAX_GRID_COUNT
+    assert m.max_difference == 1.0
+
+
 def test_ck_comparison_rejects_multibranch_rows():
     rows = run_sweep(_spec(4.9, 5.1, 2))  # policy 'all' at a bistable point
     with pytest.raises(ValueError):
@@ -182,7 +219,7 @@ def test_ck_comparison_rejects_multibranch_rows():
 
 
 def test_no_stable_branch_marker(monkeypatch):
-    def verdict_unstable(A, kappa, names=None):
+    def verdict_unstable(A, kappa):
         n = len(A)
         return StabilityReport(
             eigenvalues=np.full((n, 4), 1.0 + 0j), max_real_part=np.ones(n),
@@ -230,6 +267,42 @@ def test_sweep_failure_names_the_point_and_branch(monkeypatch):
     with pytest.raises(InternalConsistencyError,
                        match=r"^delta_c=-\d.*ck=False branch 0: covariance"):
         run_sweep(_spec(-1.0, 0.0, 2, policy="lowest"))
+
+
+_STAGE_FAILURES = {"physicality": "covariance violates the uncertainty "
+                   "relation: symplectic eigenvalues [",
+                   "residual": "Lyapunov residual nan exceeds bound nan"}
+
+
+@pytest.mark.parametrize("kind", _STAGE_FAILURES)
+def test_a_failure_past_the_first_solved_branch_names_its_own_branch(
+        monkeypatch, tmp_path, capsys, kind):
+    # only the second solved branch fails: at a bistable point that is
+    # branch 2, position 1 of the solved items but 2 of the branch stack
+    import becck.steadystate
+    honest = becck.steadystate.lyapunov_batch
+
+    def spoiled(dd, report):
+        if kind == "residual":
+            dd.D[1, 0, 0] = np.nan
+        cov = honest(dd, report)
+        if kind == "physicality":
+            cov.V[1] = 0.1 * np.eye(4)
+        return cov
+
+    monkeypatch.setattr(becck.steadystate, "lyapunov_batch", spoiled)
+    with pytest.raises(InternalConsistencyError) as exc:
+        run_sweep(_spec(4.9, 5.1, 3))
+    assert str(exc.value).startswith(
+        f"delta_c={4.9 * KAPPA!r} eta={2 * KAPPA!r} omega_sw=23700.0 "
+        f"ck=False branch 2: {_STAGE_FAILURES[kind]}")
+    config = tmp_path / "steady.json"
+    config.write_text(json.dumps({"delta_c": "5*kappa", "eta": "2*kappa"}))
+    assert main(["steady", "--config", str(config)]) == 3
+    assert capsys.readouterr().err.startswith(
+        f"internal consistency error: delta_c={5 * KAPPA!r} "
+        f"eta={2 * KAPPA!r} omega_sw=23700.0 ck=True branch 2: "
+        f"{_STAGE_FAILURES[kind]}")
 
 
 def test_ck_comparison_rejects_mismatched_grids():
@@ -292,17 +365,23 @@ def test_a_grid_outside_the_domain_raises_the_first_points_refusal(var, lo,
     assert str(exc.value) == messages[0]
 
 
-def test_branch_names_are_made_when_read():
+def test_branch_names_are_made_when_read(monkeypatch):
+    # a stage reports the stack position of its failing branch, which
+    # classify_points names from the branch's own point
     spec = _spec(4.0, 5.0, 2)
     ds = [derive_params(replace(spec.base, ck_enabled=ck, delta_c=float(v)))
           for v in spec.grid() for ck in (False, True)]
-    _, branches, _, _, names = classify_points(ds)
-    assert not isinstance(names, list)
-    assert len(names) == len(branches) > len(ds)
+    _, branches, _, _ = classify_points(ds)
+    assert len(branches) > len(ds)
     expected = [f"delta_c={ds[p].delta_c!r} eta={ds[p].eta!r} "
                 f"omega_sw={ds[p].omega_sw!r} ck={ds[p].ck_enabled} "
                 f"branch {b.branch_index}" for p, b in branches]
-    assert list(names) == expected
-    assert names[-1] == expected[-1]
-    with pytest.raises(IndexError):
-        names[len(branches)]
+    for i, name in enumerate(expected):
+        def failing(A, kappa, i=i):
+            raise InternalConsistencyError("stage failure", i)
+
+        monkeypatch.setattr("becck.sweep.classify_batch", failing)
+        with pytest.raises(InternalConsistencyError) as exc:
+            classify_points(ds)
+        assert str(exc.value) == f"{name}: stage failure"
+        assert exc.value.item is None

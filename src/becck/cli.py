@@ -22,8 +22,8 @@ import numpy as np
 
 from .dynamics import InternalConsistencyError, record_items
 from .model import DomainError, SystemParams, derive_params, validity_flags
-from .sweep import (SweepSpec, SweepRow, evaluate_points, preset_config,
-                    preset_names, run_sweep)
+from .sweep import (SWEEP_VARS, SweepSpec, SweepRow, evaluate_points,
+                    preset_config, preset_names, run_sweep)
 from .verify import DEFAULT_SEED, run_suites
 
 EXIT_OK = 0
@@ -129,7 +129,8 @@ def build_config(data: dict) -> RunConfig:
             raise ConfigError(f"preset: unknown preset {data['preset']!r}; "
                               "expected one of " + ", ".join(preset_names()))
         preset = preset_config(data["preset"])
-        if data.get("sweep_var", preset["sweep_var"]) != preset["sweep_var"]:
+        var = data.get("sweep_var")  # SweepSpec judges an unknown one
+        if var != preset["sweep_var"] and var in SWEEP_VARS:
             del preset["sweep_min"], preset["sweep_max"]  # not this variable's
         data = {**preset, **data}
 

@@ -132,14 +132,14 @@ def quadrature_fixed_point(b: MeanFieldBranch) -> np.ndarray:
                      s2 * b.beta.real, s2 * b.beta.imag])
 
 
-def finite_difference_jacobian(d: DerivedParams, state,
-                               rel_step: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of the Langevin drift field."""
+def finite_difference_jacobian(d: DerivedParams, state) -> np.ndarray:
+    """Central-difference Jacobian of the Langevin drift field, with the
+    step 1e-6*max(|u_j|, 1) in each quadrature u_j."""
     state = np.asarray(state, dtype=float)
     n = state.size
     J = np.empty((n, n))
     for j in range(n):
-        h = rel_step * max(abs(state[j]), 1.0)
+        h = 1e-6 * max(abs(state[j]), 1.0)
         up = state.copy()
         dn = state.copy()
         up[j] += h

@@ -39,7 +39,6 @@ presets by at most 3.2e-15 relative in the photon number).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -67,24 +66,15 @@ class MeanFieldBranch(NamedTuple):
     residual: float
 
 
-@dataclass(frozen=True)
-class BranchSet:
-    """Branches sorted by ascending photon number, plus solver warnings.
+class BranchSet(tuple):
+    """MeanFieldBranch records sorted by ascending photon number."""
 
-    Behaves as an ordered sequence of MeanFieldBranch.
-    """
+    __slots__ = ()
 
-    branches: tuple[MeanFieldBranch, ...]
-    warnings: tuple[str, ...] = ()
-
-    def __iter__(self):
-        return iter(self.branches)
-
-    def __len__(self):
-        return len(self.branches)
-
-    def __getitem__(self, i):
-        return self.branches[i]
+    @property
+    def warnings(self) -> tuple[str, ...]:
+        """``("branch-count=<k>",)`` when the count k is not 1 or 3."""
+        return () if len(self) in (1, 3) else (f"branch-count={len(self)}",)
 
 
 def consistency_residual(d: DerivedParams, n):
@@ -305,9 +295,8 @@ def enumerate_branches(d: DerivedParams, roots=None) -> BranchSet:
     S/|Delta| = 2.9e4 on the upper branches, whose residuals are 7.8e-12
     and 3.0e-12 (estimate 1.3e-11).
 
-    A warning is attached rather than raised:
-
-    * ``branch-count=<k>``: branch count outside {1, 3}.
+    A branch count outside {1, 3} is not raised: the BranchSet's
+    ``warnings`` property derives ``branch-count=<k>`` from its length.
 
     Raises InternalConsistencyError when eta^2/kappa^2, a coefficient of
     the polynomial or its companion matrix overflows (from about
@@ -325,7 +314,7 @@ def enumerate_branches(d: DerivedParams, roots=None) -> BranchSet:
     n_hi = upper_bound_photons(d) * (1.0 + 1e-6)
     f = _root_function(d)
     if n_hi == 0.0:  # no drive, or one too weak to lift n above underflow
-        return BranchSet(branches=(_branch_from_root(d, 0.0, 0, f),))
+        return BranchSet((_branch_from_root(d, 0.0, 0, f),))
     if roots is None:
         raise InternalConsistencyError(
             f"branch polynomial overflows at eta = {d.eta:.6e} rad/s")
@@ -354,9 +343,5 @@ def enumerate_branches(d: DerivedParams, roots=None) -> BranchSet:
     if not found:  # f(0) < 0 < f(n_hi) unless f overflows there
         raise InternalConsistencyError(
             f"no sign change of f found at eta = {d.eta:.6e} rad/s")
-    warnings: tuple[str, ...] = ()
-    if len(found) not in (1, 3):
-        warnings = (f"branch-count={len(found)}",)
-    branches = tuple(_branch_from_root(d, r, i, f)
+    return BranchSet(_branch_from_root(d, r, i, f)
                      for i, r in enumerate(found))
-    return BranchSet(branches=branches, warnings=warnings)

@@ -134,9 +134,10 @@ def integrate_moment_ode(dd: DriftDiffusion, V0: np.ndarray,
 
     The step obeys h <= 1e-2/||A||_max. Because the right-hand side is affine
     in V with constant coefficients, one RK4 step is an affine map on the
-    sym-vectorized state; the map is applied n times by exact binary
-    composition, which reproduces the literal n-step recursion (associativity)
-    at any step count. Deterministic.
+    sym-vectorized state v, a matrix on (v, 1); its n-th power comes from
+    ``np.linalg.matrix_power`` (binary composition), which reproduces the
+    literal n-step recursion (associativity) at any step count.
+    Deterministic.
     """
     if not (t_final > 0.0) or not np.isfinite(t_final):
         raise ValueError("t_final must be positive and finite")
@@ -148,28 +149,16 @@ def integrate_moment_ode(dd: DriftDiffusion, V0: np.ndarray,
     n_steps = max(1, int(math.ceil(steps)))
     h = t_final / n_steps
 
-    L = _lyapunov_operator(dd.A)
-    d_vec = _sym_vec(dd.D)
-    hL = h * L
+    hL = h * _lyapunov_operator(dd.A)
     eye = np.eye(10)
-    # classical RK4 propagator for v' = L v + d over one step
-    P = eye + hL @ (eye + hL @ (eye / 2.0 + hL @ (eye / 6.0 + hL / 24.0)))
-    q = h * (eye + hL @ (eye / 2.0 + hL @ (eye / 6.0 + hL / 24.0))) @ d_vec
-
-    # affine map power by binary doubling
-    acc_P, acc_q = eye, np.zeros(10)
-    base_P, base_q = P, q
-    k = n_steps
-    while k:
-        if k & 1:
-            acc_q = base_P @ acc_q + base_q
-            acc_P = base_P @ acc_P
-        k >>= 1
-        if k:
-            base_q = base_P @ base_q + base_q
-            base_P = base_P @ base_P
-    v = acc_P @ _sym_vec(np.asarray(V0, dtype=float)) + acc_q
-    return _sym_unvec(v)
+    # classical RK4 step for v' = L v + d: v -> (eye + hL S) v + h S d
+    S = eye + hL @ (eye / 2.0 + hL @ (eye / 6.0 + hL / 24.0))
+    step = np.eye(11)
+    step[:10, :10] = eye + hL @ S
+    step[:10, 10] = h * S @ _sym_vec(dd.D)
+    v = np.linalg.matrix_power(step, n_steps) @ np.append(
+        _sym_vec(np.asarray(V0, dtype=float)), 1.0)
+    return _sym_unvec(v[:10])
 
 
 # i times the two-mode symplectic form

@@ -278,13 +278,13 @@ def bistable_window(rows) -> Optional[tuple]:
 @dataclass(frozen=True)
 class CkComparison:
     values: np.ndarray          # grid values with a selected branch on both sides
-    differences: np.ndarray     # |n_on - n_off| / max(n_off, eps)
+    differences: np.ndarray     # |n_on - n_off| / max(n_off, 1e-12)
     max_difference: float
     argmax_value: float
     skipped: tuple              # grid values lacking a selected branch
 
 
-def ck_comparison_metrics(rows, eps: float = 1e-12) -> CkComparison:
+def ck_comparison_metrics(rows) -> CkComparison:
     """Pointwise relative photon-number differences between ck settings.
 
     Requires paired rows produced under a selecting branch policy (lowest or
@@ -310,7 +310,7 @@ def ck_comparison_metrics(rows, eps: float = 1e-12) -> CkComparison:
             continue
         values.append(v)
         diffs.append(abs(r_on.n_photon - r_off.n_photon)
-                     / max(r_off.n_photon, eps))
+                     / max(r_off.n_photon, 1e-12))
     values = np.asarray(values)
     diffs = np.asarray(diffs)
     imax = int(np.argmax(diffs)) if diffs.size else 0

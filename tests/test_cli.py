@@ -119,6 +119,8 @@ RANGE = {"sweep_var": "delta_c", "sweep_min": "0*kappa",
     (dict(RANGE, ck_mode=""), "unknown ck_mode ''"),
     ({"preset": "fig2b", "branch_policy": "x"}, "unknown branch_policy 'x'"),
     (dict(RANGE, sweep_var="kappa"), "unknown sweep variable 'kappa'"),
+    ({"preset": "fig2b", "sweep_var": "bogus"},
+     "unknown sweep variable 'bogus'"),
     ({"preset": "fig2a", "sweep_count": 1},
      "grid count must be between 2 and 100000"),
     (dict(RANGE, sweep_count=100001),
@@ -129,8 +131,8 @@ RANGE = {"sweep_var": "delta_c", "sweep_min": "0*kappa",
     ({"ck_mode": "off"},
      "sweep needs explicit sweep_var, sweep_min, sweep_max or a preset"),
 ], ids=["ck_mode-bogus", "ck_mode-empty", "branch_policy-x", "sweep_var-kappa",
-        "count-1", "count-100001", "min-equals-max", "min-above-max",
-        "no-range"])
+        "preset-sweep_var-bogus", "count-1", "count-100001", "min-equals-max",
+        "min-above-max", "no-range"])
 def test_every_command_refuses_a_bad_sweep_alike(tmp_path, capsys, data,
                                                  message):
     path = _write(tmp_path, data)

@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from becck import (InternalConsistencyError, SystemParams,
-                   consistency_residual, derive_params, enumerate_branches,
-                   omega_pm, paper_base_params, preset_names, preset_spec,
-                   upper_bound_photons)
+from becck import (BranchSet, InternalConsistencyError, MeanFieldBranch,
+                   SystemParams, consistency_residual, derive_params,
+                   enumerate_branches, omega_pm, paper_base_params,
+                   preset_names, preset_spec, upper_bound_photons)
 from becck import meanfield
 from becck.meanfield import (BISECT_RTOL, _branch_polynomial,
                              _companion_roots, _root_function,
@@ -161,6 +161,16 @@ def test_branch_set_sequence_protocol():
     assert len(list(bs)) == len(bs) == 3
     assert bs[0].n_photon < bs[1].n_photon < bs[2].n_photon
     assert bs[-1].n_photon == bs[2].n_photon
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_branch_set_is_a_tuple_that_warns_off_one_or_three(k):
+    branches = tuple(MeanFieldBranch(float(i), 0j, 0j, 0.0, 1.0, 1.0, i, 0.0)
+                     for i in range(k))
+    bs = BranchSet(iter(branches))
+    assert bs == branches and len(bs) == k
+    assert list(bs) == [bs[i] for i in range(k)] == list(branches)
+    assert bs.warnings == (() if k in (1, 3) else (f"branch-count={k}",))
 
 
 def test_ck_shift_is_small_but_nonzero():

@@ -102,11 +102,14 @@ def _rk4_literal(dd: DriftDiffusion, V0: np.ndarray, t_final: float,
     return V
 
 
-def test_composed_rk4_equals_literal_recursion():
+@pytest.mark.parametrize("steps", [1, 2, 37, 40])
+def test_composed_rk4_equals_literal_recursion(steps):
+    # one step, and even and odd powers of the one-step map
     _, _, dd = _stable_dd()
     scale = float(np.max(np.abs(dd.A)))
-    t_final = 40 * 1e-2 / scale
-    n_steps = max(1, int(math.ceil(t_final * scale / 1e-2)))
+    t_final = steps * 1e-2 / scale
+    n_steps = max(1, int(math.ceil(t_final / (1e-2 / scale))))
+    assert n_steps == steps
     V0 = np.diag([0.5, 0.5, 2.0, 0.1])
     W = integrate_moment_ode(dd, V0, t_final)
     ref = _rk4_literal(dd, V0, t_final, n_steps)

@@ -54,7 +54,7 @@ def record_stack(record):
 
 def drift_matrix(Delta, Omega_plus, Omega_minus, kappa, gamma,
                  G_R, G_I, F_R, F_I) -> np.ndarray:
-    """Assemble the 4x4 drift matrix from its coefficients."""
+    """The 4x4 drift matrix of its coefficients; (N,) arrays give (4,4,N)."""
     return np.array([
         [-kappa,  Delta,   G_I,          F_I],
         [-Delta, -kappa,  -G_R,         -F_R],
@@ -69,18 +69,23 @@ def drift_diffusion_stacks(pairs) -> DriftDiffusion:
 
     Couplings: G = 2*alpha*(zeta + g*beta_R) splits into (G_R, G_I) by the
     real/imaginary parts of alpha; F = 2*g*alpha*beta_I likewise. Thermal
-    occupation n_c is evaluated at the dressed frequency omega_B, which with
-    the cross-Kerr coupling disabled (g=0) reduces to the undressed omega_c.
+    occupation n_c is evaluated at the dressed frequency omega_B (the
+    undressed omega_c when g=0); a pair whose omega_B is not real and
+    positive (g < 0) raises InternalConsistencyError, its position as item.
     """
     entries = []
-    for d, b in pairs:
+    for i, (d, b) in enumerate(pairs):
         aR, aI = b.alpha.real, b.alpha.imag
         bR, bI = b.beta.real, b.beta.imag
         G_R = 2.0 * aR * (d.zeta + d.g * bR)
         G_I = 2.0 * aI * (d.zeta + d.g * bR)
         F_R = 2.0 * d.g * aR * bI
         F_I = 2.0 * d.g * aI * bI
-        omega_B = math.sqrt(b.Omega_minus * b.Omega_plus)
+        if not (product := b.Omega_minus * b.Omega_plus) > 0.0:
+            raise InternalConsistencyError(
+                "the dressed Bogoliubov frequency is not real and positive "
+                f"(Omega_minus*Omega_plus = {product:.6e} rad^2/s^2)", i)
+        omega_B = math.sqrt(product)
         n_c = thermal_occupation(omega_B, d.T)
         therm = d.gamma * (2.0 * n_c + 1.0)
         k, gm = d.kappa, d.gamma

@@ -153,8 +153,9 @@ def pump_rate_from_power(P: float, kappa: float, omega_p: float) -> float:
 def omega_pm(d: DerivedParams, n_photon: float) -> tuple[float, float]:
     """Photon-dressed Bogoliubov coefficients (Omega_minus, Omega_plus).
 
-    Omega_pm = Omega_c +/- omega_sw/2 + g*n. Both are positive for any
-    n_photon >= 0 since Omega_c - omega_sw/2 = 4 omega_R + omega_sw/2 > 0.
+    Omega_pm = Omega_c +/- omega_sw/2 + g*n. Both are positive at n = 0
+    (Omega_c - omega_sw/2 = 4 omega_R + omega_sw/2 > 0) and, when g >= 0
+    (delta_a > 0), at every n >= 0; with g < 0 they fall as n grows.
     """
     gn = d.g * n_photon
     return (d.Omega_c - 0.5 * d.omega_sw + gn, d.Omega_c + 0.5 * d.omega_sw + gn)
@@ -164,7 +165,8 @@ def bogoliubov_frequency(d: DerivedParams, n_photon: float) -> float:
     """Effective Bogoliubov frequency omega_B = sqrt(Omega_plus * Omega_minus).
 
     At n_photon = 0 (or with g = 0) this reduces to the undressed frequency
-    omega_c = sqrt(Omega_c^2 - omega_sw^2/4).
+    omega_c = sqrt(Omega_c^2 - omega_sw^2/4). Defined where Omega_plus *
+    Omega_minus >= 0 (any n_photon >= 0 when g >= 0), else ValueError.
     """
     om, op = omega_pm(d, n_photon)
     return math.sqrt(om * op)

@@ -157,12 +157,12 @@ def classify_points(ds) -> tuple:
     them in one ``classify_batch`` call. Returns the BranchSet of each
     point; per branch in point order, its (point index, branch) pair; and
     the DriftDiffusion and StabilityReport stacks of all branches. A branch
-    that fails classification is named in the error."""
+    that fails the build or classification is named in the error."""
     bsets = [enumerate_branches(d, roots)
              for d, roots in zip(ds, branch_candidates(ds))]
     branches = [(p, b) for p, bset in enumerate(bsets) for b in bset]
-    dd = drift_diffusion_stacks([(ds[p], b) for p, b in branches])
     try:
+        dd = drift_diffusion_stacks([(ds[p], b) for p, b in branches])
         return bsets, branches, dd, classify_batch(dd.A, dd.kappa)
     except InternalConsistencyError as exc:
         raise _branch_failure(exc, ds, branches) from exc

@@ -2,10 +2,10 @@
 
 Each suite takes a NumPy Generator and returns (ok, detail, where), where
 ``where`` is the (delta_c, eta, omega_sw, ck) point of the worst case or
-None. Branches are reached through ``sweep.classify_points``; only the
-mean-field substitution suite calls ``enumerate_branches`` itself (on the
-candidates of one ``branch_candidates`` batch), since that is what it
-checks.
+None. Branches and covariances come from ``sweep.evaluate_points``, the
+step behind ``steady`` and ``sweep``, so the oracles check what those
+commands report; only the mean-field substitution suite calls
+``enumerate_branches`` itself (on one ``branch_candidates`` batch).
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ import numpy as np
 
 from .dynamics import (InternalConsistencyError, classify_batch,
                        drift_matrix, finite_difference_jacobian,
-                       quadrature_fixed_point, record_items)
+                       quadrature_fixed_point)
 from .meanfield import branch_candidates, enumerate_branches
 from .model import SystemParams, derive_params
-from .steadystate import (integrate_moment_ode, logarithmic_negativity,
-                          lyapunov_batch, strictly_stable)
-from .sweep import classify_points
+from .steadystate import integrate_moment_ode, logarithmic_negativity
+from .sweep import evaluate_points
 
 DEFAULT_SEED = 20260813  # of ``becck verify`` without ``--seed``
 
@@ -39,33 +38,30 @@ def _random_point(rng, base: SystemParams, eta_min: float):
     ))
 
 
-def _random_stable_points(rng, count, base: SystemParams):
+def _random_stable_points(rng, count, base: SystemParams) -> list:
     """The first ``count`` strictly stable branches of random parameter
-    points, in draw order: their (d, branch) pairs, then their
-    DriftDiffusion and StabilityReport stacks.
+    points, in draw order, as ``evaluate_points`` reports them: per branch
+    its point, branch, DriftDiffusion item, max real part and covariance.
 
-    Points are drawn and classified in blocks of as many points as branches
+    Points are drawn and evaluated in blocks of as many points as branches
     are still missing; the draws past the last kept branch are discarded.
     """
-    points, dds, reports = [], [], []
-    while len(points) < count:
-        ds = [_random_point(rng, base, 0.1) for _ in range(count - len(points))]
-        _, branches, dd, report = classify_points(ds)
-        keep = strictly_stable(report)
-        points += [(ds[p], b) for (p, b), k in zip(branches, keep) if k]
-        dds.append(dd._make(x[keep] for x in dd))
-        reports.append(report._make(x[keep] for x in report))
-    return points[:count], *(rs[0]._make(np.concatenate(x)[:count]
-                                         for x in zip(*rs))
-                             for rs in (dds, reports))
+    kept = []
+    while len(kept) < count:
+        ds = [_random_point(rng, base, 0.1) for _ in range(count - len(kept))]
+        _, dd, report, evaluated = evaluate_points(ds)
+        kept += [(ds[p], b, dd._make(x[i] for x in dd),
+                  report.max_real_part[i], state[0])
+                 for i, p, b, state in evaluated if state]
+    return kept[:count]
 
 
 def verify_jacobian(rng, base: SystemParams, count: int = 100,
                     perturb: float = 0.0):
     """Analytic drift matrix against a finite-difference Jacobian."""
     errs, where = [], []
-    points, dd, _ = _random_stable_points(rng, count, base)
-    for (d, b), drift in zip(points, dd.A * (1.0 + perturb)):
+    for d, b, dd, _, _ in _random_stable_points(rng, count, base):
+        drift = dd.A * (1.0 + perturb)
         J = finite_difference_jacobian(d, quadrature_fixed_point(b))
         errs.append(float(np.max(np.abs(drift - J)) / np.max(np.abs(drift))))
         where.append((d.delta_c, d.eta, d.omega_sw, d.ck_enabled))
@@ -74,13 +70,10 @@ def verify_jacobian(rng, base: SystemParams, count: int = 100,
 
 
 def verify_lyapunov_ode(rng, base: SystemParams, count: int = 12):
+    """Reported covariance against the moment ODE integrated from vacuum."""
     errs, where = [], []
-    points, dd, report = _random_stable_points(rng, count, base)
-    covariances = lyapunov_batch(dd, report).V
-    for (d, _), branch_dd, rep, V in zip(points, record_items(dd),
-                                         record_items(report), covariances):
-        t_final = 50.0 / abs(rep.max_real_part)
-        W = integrate_moment_ode(branch_dd, 0.5 * np.eye(4), t_final)
+    for d, _, dd, max_real, V in _random_stable_points(rng, count, base):
+        W = integrate_moment_ode(dd, 0.5 * np.eye(4), 50.0 / abs(max_real))
         errs.append(float(np.max(np.abs(W - V)) / np.max(np.abs(V))))
         where.append((d.delta_c, d.eta, d.omega_sw, d.ck_enabled))
     i = int(np.argmax(errs))  # the first NaN deviation, if any, is the worst
@@ -90,24 +83,20 @@ def verify_lyapunov_ode(rng, base: SystemParams, count: int = 12):
 def verify_routh_hurwitz(rng, base: SystemParams, count: int = 2000):
     """Verdict agreement on random drift-parameter draws.
 
-    The draws are classified in one batch; the first draw whose
-    Routh-Hurwitz verdict contradicts its eigenvalues outside the marginal
-    band raises InternalConsistencyError, named ``draw <i>``.
+    One array of ``count`` draws per coefficient, built and classified in
+    one batch; the first draw whose Routh-Hurwitz verdict contradicts its
+    eigenvalues off the marginal band raises an error named ``draw <i>``.
     """
-    k = base.kappa
-    A = np.stack([drift_matrix(
-        Delta=float(rng.uniform(-20, 20)) * k,
-        Omega_plus=float(rng.uniform(0.001, 0.2)) * k,
-        Omega_minus=float(rng.uniform(0.001, 0.2)) * k,
-        kappa=k,
-        gamma=float(rng.uniform(1e-4, 1e-2)) * k,
-        G_R=float(rng.uniform(-1, 1)) * k,
-        G_I=float(rng.uniform(-1, 1)) * k,
-        F_R=float(rng.uniform(-0.01, 0.01)) * k,
-        F_I=float(rng.uniform(-0.01, 0.01)) * k,
-    ) for _ in range(count)])
+    def draw(lo, hi):
+        return rng.uniform(lo, hi, count) * base.kappa
+    kappa = np.full(count, base.kappa)
+    A = np.moveaxis(drift_matrix(
+        Delta=draw(-20, 20), Omega_plus=draw(0.001, 0.2),
+        Omega_minus=draw(0.001, 0.2), kappa=kappa, gamma=draw(1e-4, 1e-2),
+        G_R=draw(-1, 1), G_I=draw(-1, 1), F_R=draw(-0.01, 0.01),
+        F_I=draw(-0.01, 0.01)), -1, 0)
     try:
-        classify_batch(A, np.full(count, k))
+        classify_batch(A, kappa)
     except InternalConsistencyError as exc:
         raise InternalConsistencyError(f"draw {exc.item}: {exc}") from exc
     return True, f"0 disagreements in {count} draws", None

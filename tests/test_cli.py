@@ -714,6 +714,23 @@ def test_verify_names_the_draw_whose_verdicts_disagree(monkeypatch, capsys):
     assert lines[-1] == "verify: FAIL"
 
 
+def test_verify_checks_the_covariances_the_commands_report(monkeypatch,
+                                                          capsys):
+    # the moment-ODE suite reads the covariance of the command path, so a
+    # fault there fails it
+    import becck.sweep
+    solve = becck.sweep.gaussian_states
+
+    def skewed(*args):
+        solved, cov, obs = solve(*args)
+        return solved, cov._replace(V=cov.V * (1.0 + 1e-3)), obs
+    monkeypatch.setattr(becck.sweep, "gaussian_states", skewed)
+    assert main(["verify"]) == 5
+    lines = capsys.readouterr().out.splitlines()
+    assert any(ln.startswith("lyapunov_ode: FAIL") for ln in lines)
+    assert lines[-1] == "verify: FAIL"
+
+
 @pytest.mark.parametrize("command, data", [
     ("steady", {}), ("sweep", {"preset": "fig2a", "sweep_count": 2})])
 def test_a_failing_branch_is_named_by_its_full_point(tmp_path, monkeypatch,
@@ -763,6 +780,28 @@ def test_a_verdict_lost_beyond_the_float_range_says_so(tmp_path, capsys):
         r"eigenvalue verdict True \(max_real_part=\S+ rad/s\); the scaled "
         r"characteristic coefficients \(\S+, \S+, \S+, 0\.000e\+00\) leave "
         r"the float range\n", err)
+
+
+# a red-detuned strong drive: delta_a < 0 makes the cross-Kerr coupling g
+# negative, so Omega_minus goes negative on upper branches
+RED_DETUNED = {"delta_a": -7.5e11, "eta": "1000*kappa",
+               "delta_c": "-30*kappa", "omega_sw": "40*omegaR"}
+
+
+@pytest.mark.parametrize("command, data", [
+    ("steady", RED_DETUNED),
+    ("sweep", dict(RED_DETUNED, sweep_var="delta_c", sweep_min="-31*kappa",
+                   sweep_max="-29*kappa", sweep_count=3))])
+def test_a_non_real_bogoliubov_frequency_names_its_branch(tmp_path, capsys,
+                                                          command, data):
+    assert main([command, "--config", _write(tmp_path, data)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"internal consistency error: delta_c=\S+ eta=\S+ omega_sw=948000\.0 "
+        r"ck=True branch 1: the dressed Bogoliubov frequency is not real and "
+        r"positive \(Omega_minus\*Omega_plus = -\S+ rad\^2/s\^2\)\n",
+        captured.err)
 
 
 def test_a_sweep_grid_with_a_nan_inside_is_a_config_error(tmp_path, capsys):

@@ -61,11 +61,15 @@ HOSTILE = st.one_of(
     st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
 )
 # whole configs that once escaped the exit-code table: omega_b overflows in
-# every row of this sweep
+# every row of this sweep, and a red-detuned strong drive (delta_a < 0, so
+# g < 0) gives an upper branch a non-real dressed Bogoliubov frequency
+RED_DETUNED = {"delta_a": -7.5e11, "eta": "1000*kappa",
+               "delta_c": "-30*kappa", "omega_sw": "40*omegaR"}
 KNOWN = st.sampled_from([
     {"omega_sw": "1e150*kappa", "gamma": 2.2e-16, "T": 1e-12,
      "ck_enabled": False, "sweep_var": "delta_c", "sweep_min": 1e-300,
      "sweep_max": 9.3e8},
+    RED_DETUNED,
 ])
 KEYS = PARAM_KEYS + SWEEP_KEYS + OTHER_KEYS
 assert set(VALID) | {"sweep_count"} == set(KEYS)
@@ -147,8 +151,8 @@ def test_every_config_ends_in_a_documented_exit_code(tmp_path, command, data):
 
 
 @pytest.mark.parametrize("data,code", [
-    ({"eta": "1e150*kappa"}, 3), ({"out": OUTS[2]}, 4),
-], ids=["eta-overflow", "nul-in-out"])
+    ({"eta": "1e150*kappa"}, 3), ({"out": OUTS[2]}, 4), (RED_DETUNED, 3),
+], ids=["eta-overflow", "nul-in-out", "red-detuned"])
 def test_steady_examples_reach_the_solver_and_the_output(tmp_path, data,
                                                          code):
     assert _exit_code(tmp_path, "steady", data) == code

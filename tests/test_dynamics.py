@@ -10,7 +10,8 @@ from becck import (DriftDiffusion, InternalConsistencyError,
                    finite_difference_jacobian, langevin_drift_field,
                    paper_base_params, quadrature_fixed_point,
                    routh_hurwitz_quartic, thermal_occupation)
-from becck.dynamics import MARGINAL_BAND, classify_batch
+from becck.dynamics import (MARGINAL_BAND, classify_batch,
+                            drift_diffusion_stacks)
 
 KAPPA = paper_base_params().kappa
 
@@ -215,6 +216,16 @@ def test_classify_rejects_nonfinite():
     stack = np.stack([-KAPPA * np.eye(4), A, np.zeros((4, 4))])
     with pytest.raises(InternalConsistencyError) as exc:
         classify_batch(stack, np.full(3, KAPPA))
+    assert exc.value.item == 1
+
+
+@pytest.mark.parametrize("omega_minus", [-1.0, 0.0])
+def test_stacks_refuse_a_dressed_frequency_that_is_not_real(omega_minus):
+    d, b, _ = _branch_dd(5.0, 2.0)
+    bad = b._replace(Omega_minus=omega_minus)
+    with pytest.raises(InternalConsistencyError,
+                       match="Bogoliubov frequency is not real") as exc:
+        drift_diffusion_stacks([(d, b), (d, bad), (d, b)])
     assert exc.value.item == 1
 
 

@@ -33,7 +33,7 @@ Recorded per side:
 * the row path of the 4-point fig6 json-lines slice (``row_path``), per
   row in microseconds: the derivation of its points (``derive_us``),
   ``_rows_for_points`` with ``evaluate_points`` served from a memo
-  (``rows_us``: derivation, grid check and row records) and
+  (``rows_us``: derivation and row records) and
   ``row_to_json`` (``write_us``);
 * the command path around the stacks, per command (a bistable ``steady``
   point, a 2-point fig2b CSV slice, a 4-point fig6 json-lines slice, and
@@ -55,8 +55,9 @@ Recorded once per side, since they do not vary from run to run:
 * ``outputs``: the exit code and the SHA-256 digests of stdout and stderr
   of command-line runs (the side's ``cli.main`` in process): the CSV and
   the json-lines of each of the nine presets, ``steady`` at 30 seeded
-  random points, and ``verify`` at its default seed and at
-  ``--seed 7 --perturb-drift 1e-3``.
+  random points, ``verify`` at its default seed and at
+  ``--seed 7 --perturb-drift 1e-3``, and the refusals of REFUSALS (their
+  exit codes and stderr lines).
 
 With ``--before``, ``differing_outputs`` lists the outputs whose record
 differs between the sides (empty when every output is byte-identical), and
@@ -179,6 +180,27 @@ COMMANDS = {
 }
 
 
+ETA_BELOW_0 = {"sweep_var": "eta", "sweep_min": "-1*kappa",
+               "sweep_max": "1*kappa", "sweep_count": 3}
+# name: (argv, config) of the command-line runs whose refusal is recorded
+REFUSALS = {
+    # a report with a NaN: json's ValueError, exit 3
+    "steady-report-nan": (["steady"], {"eta": "1e150*kappa",
+                                       "delta_c": "1*kappa"}),
+    # Omega_minus*Omega_plus < 0 on branch 1, exit 3
+    "steady-red-detuned": (["steady"], {
+        "delta_a": -7.5e11, "eta": "1000*kappa", "delta_c": "-30*kappa",
+        "omega_sw": "40*omegaR"}),
+    # Omega_minus and Omega_plus both negative on branch 1, exit 3
+    "steady-inverted-mode": (["steady"], {
+        "delta_a": -7.5e11, "omega_sw": 0, "eta": "100*kappa",
+        "delta_c": "-40*kappa"}),
+    # a sweep grid outside eta's domain, exit 2
+    "steady-eta-below-0": (["steady"], ETA_BELOW_0),
+    "dump-config-eta-below-0": (["sweep", "--dump-config"], ETA_BELOW_0),
+}
+
+
 def _write_config(tmp: str, name: str, config) -> list:
     """The ``--config`` arguments of ``config``, written below ``tmp``."""
     if config is None:
@@ -216,7 +238,7 @@ def row_path(becck) -> dict:
     """Per row of the 4-point fig6 json-lines slice, in microseconds: the
     derivation of its points as its sweep makes them (``derive_us``),
     ``_rows_for_points`` with ``evaluate_points`` served from a memo
-    (``rows_us``: derivation, grid check and row records around the stacks)
+    (``rows_us``: derivation and row records around the stacks)
     and ``row_to_json`` (``write_us``); ``rows`` is the row count."""
     cli, sweep = becck.cli, becck.sweep
     spec = cli.sweep_spec_from_config(cli.build_config(
@@ -366,6 +388,9 @@ def outputs(becck) -> dict:
                 "ck_enabled": rng.random() < 0.5}))
             records[f"steady/{i:02d}"] = run(["steady", "--config",
                                               str(point)])
+        for name, (argv, config) in REFUSALS.items():
+            records[f"refusal/{name}"] = run(
+                argv + _write_config(tmp, name, config))
     records["verify/default"] = run(["verify"])
     records["verify/seed7-perturb1e-3"] = run(
         ["verify", "--seed", "7", "--perturb-drift", "1e-3"])

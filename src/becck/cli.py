@@ -240,48 +240,36 @@ def row_to_json(row: SweepRow) -> str:
     return _JSON_TEMPLATES[row.E_N is None] % _row_cells(row, _JSON_FLAGS)
 
 
-# the JSON text of each scalar type, in the isinstance order of json (a bool
-# is no int); a float is checked for finiteness, and a subclass of it (such
-# as np.float64) is written by float.__repr__
+def _float_text(x: float) -> str:
+    if not math.isfinite(x):
+        raise ValueError("Out of range float values are not JSON compliant: "
+                         + repr(x))
+    return repr(x)
+
+
+# the JSON text of a scalar by its exact type; indented_json calls it inline
 _SCALAR_TEXT = {str: encode_basestring_ascii, type(None): {None: "null"}.get,
                 bool: {True: "true", False: "false"}.get,
-                int: int.__repr__, float: repr}
+                int: int.__repr__, float: _float_text}
 _key_texts = functools.lru_cache(maxsize=64)(  # per tuple of a dict's keys
     lambda keys: [encode_basestring_ascii(k) + ": " for k in keys])
 
 
 def indented_json(x, nl: str = "\n") -> str:
-    """``json.dumps(x, indent=2, allow_nan=False)`` byte for byte, or its
-    error at the first value it cannot write (for str keys); ``nl`` is the
-    line break and indent of the line that ``x`` starts on."""
+    """``json.dumps(x, indent=2, allow_nan=False)`` byte for byte for JSON's
+    own types (str keys), or its error at the first value it cannot write;
+    ``nl`` is the line break and indent of the line that ``x`` starts on."""
     t = type(x)
     if t is dict or t is list:
-        ends = "{}" if t is dict else "[]"
-        if not x:
-            return ends
-        inner, values = nl + "  ", x.values() if t is dict else x
-        text = _SCALAR_TEXT.get
-        try:  # a scalar is written inline, without a call of its own
-            parts = [f(v) if (f := text(type(v))) else indented_json(v, inner)
-                     for v in values]
-            if "nan" in parts or "inf" in parts or "-inf" in parts:
-                raise ValueError
-        except (ValueError, TypeError):  # raise the first error, in order
-            for v in values:
-                indented_json(v, inner)
+        inner, text = nl + "  ", _SCALAR_TEXT.get
+        parts = [f(v) if (f := text(type(v))) else indented_json(v, inner)
+                 for v in (x.values() if t is dict else x)]
         if t is dict:
             parts = map(operator.add, _key_texts(tuple(x)), parts)
-        return ends[0] + inner + ("," + inner).join(parts) + nl + ends[1]
-    if isinstance(x, (list, tuple, dict)):  # subclasses, as json reads them
-        return indented_json((dict if isinstance(x, dict) else list)(x), nl)
-    if isinstance(x, float):
-        if not math.isfinite(x):
-            raise ValueError("Out of range float values are not JSON "
-                             "compliant: " + repr(x))
-        return float.__repr__(x)
-    for kind, write in _SCALAR_TEXT.items():
-        if isinstance(x, kind):
-            return write(x)
+        body = inner + ("," + inner).join(parts) + nl if x else ""
+        return ("{%s}" if t is dict else "[%s]") % body
+    if write := _SCALAR_TEXT.get(t):
+        return write(x)
     raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
 
 
@@ -457,7 +445,7 @@ def main(argv=None) -> int:
             else:
                 code, text = cmd_verify(cfg, seed=args.seed,
                                         perturb_drift=args.perturb_drift)
-    except (ConfigError, DomainError) as exc:  # DomainError: at a grid point
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # ArithmeticError: a result beyond the float range

@@ -71,7 +71,8 @@ def drift_diffusion_stacks(pairs) -> DriftDiffusion:
     real/imaginary parts of alpha; F = 2*g*alpha*beta_I likewise. Thermal
     occupation n_c is evaluated at the dressed frequency omega_B (the
     undressed omega_c when g=0); a pair whose omega_B is not real and
-    positive (g < 0) raises InternalConsistencyError, its position as item.
+    positive, or whose mode is inverted (Omega_minus and Omega_plus both
+    negative; g < 0), raises InternalConsistencyError, its position as item.
     """
     entries = []
     for i, (d, b) in enumerate(pairs):
@@ -85,6 +86,11 @@ def drift_diffusion_stacks(pairs) -> DriftDiffusion:
             raise InternalConsistencyError(
                 "the dressed Bogoliubov frequency is not real and positive "
                 f"(Omega_minus*Omega_plus = {product:.6e} rad^2/s^2)", i)
+        if b.Omega_minus <= 0.0:  # and Omega_plus < 0, as the product is > 0
+            raise InternalConsistencyError(
+                "the dressed Bogoliubov mode is inverted (Omega_minus = "
+                f"{b.Omega_minus:.6e}, Omega_plus = {b.Omega_plus:.6e} rad/s)",
+                i)
         omega_B = math.sqrt(product)
         n_c = thermal_occupation(omega_B, d.T)
         therm = d.gamma * (2.0 * n_c + 1.0)

@@ -155,7 +155,8 @@ def omega_pm(d: DerivedParams, n_photon: float) -> tuple[float, float]:
 
     Omega_pm = Omega_c +/- omega_sw/2 + g*n. Both are positive at n = 0
     (Omega_c - omega_sw/2 = 4 omega_R + omega_sw/2 > 0) and, when g >= 0
-    (delta_a > 0), at every n >= 0; with g < 0 they fall as n grows.
+    (delta_a > 0), at every n >= 0; with g < 0 they fall as n grows, and
+    both can turn negative (an inverted mode).
     """
     gn = d.g * n_photon
     return (d.Omega_c - 0.5 * d.omega_sw + gn, d.Omega_c + 0.5 * d.omega_sw + gn)
@@ -165,8 +166,9 @@ def bogoliubov_frequency(d: DerivedParams, n_photon: float) -> float:
     """Effective Bogoliubov frequency omega_B = sqrt(Omega_plus * Omega_minus).
 
     At n_photon = 0 (or with g = 0) this reduces to the undressed frequency
-    omega_c = sqrt(Omega_c^2 - omega_sw^2/4). Defined where Omega_plus *
-    Omega_minus >= 0 (any n_photon >= 0 when g >= 0), else ValueError.
+    omega_c = sqrt(Omega_c^2 - omega_sw^2/4). It is the mode's frequency
+    where both factors are positive (any n_photon >= 0 when g >= 0); both
+    negative (g < 0) is an inverted mode; a negative product raises ValueError.
     """
     om, op = omega_pm(d, n_photon)
     return math.sqrt(om * op)

@@ -27,7 +27,7 @@ SWEEP_VARS = ("delta_c", "eta", "omega_sw")
 CK_MODES = ("on", "off", "paired")
 BRANCH_POLICIES = ("all", "lowest", "highest")
 DEFAULT_GRID_COUNT = 501
-# a sweep holds all its rows in memory, about 3.6 kB each at peak (measured
+# a sweep holds all its rows in memory, about 3.4 kB each at peak (measured
 # on a 20001-point paired fig2a sweep), so the largest grid stays near 1 GB
 MAX_GRID_COUNT = 100_000
 
@@ -54,6 +54,12 @@ class SweepSpec:
                 f"grid count must be between 2 and {MAX_GRID_COUNT}")
         if not self.start < self.stop:
             raise ValueError("grid start must be below stop")
+        with np.errstate(all="ignore"):  # a step that overflows makes nan
+            grid = self.grid()
+        # SystemParams bounds each input to an interval, so on a monotone grid
+        # the ends and the values that are not finite decide every point
+        for value in [grid[0], *grid[~np.isfinite(grid)], grid[-1]]:
+            replace(self.base, **{self.var: float(value)})
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)
@@ -213,10 +219,6 @@ def _rows_for_points(spec: SweepSpec, values) -> list:
     """Rows of the grid ``values`` in grid order, from one evaluation of
     all points (value, ck setting)."""
     grid = np.asarray(values, dtype=float)
-    # SystemParams bounds each input to an interval, so on a monotone grid
-    # the ends and the values that are not finite decide every point
-    for value in [grid[0], *grid[~np.isfinite(grid)], grid[-1]]:
-        replace(spec.base, **{spec.var: float(value)})
     cks = {"on": (True,), "off": (False,), "paired": (False, True)}[spec.ck_mode]
     ds = [d for ck_ds in zip(*(_grid_params(spec, grid, ck) for ck in cks))
           for d in ck_ds]

@@ -130,9 +130,16 @@ RANGE = {"sweep_var": "delta_c", "sweep_min": "0*kappa",
      "grid start must be below stop"),
     ({"ck_mode": "off"},
      "sweep needs explicit sweep_var, sweep_min, sweep_max or a preset"),
+    # a grid point outside a parameter's domain
+    ({"sweep_var": "eta", "sweep_min": "-1*kappa", "sweep_max": "1*kappa",
+      "sweep_count": 3}, "eta must be >= 0"),
+    ({"preset": "fig8", "sweep_min": "-1*omegaR"}, "omega_sw must be >= 0"),
+    ({"preset": "fig2b", "sweep_min": -1e308, "sweep_max": 1e308,
+      "sweep_count": 3}, "delta_c must be finite"),
 ], ids=["ck_mode-bogus", "ck_mode-empty", "branch_policy-x", "sweep_var-kappa",
         "preset-sweep_var-bogus", "count-1", "count-100001", "min-equals-max",
-        "min-above-max", "no-range"])
+        "min-above-max", "no-range", "eta-below-0", "omega_sw-below-0",
+        "nonfinite-grid"])
 def test_every_command_refuses_a_bad_sweep_alike(tmp_path, capsys, data,
                                                  message):
     path = _write(tmp_path, data)
@@ -802,6 +809,27 @@ def test_a_non_real_bogoliubov_frequency_names_its_branch(tmp_path, capsys,
         r"ck=True branch 1: the dressed Bogoliubov frequency is not real and "
         r"positive \(Omega_minus\*Omega_plus = -\S+ rad\^2/s\^2\)\n",
         captured.err)
+
+
+# a red detuning that drives both Bogoliubov coefficients below zero on the
+# upper branches: Omega_minus*Omega_plus is positive again
+INVERTED = {"delta_a": -7.5e11, "omega_sw": 0, "eta": "100*kappa",
+            "delta_c": "-40*kappa"}
+
+
+@pytest.mark.parametrize("command, data", [
+    ("steady", INVERTED),
+    ("sweep", dict(INVERTED, sweep_var="delta_c", sweep_min="-41*kappa",
+                   sweep_max="-39*kappa", sweep_count=3))])
+def test_an_inverted_bogoliubov_mode_names_its_branch(tmp_path, capsys,
+                                                      command, data):
+    assert main([command, "--config", _write(tmp_path, data)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(
+        r"internal consistency error: delta_c=\S+ eta=\S+ omega_sw=0\.0 "
+        r"ck=True branch 1: the dressed Bogoliubov mode is inverted "
+        r"\(Omega_minus = -\S+, Omega_plus = -\S+ rad/s\)\n", captured.err)
 
 
 def test_a_sweep_grid_with_a_nan_inside_is_a_config_error(tmp_path, capsys):

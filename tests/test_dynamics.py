@@ -219,12 +219,19 @@ def test_classify_rejects_nonfinite():
     assert exc.value.item == 1
 
 
-@pytest.mark.parametrize("omega_minus", [-1.0, 0.0])
-def test_stacks_refuse_a_dressed_frequency_that_is_not_real(omega_minus):
+@pytest.mark.parametrize("omega_minus, omega_plus, message", [
+    (-1.0, None, "Bogoliubov frequency is not real"),
+    (0.0, None, "Bogoliubov frequency is not real"),
+    # both negative: the product is positive again, but the mode is inverted
+    (-2.0, -1.0, r"Bogoliubov mode is inverted \(Omega_minus = -2\.000000e"
+                 r"\+00, Omega_plus = -1\.000000e\+00 rad/s\)$"),
+], ids=["-1.0", "0.0", "both-negative"])
+def test_stacks_refuse_a_dressed_frequency_that_is_not_real(
+        omega_minus, omega_plus, message):
     d, b, _ = _branch_dd(5.0, 2.0)
-    bad = b._replace(Omega_minus=omega_minus)
-    with pytest.raises(InternalConsistencyError,
-                       match="Bogoliubov frequency is not real") as exc:
+    bad = b._replace(Omega_minus=omega_minus,
+                     Omega_plus=omega_plus or b.Omega_plus)
+    with pytest.raises(InternalConsistencyError, match=message) as exc:
         drift_diffusion_stacks([(d, b), (d, bad), (d, b)])
     assert exc.value.item == 1
 

@@ -1,6 +1,8 @@
-"""Property test of ``cli.indented_json``: for every JSON value it writes
-the text of ``json.dumps(x, indent=2, allow_nan=False)``, and where that
-raises, it raises the same error; ``steady`` writes its report with it."""
+"""Property test of ``cli.indented_json``: for every value of JSON's own
+types it writes the text of ``json.dumps(x, indent=2, allow_nan=False)``,
+and where that raises, it raises the same error; a value of any other type
+raises json's ``TypeError`` naming it; ``steady`` writes its report with
+it."""
 
 import enum
 import json
@@ -9,7 +11,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from becck import cli  # noqa: E402
@@ -37,34 +39,31 @@ class _Name(str):
     pass
 
 
-# finite floats with signed zero, subnormals and the largest exponents;
-# np.float64, an IntEnum, a str subclass and tuples take json's isinstance
-# path
+# finite floats with signed zero, subnormals and the largest exponents
 EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
          -1e308, 1.7976931348623157e308, 1e16, 1e-5, 0.1]
 finite = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                    st.sampled_from(EDGES))
 # keys and strings with non-ASCII, surrogate and control characters
 text = st.text(st.characters(exclude_categories=()), max_size=6)
-scalars = st.one_of(
-    st.none(), st.booleans(), finite, text,
-    st.integers(), st.integers(-(2 ** 200), 2 ** 200),
-    st.builds(np.float64, finite), st.sampled_from(_Level),
-    st.builds(_Name, text))
+scalars = st.one_of(st.none(), st.booleans(), finite, text,
+                    st.integers(), st.integers(-(2 ** 200), 2 ** 200))
+NONFINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
+# subclasses of JSON's scalar types, which json.dumps writes by isinstance
+FOREIGN = st.one_of(st.builds(np.float64, st.one_of(finite, NONFINITE)),
+                    st.sampled_from(_Level), st.builds(_Name, text))
 
 
-def json_values(leaves):
+def json_values(leaves, *containers):
+    """Nested lists and str-keyed dicts of ``leaves``, and the containers
+    that each of ``containers`` makes of the values inside."""
     return st.recursive(
         leaves,
         lambda inner: st.one_of(
             st.lists(inner, max_size=4),
-            st.builds(tuple, st.lists(inner, max_size=3)),
-            st.dictionaries(text, inner, max_size=4)),
+            st.dictionaries(text, inner, max_size=4),
+            *(make(inner) for make in containers)),
         max_leaves=24)
-
-
-NONFINITE = st.sampled_from([float("nan"), float("inf"), float("-inf"),
-                             np.float64("nan"), np.float64("-inf")])
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
@@ -86,6 +85,30 @@ def test_writer_is_json_dumps_indent_2(x):
 @example([{"x": 1}, float("nan")])
 def test_nonfinite_floats_raise_what_json_dumps_raises(x):
     assert _outcome(cli.indented_json, x) == _outcome(_dumps, x)
+
+
+def _first_foreign(x):
+    """``(v,)`` of the first value ``v`` of ``x``, in document order, whose
+    type is not one of JSON's own, or None."""
+    if type(x) is dict or type(x) is list:
+        return next(filter(None, map(_first_foreign, x.values()
+                                     if type(x) is dict else x)), None)
+    return None if type(x) in (str, int, float, bool, type(None)) else (x,)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(json_values(st.one_of(scalars, FOREIGN),
+                   lambda inner: st.builds(tuple, st.lists(inner, max_size=3))))
+@example(np.float64(1.5))
+@example([1.0, np.float64("nan")])
+@example({"a": _Level.LOW, "b": [()]})
+@example([[_Name("x")], np.float64(0.0)])
+def test_other_types_raise_jsons_type_error(x):
+    found = _first_foreign(x)
+    assume(found is not None)
+    assert _outcome(cli.indented_json, x) == (
+        TypeError,
+        f"Object of type {type(found[0]).__name__} is not JSON serializable")
 
 
 def test_unserializable_values_raise_what_json_dumps_raises():

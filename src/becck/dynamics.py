@@ -202,20 +202,20 @@ def classify_batch(A, kappa) -> StabilityReport:
     whose verdicts disagree, raises InternalConsistencyError with its
     position as ``item``."""
     # scale out the rate magnitude so the quartic coefficients stay O(1)
-    scale = np.max(np.abs(A), axis=(1, 2))
-    bad = np.flatnonzero((scale == 0.0) | ~np.isfinite(scale))
-    if bad.size:
+    scale = np.abs(A).max(axis=(1, 2))
+    bad = (scale == 0.0) | ~np.isfinite(scale)
+    if bad.any():
         raise InternalConsistencyError(
-            "drift matrix must be finite and nonzero", int(bad[0]))
-    eigs = np.linalg.eigvals(A).astype(complex)
+            "drift matrix must be finite and nonzero", int(bad.argmax()))
+    eigs = np.linalg.eigvals(A).astype(complex, copy=False)
     max_real = eigs.real.max(axis=1)
     coefficients = characteristic_coefficients(A / scale[:, None, None])
     rh = routh_hurwitz_quartic(*coefficients)
     stable = max_real < 0.0
     marginal = np.abs(max_real) <= MARGINAL_BAND * kappa
-    bad = np.flatnonzero(~marginal & (rh != stable))
-    if bad.size:
-        i = int(bad[0])
+    bad = ~marginal & (rh != stable)
+    if bad.any():
+        i = int(bad.argmax())
         c = tuple(float(x[i]) for x in coefficients)
         # a zero, subnormal or infinite coefficient: the quartic is lost
         lost = not all(np.finfo(float).tiny <= abs(x) < math.inf for x in c)

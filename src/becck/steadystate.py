@@ -46,6 +46,9 @@ class ObservableSet(NamedTuple):
 
 
 _ROWS, _COLS = np.array(_PAIRS).T
+# position in the sym-vector of each entry (i, j) of the 4x4 matrix
+_UNVEC = np.empty((4, 4), np.intp)
+_UNVEC[_ROWS, _COLS] = _UNVEC[_COLS, _ROWS] = range(10)
 
 
 def _sym_vec(M: np.ndarray) -> np.ndarray:
@@ -53,10 +56,7 @@ def _sym_vec(M: np.ndarray) -> np.ndarray:
 
 
 def _sym_unvec(v: np.ndarray) -> np.ndarray:
-    M = np.empty(v.shape[:-1] + (4, 4))
-    M[..., _ROWS, _COLS] = v
-    M[..., _COLS, _ROWS] = v
-    return M
+    return v[..., _UNVEC]
 
 
 # the 16 unit matrices times the ten unit symmetric matrices E_k; table
@@ -85,27 +85,27 @@ def lyapunov_batch(dd, report) -> CovarianceMatrix:
     """``solve_lyapunov`` of the DriftDiffusion stacks ``dd`` with their
     ``classify_batch`` report in one stacked solve: the CovarianceMatrix
     stacks. A failing item's error carries its position as ``item``."""
-    bad = np.flatnonzero(~strictly_stable(report))
-    if bad.size:
-        i = int(bad[0])
+    bad = ~strictly_stable(report)
+    if bad.any():
+        i = int(bad.argmax())
         kind = "marginal" if report.marginal[i] else "unstable"
         raise UnstableDriftError(
             f"drift matrix is {kind} (max_real_part="
             f"{report.max_real_part[i]:.6e} rad/s); no stationary covariance",
             i)
     A, D = dd.A, dd.D
-    scale = np.max(np.abs(A), axis=(1, 2))[:, None, None]
+    scale = np.abs(A).max(axis=(1, 2))[:, None, None]
     L = _lyapunov_operator(A / scale)
     rhs = -_sym_vec(D / scale)[..., None]
     v = np.linalg.solve(L, rhs)
     v += np.linalg.solve(L, rhs - L @ v)  # one refinement pass
     V = _sym_unvec(v[..., 0])
 
-    resid = np.max(np.abs(A @ V + V @ A.transpose(0, 2, 1) + D), axis=(1, 2))
-    bound = RESIDUAL_BOUND * np.max(np.abs(D), axis=(1, 2))
-    bad = np.flatnonzero(~(resid <= bound))  # a NaN residual fails too
-    if bad.size:
-        i = int(bad[0])
+    resid = np.abs(A @ V + V @ A.transpose(0, 2, 1) + D).max(axis=(1, 2))
+    bound = RESIDUAL_BOUND * np.abs(D).max(axis=(1, 2))
+    bad = ~(resid <= bound)  # a NaN residual fails too
+    if bad.any():
+        i = int(bad.argmax())
         raise InternalConsistencyError(
             f"Lyapunov residual {resid[i]:.3e} exceeds bound {bound[i]:.3e}",
             i)
@@ -226,21 +226,22 @@ def logarithmic_negativity(V: np.ndarray) -> tuple:
     E_N = max(0, -ln(2*eta_minus)). A stack (..., 4, 4) gives arrays, and
     an error the flat position of its failing item as ``item``.
     """
-    oo, aa, oa = np.linalg.det(
-        np.stack([V[..., :2, :2], V[..., 2:, 2:], V[..., :2, 2:]]))
-    sigma = oo + aa - 2.0 * oa
+    # blocks[..., a, b] = det of the 2x2 block (a, b), mode 0 the cavity
+    blocks = np.linalg.det(
+        V.reshape(V.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2))
+    sigma = blocks[..., 0, 0] + blocks[..., 1, 1] - 2.0 * blocks[..., 0, 1]
     disc = sigma * sigma - 4.0 * np.linalg.det(V)
-    bad = np.flatnonzero(disc < -1e-12)
-    if bad.size:
+    if (bad := disc < -1e-12).any():
+        i = int(bad.argmax())
         raise InternalConsistencyError(
-            f"negative discriminant {np.ravel(disc)[bad[0]]:.3e} in "
-            "symplectic spectrum", int(bad[0]))
+            f"negative discriminant {np.ravel(disc)[i]:.3e} in "
+            "symplectic spectrum", i)
     inner = sigma - np.sqrt(np.maximum(disc, 0.0))
-    bad = np.flatnonzero(inner <= 0.0)
-    if bad.size:
+    if (bad := inner <= 0.0).any():
+        i = int(bad.argmax())
         raise InternalConsistencyError(
             "nonpositive partial-transpose eigenvalue "
-            f"(inner={np.ravel(inner)[bad[0]]:.3e})", int(bad[0]))
+            f"(inner={np.ravel(inner)[i]:.3e})", i)
     eta_minus = np.sqrt(inner) / math.sqrt(2.0)
     return np.maximum(0.0, -np.log(2.0 * eta_minus)), eta_minus
 
@@ -280,11 +281,14 @@ def gaussian_states(dd, report, among=None) -> tuple:
     strictly stable items among the positions ``among`` (default all) of the
     DriftDiffusion stacks ``dd`` with their ``classify_batch`` report; a
     failing item's error carries its position in ``dd`` as ``item``."""
-    idx = np.arange(len(dd.A)) if among is None else np.asarray(among, np.intp)
+    every = np.arange(len(dd.A))
+    idx = every if among is None else np.asarray(among, np.intp)
     solved = idx[strictly_stable(report)[idx]]
-    dd = dd._make(x[solved] for x in dd)
+    if solved.shape != every.shape or (solved != every).any():
+        dd = dd._make(x[solved] for x in dd)
+        report = report._make(x[solved] for x in report)
     try:
-        cov = lyapunov_batch(dd, report._make(x[solved] for x in report))
+        cov = lyapunov_batch(dd, report)
         return solved, cov, observables_batch(dd, cov)
     except InternalConsistencyError as exc:
         exc.item = int(solved[exc.item])

@@ -219,6 +219,38 @@ def test_classify_rejects_nonfinite():
     assert exc.value.item == 1
 
 
+def _flip_last_verdict(monkeypatch):
+    import becck.dynamics
+    honest = becck.dynamics.routh_hurwitz_quartic
+
+    def flipped(*coefficients):
+        verdict = np.array(honest(*coefficients))
+        verdict[-1] = ~verdict[-1]
+        return verdict
+
+    monkeypatch.setattr(becck.dynamics, "routh_hurwitz_quartic", flipped)
+
+
+@pytest.mark.parametrize("kind", ["not-finite", "zero", "routh-hurwitz"])
+def test_classify_batch_refusals_name_the_last_of_three(monkeypatch, kind):
+    # only the item at position 2 fails; each refusal keeps its text
+    A = np.stack([_branch_dd(5.0, 2.0, index=i)[2].A for i in (0, 2, 0)])
+    kappa = np.full(3, KAPPA)
+    max_real = classify_batch(A, kappa).max_real_part[2]
+    message = "drift matrix must be finite and nonzero"
+    if kind == "not-finite":
+        A[2, 1, 3] = np.inf
+    elif kind == "zero":
+        A[2] = 0.0
+    else:
+        _flip_last_verdict(monkeypatch)
+        message = ("Routh-Hurwitz verdict False contradicts eigenvalue "
+                   f"verdict True (max_real_part={max_real:.6e} rad/s)")
+    with pytest.raises(InternalConsistencyError) as exc:
+        classify_batch(A, kappa)
+    assert (str(exc.value), exc.value.item) == (message, 2)
+
+
 @pytest.mark.parametrize("omega_minus, omega_plus, message", [
     (-1.0, None, "Bogoliubov frequency is not real"),
     (0.0, None, "Bogoliubov frequency is not real"),

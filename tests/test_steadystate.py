@@ -609,3 +609,74 @@ def test_logarithmic_negativity_refusals(x, y, c, message):
     with pytest.raises(InternalConsistencyError, match="^" + message) as exc:
         logarithmic_negativity(np.stack([0.5 * np.eye(4), V]))
     assert exc.value.item == 1
+
+
+def _three_branch_stacks():
+    """The stacks and report of the three fig2b branches at delta_c = 5
+    kappa (low, middle, high; the middle one is an unstable saddle)."""
+    stacks = _stacks([_stable_dd(index=i)[2] for i in range(3)])
+    return stacks, classify_batch(stacks.A, stacks.kappa)
+
+
+@pytest.mark.parametrize("kind", ["unstable", "marginal", "residual"])
+def test_lyapunov_refusals_name_the_last_of_three(kind):
+    stacks, report = _three_branch_stacks()
+    order = [0, 2, 1] if kind == "unstable" else [0, 2, 0]
+    stacks = stacks._make(x[order] for x in stacks)
+    report = report._make(x[order] for x in report)
+    rate = report.max_real_part[2]
+    if kind == "unstable":
+        message = (f"drift matrix is unstable (max_real_part={rate:.6e} "
+                   "rad/s); no stationary covariance")
+    elif kind == "marginal":
+        report.marginal[2] = True
+        message = (f"drift matrix is marginal (max_real_part={rate:.6e} "
+                   "rad/s); no stationary covariance")
+    else:
+        stacks.D[2, 0, 0] = math.nan
+        message = "Lyapunov residual nan exceeds bound nan"
+    with pytest.raises(InternalConsistencyError) as exc:
+        lyapunov_batch(stacks, report)
+    assert (str(exc.value), exc.value.item) == (message, 2)
+
+
+@pytest.mark.parametrize("x, y, c, message", [
+    (1.0, 2.0, 2.0, "negative discriminant -7.000e+00 in symplectic "
+                    "spectrum"),
+    (1.0, 1.0, 2.0, "nonpositive partial-transpose eigenvalue "
+                    "(inner=-6.000e+00)"),
+], ids=["negative-discriminant", "nonpositive-partial-transpose"])
+def test_logarithmic_negativity_refusals_name_the_last_of_three(x, y, c,
+                                                                 message):
+    I2 = np.eye(2)
+    V = np.block([[x * I2, c * I2], [c * I2, y * I2]])
+    with pytest.raises(InternalConsistencyError) as exc:
+        logarithmic_negativity(np.stack([0.5 * np.eye(4),
+                                         tms_covariance(0.3), V]))
+    assert (str(exc.value), exc.value.item) == (message, 2)
+
+
+def test_gaussian_states_of_the_whole_stack_equal_a_copying_selection():
+    stacks = _stacks([dd for dd, _ in _random_stable_dds(13, 6)])
+    report = classify_batch(stacks.A, stacks.kappa)
+    solved, covs, obs = gaussian_states(stacks, report)
+    every = np.arange(6)
+    copied = stacks._make(x[every] for x in stacks)
+    want_covs = lyapunov_batch(copied, report._make(x[every] for x in report))
+    want_obs = observables_batch(copied, want_covs)
+    assert solved.tolist() == every.tolist()
+    for got, want in zip((*covs, *obs), (*want_covs, *want_obs)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("among", [[2, 1, 0], [2, 0, 0], [1, 1, 2]])
+def test_gaussian_states_solves_a_reordered_or_repeated_selection(among):
+    # as many positions as the stack, but not the stack in order
+    stacks = _stacks([dd for dd, _ in _random_stable_dds(14, 3)])
+    report = classify_batch(stacks.A, stacks.kappa)
+    _, full_covs, full_obs = gaussian_states(stacks, report)
+    solved, covs, obs = gaussian_states(stacks, report, among)
+    assert solved.tolist() == among
+    for k, i in enumerate(among):
+        assert np.array_equal(covs.V[k], full_covs.V[i])
+        assert _observables(obs, k) == _observables(full_obs, i)

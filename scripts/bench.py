@@ -44,14 +44,23 @@ Recorded per side:
   (``steady_report_us``, ``cli.indented_json``);
 * end to end through the command line (``becck.cli.main`` in process,
   stdout discarded): one ``steady`` point (bistable, in milliseconds), the
-  4-point fig6 json-lines slice (in milliseconds) and one ``verify`` run at
-  its default seed (in seconds);
+  4-point fig6 json-lines slice (in milliseconds), one ``verify`` run at
+  its default seed (in seconds), and per workload that perfbench gates
+  (WORKLOADS) one pass of its seed-0 commands with perfbench's
+  ``speed_probe`` before each, as perfbench runs them
+  (``<workload>_pass_ms``, the commands' time alone, in milliseconds): a
+  command timed in a hot loop finds its caches warm, and one after a probe
+  finds them as cold as perfbench does;
 * the wall time of one run of the checkout's tier-1 tests (the command in
   ROADMAP.md, run from the checkout's root) and pytest's summary line.
 
 Recorded once per side, since they do not vary from run to run:
 
 * ``lines``: the line count of each ``src/becck/*.py``;
+* ``polish_calls``: the root-function calls of the root polish
+  (``meanfield._bisect``) per polished root over the nine presets (mean
+  and maximum, with the root count), and all root-function calls there
+  (``f_calls``);
 * ``outputs``: the exit code and the SHA-256 digests of stdout and stderr
   of command-line runs (the side's ``cli.main`` in process): the CSV and
   the json-lines of each of the nine presets, ``steady`` at 30 seeded
@@ -59,12 +68,16 @@ Recorded once per side, since they do not vary from run to run:
   ``--seed 7 --perturb-drift 1e-3``, and the refusals of REFUSALS (their
   exit codes and stderr lines).
 
-With ``--before``, ``differing_outputs`` lists the outputs whose record
-differs between the sides (empty when every output is byte-identical), and
-``after_over_before`` holds, per timed figure, the median and quartiles
-over the rounds of its per-round ratio after/before. Both sides of a round
-are timed back to back, so the ratio follows the code where each side's
-own figure also follows the load of the machine.
+With ``--before``, ``differing_outputs`` maps each output that differs
+between the sides (none when every output is byte-identical) to what
+changed: per column, the largest relative change of its numbers, or
+"text" where a cell that is no number (a flag, a branch count's layout, a
+word) differs; a column is a CSV column, a JSON key path or a text line's
+first word, and "exit" and "stderr:" columns stand for the exit code and
+stderr. ``after_over_before`` holds, per timed figure, the median and
+quartiles over the rounds of its per-round ratio after/before. Both sides
+of a round are timed back to back, so the ratio follows the code where
+each side's own figure also follows the load of the machine.
 
 Timings on a shared machine swing by up to 2x; compare sides measured in
 one invocation by their ratio, and against the ratios of a run with
@@ -76,6 +89,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import hashlib
 import importlib.util
@@ -85,6 +99,7 @@ import json
 import os
 import platform
 import random
+import re
 import statistics
 import subprocess
 import sys
@@ -103,11 +118,14 @@ POINTS = {"monostable": (-5.0, 2.0), "bistable": (5.0, 2.0),
 
 class Timed(NamedTuple):
     """``fn`` run ``number`` times per repeat: a round's figure is the median
-    over ``repeat`` repeats of the time per run, times ``unit``."""
+    over ``repeat`` repeats of the time per run, times ``unit``. With
+    ``own_clock`` ``fn`` runs once per repeat and returns its own time in
+    seconds."""
     fn: Callable
     number: int = 200
     unit: float = 1e6
     repeat: int = 7
+    own_clock: bool = False
 
 
 def _per_item(fn, items):
@@ -165,6 +183,10 @@ def _downstream(becck, base, dc, eta, size=8):
                 lambda: gaussian_states(*args), 50),
             f"gaussian_states_{size}_branches": len(keep)}
 
+
+# the workloads that perfbench gates, each timed by one pass of its seed-0
+# commands
+WORKLOADS = ("sweep-bistable", "sweep-strong-pool", "steady-points")
 
 # argv and config of the commands whose path around the stacks is timed
 COMMANDS = {
@@ -336,7 +358,34 @@ def end_to_end(becck, tmp: str) -> dict:
     return {"steady_point_ms": Timed(lambda: run(["steady", *point]), 20,
                                      1e3),
             "sweep_fig6_4_jsonl_ms": Timed(lambda: run(fig6), 20, 1e3),
-            "verify_s": Timed(lambda: run(["verify"]), 1, 1.0, 1)}
+            "verify_s": Timed(lambda: run(["verify"]), 1, 1.0, 1),
+            **workload_passes(becck, tmp)}
+
+
+def workload_passes(becck, tmp: str) -> dict:
+    """Per gated workload of perfbench, one pass of its seed-0 commands as
+    perfbench runs them, with ``speed_probe`` before each command (the
+    probe leaves the caches as cold as perfbench leaves them); the figure
+    is the commands' time alone, in milliseconds per pass."""
+    sys.path.insert(0, str(ROOT))
+    from perfbench.workloads import make_inputs, speed_probe
+
+    main = becck.cli.main
+
+    def one_pass(argvs):
+        seconds = 0.0
+        for argv in argvs:
+            speed_probe()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                start = time.perf_counter()
+                main(argv)
+                seconds += time.perf_counter() - start
+        return seconds
+
+    return {f"{name}_pass_ms": Timed(
+        lambda argvs=make_inputs(name, 0).write(Path(tmp) / name):
+        one_pass(argvs), 1, 1e3, 5, own_clock=True) for name in WORKLOADS}
 
 
 def one_round(tables: list, turns) -> list:
@@ -352,24 +401,25 @@ def one_round(tables: list, turns) -> list:
     for _ in range(max((tables[i].repeat for i in timed), default=0)):
         first = next(turns) % len(timed)
         for i in timed[first:] + timed[:first]:
-            fn, number, unit, _ = tables[i]
-            times[i].append(timeit.Timer(fn).timeit(number) / number * unit)
+            fn, number, unit, _, own_clock = tables[i]
+            seconds = (fn() if own_clock
+                       else timeit.Timer(fn).timeit(number) / number)
+            times[i].append(seconds * unit)
     return [statistics.median(times[i]) if i in times else t
             for i, t in enumerate(tables)]
 
 
 def outputs(becck) -> dict:
-    """Exit code and stdout/stderr digests of the commands listed in the
-    module docstring, run through ``becck.cli.main`` in process."""
+    """Exit code, stdout and stderr of the commands listed in the module
+    docstring, run through ``becck.cli.main`` in process."""
     main = becck.cli.main
 
     def run(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        return {"exit": code, **{
-            name: hashlib.sha256(text.getvalue().encode()).hexdigest()
-            for name, text in (("stdout", out), ("stderr", err))}}
+        return {"exit": code, "stdout": out.getvalue(),
+                "stderr": err.getvalue()}
 
     records = {f"sweep/{name}.csv": run(["sweep", "--preset", name])
                for name in becck.preset_names()}
@@ -395,6 +445,135 @@ def outputs(becck) -> dict:
     records["verify/seed7-perturb1e-3"] = run(
         ["verify", "--seed", "7", "--perturb-drift", "1e-3"])
     return records
+
+
+def digests(runs: dict) -> dict:
+    """``outputs`` with stdout and stderr as their SHA-256 digests."""
+    return {name: {key: value if key == "exit" else
+                   hashlib.sha256(value.encode()).hexdigest()
+                   for key, value in run.items()}
+            for name, run in runs.items()}
+
+
+# a decimal number, as the outputs write them
+_NUMBER = re.compile(r"([-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?)")
+
+
+def _leaves(x, path=""):
+    """(key path, value) of each leaf of a JSON value, list positions left
+    out of the path."""
+    if isinstance(x, dict):
+        for k, v in x.items():
+            yield from _leaves(v, f"{path}.{k}" if path else k)
+    elif isinstance(x, list):
+        for v in x:
+            yield from _leaves(v, path)
+    else:
+        yield path, x
+
+
+def _cells(text: str) -> list:
+    """(column, cell) of each cell of an output in order: a JSON document's
+    or JSON lines' leaves by key path, a CSV's cells by header, else each
+    line's numbers and the text between them, under the line's first
+    word."""
+    lines = text.splitlines()
+    with contextlib.suppress(ValueError):
+        return list(_leaves(json.loads(text)))
+    with contextlib.suppress(ValueError):
+        return [cell for line in lines for cell in _leaves(json.loads(line))]
+    if lines and "," in lines[0] and " " not in lines[0]:
+        rows = list(csv.reader(lines))
+        return [cell for row in rows[1:] for cell in zip(rows[0], row)]
+    return [(line.split()[0].rstrip(":"), part) for line in lines
+            if line.strip() for part in _NUMBER.split(line)]
+
+
+def _number(x):
+    """``x`` as a float where it is a number (JSON or decimal text), else
+    None."""
+    if type(x) in (int, float):
+        return float(x)
+    if isinstance(x, str) and _NUMBER.fullmatch(x):
+        return float(x)
+    return None
+
+
+def column_changes(after: str, before: str) -> dict:
+    """Per column of two outputs (see ``_cells``) with a cell that differs,
+    the largest relative change |a - b| / max(|a|, |b|) of its numbers;
+    "text" where a cell that is no number differs, and "layout" where the
+    cells do not pair."""
+    a, b = _cells(after), _cells(before)
+    if [k for k, _ in a] != [k for k, _ in b]:
+        return {"layout": "text"}
+    changes = {}
+    for (key, x), (_, y) in zip(a, b):
+        if x == y:
+            continue
+        u, v = _number(x), _number(y)
+        if u is None or v is None:
+            changes[key] = "text"
+        elif changes.get(key) != "text":
+            change = abs(u - v) / (max(abs(u), abs(v)) or 1.0)
+            changes[key] = max(changes.get(key, 0.0), change)
+    return changes
+
+
+def output_changes(after: dict, before: dict) -> dict:
+    """Per output whose exit code, stdout or stderr differs between the
+    sides (both from ``outputs``), what changed: "exit", and the
+    ``column_changes`` of stdout and of stderr (its columns prefixed
+    "stderr:")."""
+    changes = {}
+    for name in sorted(set(after) | set(before)):
+        a, b = after.get(name), before.get(name)
+        if a == b:
+            continue
+        if a is None or b is None:
+            changes[name] = {"missing": "text"}
+            continue
+        change = {"exit": "text"} if a["exit"] != b["exit"] else {}
+        change.update(column_changes(a["stdout"], b["stdout"]))
+        change.update((f"stderr:{k}", v) for k, v in column_changes(
+            a["stderr"], b["stderr"]).items())
+        changes[name] = change
+    return changes
+
+
+def polish_calls(becck) -> dict:
+    """Root-function calls of the root polish (``meanfield._bisect``) per
+    polished root over the nine presets, and all root-function calls."""
+    meanfield, per_root, total = becck.meanfield, [], [0]
+    polish, root_function = meanfield._bisect, meanfield._root_function
+
+    def counted(f, *args):
+        per_root.append(0)
+
+        def g(n):
+            per_root[-1] += 1
+            return f(n)
+
+        return polish(g, *args)
+
+    def counted_root_function(d):
+        f = root_function(d)
+
+        def g(n, state=False):
+            total[0] += 1
+            return f(n, state=state)
+
+        return g
+
+    meanfield._bisect = counted
+    meanfield._root_function = counted_root_function
+    try:
+        for name in becck.preset_names():
+            becck.run_sweep(becck.preset_spec(name))
+    finally:
+        meanfield._bisect, meanfield._root_function = polish, root_function
+    return {"roots": len(per_root), "mean": sum(per_root) / len(per_root),
+            "max": max(per_root), "f_calls": total[0]}
 
 
 def line_counts(checkout: Path) -> dict:
@@ -480,15 +659,15 @@ def main(argv=None) -> int:
     report = {"machine": {"cpu": cpu_model(), "cpu_count": os.cpu_count(),
                           "platform": platform.platform()},
               "repeats": args.repeats}
+    runs = {side: outputs(packages[side]) for side in sides}
     for side, checkout in sides.items():
         report[side] = {**summarize(rounds[side]), "tier1": tier1(checkout),
                         "lines": line_counts(checkout),
-                        "outputs": outputs(packages[side])}
+                        "polish_calls": polish_calls(packages[side]),
+                        "outputs": digests(runs[side])}
     if "before" in sides:
-        before = report["before"]["outputs"]
-        report["differing_outputs"] = sorted(
-            name for name in set(before) | set(report["after"]["outputs"])
-            if before.get(name) != report["after"]["outputs"].get(name))
+        report["differing_outputs"] = output_changes(runs["after"],
+                                                     runs["before"])
         report["after_over_before"] = summarize([
             round_ratios(a, b) for a, b in zip(rounds["after"],
                                                rounds["before"])])

@@ -54,11 +54,12 @@ class SweepSpec:
                 f"grid count must be between 2 and {MAX_GRID_COUNT}")
         if not self.start < self.stop:
             raise ValueError("grid start must be below stop")
-        with np.errstate(all="ignore"):  # a step that overflows makes nan
-            grid = self.grid()
         # SystemParams bounds each input to an interval, so on a monotone grid
-        # the ends and the values that are not finite decide every point
-        for value in [grid[0], *grid[~np.isfinite(grid)], grid[-1]]:
+        # its ends decide every point; ``grid`` is not finite exactly where
+        # stop - start overflows, and then starts with nan
+        span = float(self.stop) - float(self.start)
+        for value in (self.start if math.isfinite(span) else math.nan,
+                      self.stop):
             replace(self.base, **{self.var: float(value)})
 
     def grid(self) -> np.ndarray:

@@ -419,3 +419,126 @@ def test_kerr_cusp_closed_form(omega_sw_mult, eta_c_kappa):
         three = [dc for dc, c in counts.items() if c == 3]
         assert set(counts.values()) == ({1, 3} if bistable else {1}), factor
         assert all(dc > math.sqrt(3.0) * KAPPA for dc in three)
+
+
+# ------------------------------------------------- Illinois root polish
+
+def _recording(f):
+    """``f`` that records each point it is called at, in ``.points``."""
+    def g(x):
+        g.points.append(x)
+        return f(x)
+
+    g.points = []
+    return g
+
+
+def _bisect_to_exhaustion(f, lo, hi, flo, fhi, tries=()):
+    """The reference polish: ``tries`` as in ``_bisect``, then bisection
+    until f is 0 or the bracket is two adjacent floats."""
+    for x in tries:
+        if lo < x < hi:
+            fx = f(x)
+            if fx == 0.0:
+                return x
+            if (fx < 0.0) == (flo < 0.0):
+                lo = x
+            else:
+                hi = x
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        fmid = f(mid)
+        if fmid == 0.0:
+            return mid
+        if (fmid < 0.0) == (flo < 0.0):
+            lo = mid
+        else:
+            hi = mid
+
+
+def test_polish_returns_an_exact_zero_at_a_try_or_a_secant_point():
+    f = _recording(lambda x: x - 0.25)
+    assert meanfield._bisect(f, 0.0, 1.0, -0.25, 0.75, (0.5, 0.25)) == 0.25
+    assert f.points == [0.5, 0.25]
+    # the secant point of a line is its root
+    f = _recording(lambda x: x - 0.25)
+    assert meanfield._bisect(f, 0.0, 1.0, -0.25, 0.75) == 0.25
+    assert f.points == [0.25]
+    # a try outside the bracket is skipped
+    f = _recording(lambda x: 0.25 - x)
+    assert meanfield._bisect(f, 0.0, 1.0, 0.25, -0.75, (2.0,)) == 0.25
+    assert f.points == [0.25]
+
+
+@pytest.mark.parametrize("flo, fhi", [(-1e-300, 1.0), (-1.0, math.inf),
+                                      (-math.inf, 1.0), (math.nan, -1.0)])
+def test_a_secant_point_not_strictly_inside_gives_the_midpoint(flo, fhi):
+    f = _recording(lambda x: x - 1.25 if flo < 0.0 else 1.25 - x)
+    assert meanfield._bisect(f, 1.0, 2.0, flo, fhi) == 1.25
+    assert f.points[0] == 1.5
+
+
+def _adjacent_sign_change(f, root):
+    """True when f changes sign between ``root`` and a float neighbour."""
+    below, above = np.nextafter(root, -math.inf), np.nextafter(root, math.inf)
+    return ((f(below) < 0.0) != (f(root) < 0.0)
+            or (f(root) < 0.0) != (f(above) < 0.0))
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (lambda x: x * x - 2.0, 1.0, 2.0),
+    (lambda x: math.exp(x) - 3.0, 0.0, 4.0),
+    (lambda x: 1.0 / 3.0 - x ** 9, 0.0, 1.0),
+])
+def test_polish_ends_on_two_adjacent_floats_with_a_sign_change(f, lo, hi):
+    got = meanfield._bisect(f, lo, hi, f(lo), f(hi))
+    want = _bisect_to_exhaustion(f, lo, hi, f(lo), f(hi))
+    assert f(got) != 0.0 and _adjacent_sign_change(f, got)
+    assert abs(got - want) <= 4 * np.spacing(want)
+
+
+def test_the_cap_bounds_a_polish_that_stalls_regula_falsi():
+    # f is -1 below 0.7 and huge above: every secant point lands next to
+    # lo, so regula falsi (and Illinois halving, which needs about 1000
+    # halvings of f(hi)) creeps; two steps that do not halve the bracket
+    # force a midpoint, at most three calls per halving
+    f = _recording(lambda x: -1.0 if x < 0.7 else 1e300)
+    got = meanfield._bisect(f, 0.0, 1.0, -1.0, 1e300)
+    assert f(got) == 1e300 and f(np.nextafter(got, 0.0)) == -1.0
+    assert len(f.points) <= 3 * 55
+
+
+def test_polish_matches_bisection_to_exhaustion_on_every_preset(monkeypatch):
+    # over the nine presets (both cross-Kerr settings) the polish finds the
+    # branches that bisection to exhaustion finds, each photon number within
+    # 1e-14 relative (measured: 3.2e-15), at most 7 f calls per root
+    illinois, calls = meanfield._bisect, []
+
+    def counted(f, *args):
+        def g(n):
+            calls[-1] += 1
+            return f(n)
+
+        calls.append(0)
+        return illinois(g, *args)
+
+    for name in preset_names():
+        spec = preset_spec(name)
+        for value in spec.grid().tolist():
+            for ck in (False, True):
+                d = derive_params(replace(spec.base, ck_enabled=ck,
+                                          **{spec.var: value}))
+                monkeypatch.setattr(meanfield, "_bisect", counted)
+                got = enumerate_branches(d)
+                monkeypatch.setattr(meanfield, "_bisect",
+                                    _bisect_to_exhaustion)
+                want = enumerate_branches(d)
+                assert len(got) == len(want), (name, value, ck)
+                for a, b in zip(got, want):
+                    assert a.n_photon == pytest.approx(b.n_photon, rel=1e-14,
+                                                       abs=0.0)
+                    assert a.residual <= BISECT_RTOL
+    assert len(calls) > 11000
+    assert sum(calls) / len(calls) <= 7.0 and max(calls) <= 20

@@ -41,7 +41,7 @@ Recorded per side:
   parsing its argv (``parse_us``, ``cli.parse_command_line``), reading its
   config file (``config_load_us``) and ``build_config`` on what was read
   (``build_config_us``); for the ``steady`` point also writing its report
-  (``steady_report_us``, ``cli.indented_json``);
+  (``steady_report_us``, ``cli.steady_report``);
 * end to end through the command line (``becck.cli.main`` in process,
   stdout discarded): one ``steady`` point (bistable, in milliseconds), the
   4-point fig6 json-lines slice (in milliseconds), one ``verify`` run at
@@ -247,12 +247,20 @@ def command_path(becck, tmp: str) -> dict:
                 lambda path=path: cli._load_config_data(path)),
             "build_config_us": Timed(lambda data=data: cli.build_config(data)),
         }
-    # the report as cmd_steady builds it: its values are Python scalars,
-    # lists and dicts, which its JSON text gives back exactly
-    report = json.loads(cli.cmd_steady(cli.build_config(
-        dict(COMMANDS["steady"][1])))[1])
-    calls["steady"]["steady_report_us"] = Timed(
-        lambda: cli.indented_json(report))
+    # the report writer as cmd_steady calls it: ``steady_report`` on the
+    # point's records, or, in a checkout without it, ``indented_json`` on
+    # the report (Python scalars, lists and dicts, which its JSON text gives
+    # back exactly)
+    cfg = cli.build_config(dict(COMMANDS["steady"][1]))
+    if hasattr(cli, "steady_report"):
+        d = becck.derive_params(cfg.params)
+        (bset,), _, stability, evaluated = becck.sweep.evaluate_points([d])
+        args = (d, bset.warnings, stability, evaluated)
+        write = Timed(lambda: cli.steady_report(*args))
+    else:
+        report = json.loads(cli.cmd_steady(cfg)[1])
+        write = Timed(lambda: cli.indented_json(report))
+    calls["steady"]["steady_report_us"] = write
     return calls
 
 

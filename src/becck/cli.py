@@ -11,7 +11,6 @@ import dataclasses
 import functools
 import json
 import math
-import operator
 import re
 import sys
 from dataclasses import dataclass
@@ -20,8 +19,10 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import InternalConsistencyError, record_items
-from .model import DomainError, SystemParams, derive_params, validity_flags
+from .dynamics import InternalConsistencyError
+from .model import (DerivedParams, DomainError, SystemParams, derive_params,
+                    validity_flags)
+from .steadystate import ObservableSet
 from .sweep import (SWEEP_VARS, SweepSpec, SweepRow, evaluate_points,
                     preset_config, preset_names, run_sweep)
 from .verify import DEFAULT_SEED, run_suites
@@ -178,8 +179,11 @@ def dump_config(cfg: RunConfig) -> str:
     it reproduces the same RunConfig."""
     data = {**vars(cfg), **vars(cfg.params), **{
         k: getattr(cfg.sweep, f) for k, f in _SPEC_FIELDS.items() if cfg.sweep}}
-    return indented_json(dict(sorted((k, v) for k, v in data.items() if k not in
-                                     ("params", "sweep") and v is not None)))
+    # the report's scalar texts; SystemParams refuses floats not finite
+    return "{\n%s\n}" % ",\n".join('  "%s": %s' % (k, (
+        encode_basestring_ascii(v) if type(v) is str else _JSON_FLAGS[v]
+        if type(v) is bool else repr(v))) for k, v in sorted(data.items())
+        if k not in ("params", "sweep") and v is not None)
 
 
 def sweep_spec_from_config(cfg: RunConfig) -> SweepSpec:
@@ -240,65 +244,70 @@ def row_to_json(row: SweepRow) -> str:
     return _JSON_TEMPLATES[row.E_N is None] % _row_cells(row, _JSON_FLAGS)
 
 
-def _float_text(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError("Out of range float values are not JSON compliant: "
-                         + repr(x))
-    return repr(x)
+def _finite(numbers: tuple) -> tuple:
+    """``numbers``, or json's ValueError at the first that is not finite."""
+    if all(map(math.isfinite, numbers)):
+        return numbers
+    x = next(x for x in numbers if not math.isfinite(x))
+    raise ValueError("Out of range float values are not JSON compliant: "
+                     + repr(x))
 
 
-# the JSON text of a scalar by its exact type; indented_json calls it inline
-_SCALAR_TEXT = {str: encode_basestring_ascii, type(None): {None: "null"}.get,
-                bool: {True: "true", False: "false"}.get,
-                int: int.__repr__, float: _float_text}
-_key_texts = functools.lru_cache(maxsize=64)(  # per tuple of a dict's keys
-    lambda keys: [encode_basestring_ascii(k) + ": " for k in keys])
+def _template(schema, nl: str = "\n") -> str:
+    """The text of json.dumps(schema, indent=2) on a line whose break and
+    indent are ``nl``, each "%r" or "%s" string in it made a %-slot."""
+    return json.dumps(schema, indent=2).replace("\n", nl).replace(
+        '"%r"', "%r").replace('"%s"', "%s")
 
 
-def indented_json(x, nl: str = "\n") -> str:
-    """``json.dumps(x, indent=2, allow_nan=False)`` byte for byte for JSON's
-    own types (str keys), or its error at the first value it cannot write;
-    ``nl`` is the line break and indent of the line that ``x`` starts on."""
-    t = type(x)
-    if t is dict or t is list:
-        inner, text = nl + "  ", _SCALAR_TEXT.get
-        parts = [f(v) if (f := text(type(v))) else indented_json(v, inner)
-                 for v in (x.values() if t is dict else x)]
-        if t is dict:
-            parts = map(operator.add, _key_texts(tuple(x)), parts)
-        body = inner + ("," + inner).join(parts) + nl if x else ""
-        return ("{%s}" if t is dict else "[%s]") % body
-    if write := _SCALAR_TEXT.get(t):
-        return write(x)
-    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+# The steady report: one template for the point and one per branch, with
+# and without observables. Flags fill a %s spelled out by _JSON_FLAGS; every
+# number is a Python float or int (NumPy 2 gives np.float64 another %r), in
+# document order, so _finite finds the one json.dumps would refuse first.
+_BRANCH = {**dict.fromkeys((
+    "branch_index", "n_photon", "alpha_re", "alpha_im", "beta_re", "beta_im",
+    "delta_eff", "omega_plus", "omega_minus", "residual"), "%r"),
+    "stability": {"eigenvalues_re": ["%r"] * 4, "eigenvalues_im": ["%r"] * 4,
+                  "max_real_part": "%r", "routh_hurwitz_pass": "%s",
+                  "stable": "%s", "marginal": "%s"},
+    "lattice_depth_ok": "%s", "bogoliubov_ok": "%s"}
+_BRANCH_TEMPLATES = tuple(_template({**_BRANCH, "observables": observables},
+                                    "\n    ") for observables in (
+    {k.lower(): "%r" for k in ObservableSet._fields}, None))
+_REPORT_TEMPLATE = _template({
+    "params": {k: "%s" if k == "ck_enabled" else "%r"
+               for k in DerivedParams._fields},
+    "warnings": "%s", "branches": ["%s"]}) + "\n"
 
 
-def branch_report(d, b, report, observables) -> dict:
-    """Report of branch ``b`` of the point ``d`` from its StabilityReport
-    and its ObservableSet (or None)."""
-    stability = report._asdict()
-    eigenvalues = stability.pop("eigenvalues")
-    flags_ok = validity_flags(d, b.n_photon, None if observables is None
-                              else observables.n_incoherent)
-    return {
-        "branch_index": b.branch_index,
-        "n_photon": b.n_photon,
-        "alpha_re": b.alpha.real,
-        "alpha_im": b.alpha.imag,
-        "beta_re": b.beta.real,
-        "beta_im": b.beta.imag,
-        "delta_eff": b.Delta,
-        "omega_plus": b.Omega_plus,
-        "omega_minus": b.Omega_minus,
-        "residual": b.residual,
-        "stability": {"eigenvalues_re": [z.real for z in eigenvalues],
-                      "eigenvalues_im": [z.imag for z in eigenvalues],
-                      **stability},
-        "lattice_depth_ok": flags_ok["lattice_depth_ok"],
-        "bogoliubov_ok": flags_ok["bogoliubov_ok"],
-        "observables": None if observables is None else {
-            k.lower(): v for k, v in observables._asdict().items()},
-    }
+def steady_report(d, warnings, stability, evaluated) -> str:
+    """``json.dumps(report, indent=2, allow_nan=False) + "\\n"`` of the
+    ``steady`` report of the point ``d`` (DerivedParams) with its
+    ``warnings``, the StabilityReport stacks of its branches and their
+    ``evaluate_points`` records (at least one), or json's ValueError at its
+    first float that is not finite."""
+    eigs = stability.eigenvalues
+    rows = list(zip(eigs.real.tolist(), eigs.imag.tolist(),
+                    *(x.tolist() for x in stability[1:])))
+    params = _finite(d[:-1])
+    branches = []
+    for i, _, b, state in evaluated:
+        eig_re, eig_im, max_real, *verdicts = rows[i]
+        obs = state and state[1]  # the ObservableSet, or None
+        flags = validity_flags(d, b.n_photon, obs and obs.n_incoherent)
+        x = _finite((b.branch_index, b.n_photon, b.alpha.real, b.alpha.imag,
+                     b.beta.real, b.beta.imag, b.Delta, b.Omega_plus,
+                     b.Omega_minus, b.residual, *eig_re, *eig_im, max_real,
+                     *(obs or ())))
+        branches.append(_BRANCH_TEMPLATES[obs is None] % (
+            *x[:19], *map(_JSON_FLAGS.get, verdicts),
+            _JSON_FLAGS[flags["lattice_depth_ok"]],
+            _JSON_FLAGS[flags["bogoliubov_ok"]], *x[19:]))
+    warned = ",\n    ".join(map(encode_basestring_ascii, warnings))
+    return _REPORT_TEMPLATE % (
+        *params, _JSON_FLAGS[d.ck_enabled],
+        "[\n    %s\n  ]" % warned if warned else "[]",
+        ",\n    ".join(branches))
 
 
 # ---------------------------------------------------------------------------
@@ -307,18 +316,10 @@ def branch_report(d, b, report, observables) -> dict:
 def cmd_steady(cfg: RunConfig) -> tuple[int, str]:
     d = derive_params(cfg.params)
     (bset,), _, stability, evaluated = evaluate_points([d])
-    report = {
-        "params": d._asdict(),
-        "warnings": list(bset.warnings),
-        "branches": [branch_report(d, b, rep, state and state[1])
-                     for (_, _, b, state), rep in zip(
-                         evaluated, record_items(stability))],
-    }
     try:
-        text = indented_json(report)
+        return EXIT_OK, steady_report(d, bset.warnings, stability, evaluated)
     except ValueError as exc:
         raise InternalConsistencyError(f"steady report: {exc}") from exc
-    return EXIT_OK, text + "\n"
 
 
 def cmd_sweep(cfg: RunConfig) -> tuple[int, str]:
@@ -408,7 +409,7 @@ def _load_config_data(path: Optional[str]) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, "rb") as fh:
+        with open(path, "rb", buffering=0) as fh:
             data = json.loads(fh.read().decode("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
@@ -430,15 +431,13 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    if args.dump_config:
-        print(dump_config(cfg))
-        return EXIT_OK
-
     # NumPy warns of no overflow: the checks on each result (finite branch
     # polynomial, residual bounds, strict JSON) report it instead
     try:
         with np.errstate(all="ignore"):
-            if command == "steady":
+            if args.dump_config:
+                code, text = EXIT_OK, dump_config(cfg) + "\n"
+            elif command == "steady":
                 code, text = cmd_steady(cfg)
             elif command == "sweep":
                 code, text = cmd_sweep(cfg)
@@ -453,9 +452,10 @@ def main(argv=None) -> int:
         print(f"internal consistency error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
-    # only a command that ran to the end opens its output
+    # only a command that ran to the end opens its output; the canonical
+    # config goes to stdout
     try:
-        if cfg.out:
+        if cfg.out and not args.dump_config:
             with open(cfg.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         else:

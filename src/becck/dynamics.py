@@ -203,19 +203,17 @@ def classify_batch(A, kappa) -> StabilityReport:
     position as ``item``."""
     # scale out the rate magnitude so the quartic coefficients stay O(1)
     scale = np.abs(A).max(axis=(1, 2))
-    bad = (scale == 0.0) | ~np.isfinite(scale)
-    if bad.any():
+    if True in (bad := ((scale == 0.0) | ~np.isfinite(scale)).tolist()):
         raise InternalConsistencyError(
-            "drift matrix must be finite and nonzero", int(bad.argmax()))
+            "drift matrix must be finite and nonzero", bad.index(True))
     eigs = np.linalg.eigvals(A).astype(complex, copy=False)
     max_real = eigs.real.max(axis=1)
     coefficients = characteristic_coefficients(A / scale[:, None, None])
     rh = routh_hurwitz_quartic(*coefficients)
     stable = max_real < 0.0
     marginal = np.abs(max_real) <= MARGINAL_BAND * kappa
-    bad = ~marginal & (rh != stable)
-    if bad.any():
-        i = int(bad.argmax())
+    if True in (bad := (~marginal & (rh != stable)).tolist()):
+        i = bad.index(True)
         c = tuple(float(x[i]) for x in coefficients)
         # a zero, subnormal or infinite coefficient: the quartic is lost
         lost = not all(np.finfo(float).tiny <= abs(x) < math.inf for x in c)

@@ -85,9 +85,8 @@ def lyapunov_batch(dd, report) -> CovarianceMatrix:
     """``solve_lyapunov`` of the DriftDiffusion stacks ``dd`` with their
     ``classify_batch`` report in one stacked solve: the CovarianceMatrix
     stacks. A failing item's error carries its position as ``item``."""
-    bad = ~strictly_stable(report)
-    if bad.any():
-        i = int(bad.argmax())
+    if False in (grade := strictly_stable(report).tolist()):
+        i = grade.index(False)
         kind = "marginal" if report.marginal[i] else "unstable"
         raise UnstableDriftError(
             f"drift matrix is {kind} (max_real_part="
@@ -103,9 +102,8 @@ def lyapunov_batch(dd, report) -> CovarianceMatrix:
 
     resid = np.abs(A @ V + V @ A.transpose(0, 2, 1) + D).max(axis=(1, 2))
     bound = RESIDUAL_BOUND * np.abs(D).max(axis=(1, 2))
-    bad = ~(resid <= bound)  # a NaN residual fails too
-    if bad.any():
-        i = int(bad.argmax())
+    if False in (passed := (resid <= bound).tolist()):  # NaN fails too
+        i = passed.index(False)
         raise InternalConsistencyError(
             f"Lyapunov residual {resid[i]:.3e} exceeds bound {bound[i]:.3e}",
             i)
@@ -231,14 +229,14 @@ def logarithmic_negativity(V: np.ndarray) -> tuple:
         V.reshape(V.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2))
     sigma = blocks[..., 0, 0] + blocks[..., 1, 1] - 2.0 * blocks[..., 0, 1]
     disc = sigma * sigma - 4.0 * np.linalg.det(V)
-    if (bad := disc < -1e-12).any():
-        i = int(bad.argmax())
+    if True in (bad := (disc < -1e-12).ravel().tolist()):
+        i = bad.index(True)
         raise InternalConsistencyError(
             f"negative discriminant {np.ravel(disc)[i]:.3e} in "
             "symplectic spectrum", i)
     inner = sigma - np.sqrt(np.maximum(disc, 0.0))
-    if (bad := inner <= 0.0).any():
-        i = int(bad.argmax())
+    if True in (bad := (inner <= 0.0).ravel().tolist()):
+        i = bad.index(True)
         raise InternalConsistencyError(
             "nonpositive partial-transpose eigenvalue "
             f"(inner={np.ravel(inner)[i]:.3e})", i)
@@ -281,15 +279,15 @@ def gaussian_states(dd, report, among=None) -> tuple:
     strictly stable items among the positions ``among`` (default all) of the
     DriftDiffusion stacks ``dd`` with their ``classify_batch`` report; a
     failing item's error carries its position in ``dd`` as ``item``."""
-    every = np.arange(len(dd.A))
-    idx = every if among is None else np.asarray(among, np.intp)
-    solved = idx[strictly_stable(report)[idx]]
-    if solved.shape != every.shape or (solved != every).any():
+    grade = strictly_stable(report).tolist()
+    every = list(range(len(grade)))
+    solved = [i for i in (every if among is None else among) if grade[i]]
+    if solved != every:
         dd = dd._make(x[solved] for x in dd)
         report = report._make(x[solved] for x in report)
     try:
         cov = lyapunov_batch(dd, report)
-        return solved, cov, observables_batch(dd, cov)
+        return np.array(solved, np.intp), cov, observables_batch(dd, cov)
     except InternalConsistencyError as exc:
-        exc.item = int(solved[exc.item])
+        exc.item = solved[exc.item]
         raise

@@ -579,6 +579,26 @@ def test_dump_config_flag_round_trips(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == dumped
 
 
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("out", [None, "report.json"])
+def test_a_failed_dump_config_write_exits_4(tmp_path, monkeypatch, capsys,
+                                            out):
+    # the canonical config goes to stdout, --out or not, through the
+    # output block of every command
+    data = {"preset": "fig2a"} if out is None else {
+        "preset": "fig2a", "out": str(tmp_path / out)}
+    cfg = _write(tmp_path, data)
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    assert main(["sweep", "--config", cfg, "--dump-config"]) == 4
+    assert capsys.readouterr().err == (
+        "output error: [Errno 28] No space left on device\n")
+    assert not (tmp_path / "report.json").exists()
+
+
 def test_verify_passes_and_is_seed_deterministic(capsys):
     assert main(["verify", "--seed", "99"]) == 0
     first = capsys.readouterr().out

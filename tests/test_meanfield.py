@@ -472,12 +472,23 @@ def test_polish_returns_an_exact_zero_at_a_try_or_a_secant_point():
     assert f.points == [0.25]
 
 
-@pytest.mark.parametrize("flo, fhi", [(-1e-300, 1.0), (-1.0, math.inf),
-                                      (-math.inf, 1.0), (math.nan, -1.0)])
+@pytest.mark.parametrize("flo, fhi", [(-math.inf, 1.0), (math.nan, -1.0)])
 def test_a_secant_point_not_strictly_inside_gives_the_midpoint(flo, fhi):
+    # the secant point is NaN
     f = _recording(lambda x: x - 1.25 if flo < 0.0 else 1.25 - x)
     assert meanfield._bisect(f, 1.0, 2.0, flo, fhi) == 1.25
     assert f.points[0] == 1.5
+
+
+@pytest.mark.parametrize("flo, fhi, first", [
+    (-1e-300, 1.0, math.nextafter(1.0, 2.0)),
+    (-1.0, math.inf, math.nextafter(1.0, 2.0)),
+    (-1.0, 1e-300, math.nextafter(2.0, 1.0))],
+    ids=["tiny-flo", "infinite-fhi", "tiny-fhi"])
+def test_a_secant_point_on_an_end_moves_one_float_inside(flo, fhi, first):
+    f = _recording(lambda x: x - 1.25)
+    assert meanfield._bisect(f, 1.0, 2.0, flo, fhi) == 1.25
+    assert f.points[0] == first
 
 
 def _adjacent_sign_change(f, root):
@@ -502,8 +513,8 @@ def test_polish_ends_on_two_adjacent_floats_with_a_sign_change(f, lo, hi):
 def test_the_cap_bounds_a_polish_that_stalls_regula_falsi():
     # f is -1 below 0.7 and huge above: every secant point lands next to
     # lo, so regula falsi (and Illinois halving, which needs about 1000
-    # halvings of f(hi)) creeps; two steps that do not halve the bracket
-    # force a midpoint, at most three calls per halving
+    # halvings of f(hi)) creeps; two steps in a row that halve neither the
+    # bracket nor |f| force a midpoint, at most three calls per halving
     f = _recording(lambda x: -1.0 if x < 0.7 else 1e300)
     got = meanfield._bisect(f, 0.0, 1.0, -1.0, 1e300)
     assert f(got) == 1e300 and f(np.nextafter(got, 0.0)) == -1.0
@@ -513,7 +524,8 @@ def test_the_cap_bounds_a_polish_that_stalls_regula_falsi():
 def test_polish_matches_bisection_to_exhaustion_on_every_preset(monkeypatch):
     # over the nine presets (both cross-Kerr settings) the polish finds the
     # branches that bisection to exhaustion finds, each photon number within
-    # 1e-14 relative (measured: 3.2e-15), at most 7 f calls per root
+    # 1e-14 relative (measured: 3.2e-15), with 3.93 f calls per root on
+    # average and at most 9 (measured)
     illinois, calls = meanfield._bisect, []
 
     def counted(f, *args):
@@ -541,4 +553,4 @@ def test_polish_matches_bisection_to_exhaustion_on_every_preset(monkeypatch):
                                                        abs=0.0)
                     assert a.residual <= BISECT_RTOL
     assert len(calls) > 11000
-    assert sum(calls) / len(calls) <= 7.0 and max(calls) <= 20
+    assert sum(calls) / len(calls) <= 4.5 and max(calls) <= 11

@@ -57,6 +57,7 @@ Recorded per side:
 Recorded once per side, since they do not vary from run to run:
 
 * ``lines``: the line count of each ``src/becck/*.py``;
+* ``public_names``: the number of names in ``becck.__all__``;
 * ``polish_calls``: the root-function calls of the root polish
   (``meanfield._bisect``) per polished root over the nine presets (mean
   and maximum, with the root count), and all root-function calls there
@@ -247,20 +248,13 @@ def command_path(becck, tmp: str) -> dict:
                 lambda path=path: cli._load_config_data(path)),
             "build_config_us": Timed(lambda data=data: cli.build_config(data)),
         }
-    # the report writer as cmd_steady calls it: ``steady_report`` on the
-    # point's records, or, in a checkout without it, ``indented_json`` on
-    # the report (Python scalars, lists and dicts, which its JSON text gives
-    # back exactly)
+    # the report writer as cmd_steady calls it, on the point's records
     cfg = cli.build_config(dict(COMMANDS["steady"][1]))
-    if hasattr(cli, "steady_report"):
-        d = becck.derive_params(cfg.params)
-        (bset,), _, stability, evaluated = becck.sweep.evaluate_points([d])
-        args = (d, bset.warnings, stability, evaluated)
-        write = Timed(lambda: cli.steady_report(*args))
-    else:
-        report = json.loads(cli.cmd_steady(cfg)[1])
-        write = Timed(lambda: cli.indented_json(report))
-    calls["steady"]["steady_report_us"] = write
+    d = becck.derive_params(cfg.params)
+    (bset,), _, stability, evaluated = becck.sweep.evaluate_points([d])
+    args = (d, bset.warnings, stability, evaluated)
+    calls["steady"]["steady_report_us"] = Timed(
+        lambda: cli.steady_report(*args))
     return calls
 
 
@@ -671,6 +665,7 @@ def main(argv=None) -> int:
     for side, checkout in sides.items():
         report[side] = {**summarize(rounds[side]), "tier1": tier1(checkout),
                         "lines": line_counts(checkout),
+                        "public_names": len(packages[side].__all__),
                         "polish_calls": polish_calls(packages[side]),
                         "outputs": digests(runs[side])}
     if "before" in sides:

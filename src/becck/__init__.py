@@ -12,8 +12,7 @@ on or off to isolate its effect.
 
 from .model import (DerivedParams, DomainError, SystemParams,
                     bogoliubov_frequency, derive_params, omega_pm,
-                    pump_rate_from_power, thermal_occupation,
-                    validity_flags)
+                    thermal_occupation, validity_flags)
 from .meanfield import (BranchSet, MeanFieldBranch, consistency_residual,
                         enumerate_branches, upper_bound_photons)
 from .dynamics import (DriftDiffusion, InternalConsistencyError,
@@ -23,12 +22,11 @@ from .dynamics import (DriftDiffusion, InternalConsistencyError,
                        langevin_drift_field, quadrature_fixed_point,
                        routh_hurwitz_quartic)
 from .steadystate import (CovarianceMatrix, ObservableSet,
-                          UnstableDriftError, check_physical,
-                          integrate_moment_ode, logarithmic_negativity,
-                          observable_set, solve_lyapunov,
-                          squeezing_and_excitation, symplectic_eigenvalues)
-from .sweep import (CkComparison, SweepRow, SweepSpec, bistable_window,
-                    ck_comparison_metrics, paper_base_params, preset_names,
+                          UnstableDriftError, integrate_moment_ode,
+                          logarithmic_negativity, observable_set,
+                          solve_lyapunov, squeezing_and_excitation,
+                          symplectic_eigenvalues)
+from .sweep import (SweepRow, SweepSpec, paper_base_params, preset_names,
                     run_sweep)
 from .cli import preset_spec
 
@@ -36,8 +34,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "SystemParams", "DerivedParams", "DomainError", "derive_params",
-    "pump_rate_from_power", "omega_pm", "bogoliubov_frequency",
-    "thermal_occupation", "validity_flags",
+    "omega_pm", "bogoliubov_frequency", "thermal_occupation",
+    "validity_flags",
     "MeanFieldBranch", "BranchSet", "enumerate_branches",
     "consistency_residual", "upper_bound_photons",
     "DriftDiffusion", "StabilityReport", "InternalConsistencyError",
@@ -47,10 +45,8 @@ __all__ = [
     "classify_stability",
     "CovarianceMatrix", "ObservableSet", "UnstableDriftError",
     "solve_lyapunov", "integrate_moment_ode", "symplectic_eigenvalues",
-    "check_physical", "logarithmic_negativity", "squeezing_and_excitation",
-    "observable_set",
-    "SweepSpec", "SweepRow", "CkComparison", "paper_base_params",
-    "preset_spec", "preset_names", "run_sweep", "bistable_window",
-    "ck_comparison_metrics",
+    "logarithmic_negativity", "squeezing_and_excitation", "observable_set",
+    "SweepSpec", "SweepRow", "paper_base_params", "preset_spec",
+    "preset_names", "run_sweep",
     "__version__",
 ]

@@ -14,7 +14,7 @@ All frequencies are angular (rad/s) throughout the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 # SI-exact constants (2019 redefinition); hbar derived from exact h.
@@ -100,9 +100,6 @@ class SystemParams:
         if self.gamma < 0.0:
             raise DomainError("gamma must be >= 0")
 
-    def with_ck(self, enabled: bool) -> "SystemParams":
-        return replace(self, ck_enabled=enabled)
-
 
 class DerivedParams(NamedTuple):
     """Effective-model coefficients plus pass-through inputs."""
@@ -137,17 +134,6 @@ def derive_params(p: SystemParams) -> DerivedParams:
         U0, 4.0 * p.omega_R + p.omega_sw, (math.sqrt(2.0 * p.N) / 4.0) * U0,
         0.5 * U0 if p.ck_enabled else 0.0, p.delta_c, p.eta, p.kappa,
         p.gamma, p.omega_sw, p.omega_R, p.T, p.N, p.ck_enabled)
-
-
-def pump_rate_from_power(P: float, kappa: float, omega_p: float) -> float:
-    """Drive rate eta = sqrt(2 P kappa / (hbar omega_p)) for laser power P."""
-    if omega_p <= 0.0:
-        raise DomainError("omega_p must be positive")
-    if kappa <= 0.0:
-        raise DomainError("kappa must be positive")
-    if P < 0.0:
-        raise DomainError("P must be >= 0")
-    return math.sqrt(2.0 * P * kappa / (HBAR * omega_p))
 
 
 def omega_pm(d: DerivedParams, n_photon: float) -> tuple[float, float]:

@@ -208,13 +208,6 @@ def _require_physical(V: np.ndarray) -> None:
                 f"symplectic eigenvalues {nus}", i)
 
 
-def check_physical(V: np.ndarray) -> np.ndarray:
-    """Validate the uncertainty relation of one covariance matrix or a stack;
-    returns the symplectic eigenvalues."""
-    _require_physical(V)
-    return symplectic_eigenvalues(V)
-
-
 def logarithmic_negativity(V: np.ndarray) -> tuple:
     """(E_N, eta_minus) from the 2x2 block determinants of V.
 

@@ -1,12 +1,6 @@
-import os
-
 import pytest
 
 from becck import preset_spec, run_sweep
-
-
-def _worker_count() -> int:
-    return max(1, min(8, os.cpu_count() or 1))
 
 
 @pytest.fixture(scope="session")
@@ -21,12 +15,7 @@ def preset_rows():
     def get(name: str):
         spec = preset_spec(name)
         if spec not in cache:
-            cache[spec] = run_sweep(spec, workers=_worker_count())
+            cache[spec] = run_sweep(spec)
         return cache[spec]
 
     return get
-
-
-@pytest.fixture(scope="session")
-def sweep_workers():
-    return _worker_count()

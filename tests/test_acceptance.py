@@ -11,14 +11,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from becck import (MeanFieldBranch, SweepSpec, bistable_window,
-                   bogoliubov_frequency, build_drift_diffusion,
-                   ck_comparison_metrics, derive_params,
+from becck import (MeanFieldBranch, SweepSpec, bogoliubov_frequency,
+                   build_drift_diffusion, derive_params,
                    integrate_moment_ode, logarithmic_negativity, omega_pm,
                    paper_base_params, preset_names, preset_spec, run_sweep,
                    solve_lyapunov, symplectic_eigenvalues,
                    thermal_occupation)
 from becck.verify import verify_jacobian
+from criteria import bistable_window, ck_comparison_metrics
 
 KAPPA = paper_base_params().kappa
 OMEGA_R = paper_base_params().omega_R
@@ -94,7 +94,7 @@ def test_criterion_02_fig2a_ck_overlap(request, preset_rows):
     assert ok, line
 
 
-def test_criterion_03_neutralization_trend(request, sweep_workers):
+def test_criterion_03_neutralization_trend(request):
     diffs = []
     for mult in (1.0, 5.0, 10.0):
         spec = SweepSpec(var="delta_c", start=-10 * KAPPA, stop=15 * KAPPA,
@@ -102,7 +102,7 @@ def test_criterion_03_neutralization_trend(request, sweep_workers):
                          base=paper_base_params(eta=2 * KAPPA,
                                                 omega_sw=mult * OMEGA_R),
                          ck_mode="paired", branch_policy="lowest")
-        m = ck_comparison_metrics(run_sweep(spec, workers=sweep_workers))
+        m = ck_comparison_metrics(run_sweep(spec))
         diffs.append(m.max_difference)
     decreasing = diffs[0] > diffs[1] > diffs[2]
     small = diffs[2] < 1e-2

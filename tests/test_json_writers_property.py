@@ -1,4 +1,4 @@
-"""Property tests of the two indented-JSON writers: ``cli.steady_report``
+"""Property tests of the two JSON writers: ``cli.steady_report``
 writes the text of ``json.dumps(report, indent=2, allow_nan=False)`` of the
 ``steady`` report of its inputs (and a newline), or raises json's own
 ``ValueError`` for the first float in document order that is not finite;

@@ -147,7 +147,7 @@ def test_random_points_match_scan_oracle():
                     eta=float(rng.uniform(0.0, 8.0)) * KAPPA,
                     omega_sw=float(rng.uniform(0.0, 40.0)) * base.omega_R)
         for ck in (False, True):
-            d = derive_params(p.with_ck(ck))
+            d = derive_params(replace(p, ck_enabled=ck))
             ref, _ = scan_roots(d)
             mine = [b.n_photon for b in enumerate_branches(d)]
             assert len(mine) == len(ref), (p, ck)
@@ -340,7 +340,7 @@ def test_unconverged_stack_falls_back_to_points_alone(monkeypatch):
 
 def test_overflowing_point_in_a_batch_raises_its_own_error():
     base = paper_base_params(delta_c=5 * KAPPA)
-    ds = [derive_params(base.with_ck(ck) if eta is None else
+    ds = [derive_params(replace(base, ck_enabled=ck) if eta is None else
                         replace(base, eta=eta, ck_enabled=ck))
           for eta in (2 * KAPPA, 1e160 * KAPPA, 1e154 * KAPPA, None)
           for ck in (False, True)]

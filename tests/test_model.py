@@ -4,7 +4,7 @@ import pytest
 
 from becck import (DomainError, SystemParams, bogoliubov_frequency,
                    derive_params, omega_pm, paper_base_params,
-                   pump_rate_from_power, thermal_occupation, validity_flags)
+                   thermal_occupation, validity_flags)
 from becck.model import HBAR, KB
 
 
@@ -30,12 +30,6 @@ def test_ck_switch_zeroes_g_only():
     assert on.U0 == off.U0
 
 
-def test_with_ck_round_trip():
-    p = paper_base_params(ck_enabled=True)
-    assert p.with_ck(False).ck_enabled is False
-    assert p.with_ck(False).with_ck(True) == p
-
-
 def test_negative_detuning_flips_u0_sign():
     d = derive_params(paper_base_params(delta_a=-7.5e11))
     assert d.U0 < 0.0
@@ -56,15 +50,6 @@ def test_negative_detuning_flips_u0_sign():
 def test_precondition_violations_name_the_field(field, value):
     with pytest.raises(DomainError, match=field):
         SystemParams(**{field: value})
-
-
-def test_pump_rate_from_power():
-    kappa = 2.0 * math.pi * 1.3e6
-    omega_p = 2.0 * math.pi * 3.85e14
-    P = 1e-12
-    expected = math.sqrt(2.0 * P * kappa / (HBAR * omega_p))
-    assert pump_rate_from_power(P, kappa, omega_p) == pytest.approx(expected)
-    assert pump_rate_from_power(0.0, kappa, omega_p) == 0.0
 
 
 def test_omega_pm_split_and_photon_shift():

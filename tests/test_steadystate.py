@@ -10,7 +10,7 @@ import becck.steadystate
 from becck import (CovarianceMatrix, DriftDiffusion,
                    InternalConsistencyError, ObservableSet, StabilityReport,
                    UnstableDriftError, bogoliubov_frequency,
-                   build_drift_diffusion, check_physical, classify_stability,
+                   build_drift_diffusion, classify_stability,
                    derive_params, enumerate_branches, integrate_moment_ode,
                    logarithmic_negativity, observable_set, omega_pm,
                    paper_base_params, preset_spec, run_sweep, solve_lyapunov,
@@ -18,8 +18,8 @@ from becck import (CovarianceMatrix, DriftDiffusion,
 from becck.cli import main
 from becck.dynamics import classify_batch, drift_diffusion_stacks
 from becck.steadystate import (PHYSICALITY_SLACK, RESIDUAL_BOUND,
-                               gaussian_states, lyapunov_batch,
-                               observables_batch)
+                               _require_physical, gaussian_states,
+                               lyapunov_batch, observables_batch)
 
 KAPPA = paper_base_params().kappa
 
@@ -57,7 +57,7 @@ def test_lyapunov_solves_branch_point():
     resid = np.max(np.abs(dd.A @ cov.V + cov.V @ dd.A.T + dd.D))
     assert resid <= RESIDUAL_BOUND * np.max(np.abs(dd.D))
     assert np.allclose(cov.V, cov.V.T, rtol=0.0, atol=0.0)
-    check_physical(cov.V)
+    _require_physical(cov.V)
 
 
 def test_lyapunov_refuses_unstable_naming_rate():
@@ -149,7 +149,7 @@ def test_symplectic_eigenvalues_squeezed_mode():
 def test_check_physical_raises_below_vacuum():
     V = np.diag([0.4, 0.4, 0.5, 0.5])
     with pytest.raises(InternalConsistencyError):
-        check_physical(V)
+        _require_physical(V)
 
 
 def _random_symplectic(rng, squeeze=0.3):
@@ -184,14 +184,14 @@ def _williamson(rng, nu1, nu2):
 
 def test_physicality_accepts_states_just_above_vacuum():
     # near-pure states, some with nearly coincident symplectic eigenvalues,
-    # pass the stacked Cholesky test and the eigen-solve alike (check_physical
-    # runs the first and returns the second)
+    # pass the stacked Cholesky test and the eigen-solve alike
     rng = np.random.default_rng(9)
     margins = 10.0 ** rng.uniform(-14.0, -6.0, size=400)
     gaps = np.where(rng.random(400) < 0.5, 0.0, rng.uniform(0.0, 2.0, 400))
     V = np.stack([_williamson(rng, 0.5 + m, 0.5 + m + g)
                   for m, g in zip(margins, gaps)])
-    nus = check_physical(V)
+    _require_physical(V)
+    nus = symplectic_eigenvalues(V)
     assert np.all(nus.min(axis=-1) >= 0.5 - PHYSICALITY_SLACK)
     assert np.allclose(nus[:, 0], 0.5 + margins, rtol=0.0, atol=1e-12)
 
@@ -204,12 +204,12 @@ def test_physicality_rejects_states_below_vacuum(dip):
     bad = _williamson(rng, 0.5 - dip, 0.5 + rng.uniform(0.0, 1.0))
     assert symplectic_eigenvalues(bad).min() < 0.5 - PHYSICALITY_SLACK
     with pytest.raises(InternalConsistencyError, match="^covariance violates"):
-        check_physical(bad)
+        _require_physical(bad)
     V = np.stack(good[:4] + [bad] + good[4:])
     pattern = r"^covariance violates the uncertainty relation: " \
               r"symplectic eigenvalues \["
     with pytest.raises(InternalConsistencyError, match=pattern) as exc:
-        check_physical(V)
+        _require_physical(V)
     assert exc.value.item == 4
 
 
@@ -219,10 +219,10 @@ def test_physicality_rejects_a_nonfinite_covariance(value):
     V[1, 2, 3] = V[1, 3, 2] = value
     with pytest.raises(InternalConsistencyError,
                        match="^covariance violates.*not finite") as exc:
-        check_physical(V)
+        _require_physical(V)
     assert exc.value.item == 1
     with pytest.raises(InternalConsistencyError):
-        check_physical(np.full((4, 4), value))
+        _require_physical(np.full((4, 4), value))
 
 
 def test_observables_run_no_eigen_solve(monkeypatch, tmp_path):

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from becck import (DerivedParams, DomainError, InternalConsistencyError,
-                   StabilityReport, SweepSpec, bistable_window,
-                   ck_comparison_metrics, derive_params, paper_base_params,
-                   preset_names, preset_spec, run_sweep)
+                   StabilityReport, SweepSpec, derive_params,
+                   paper_base_params, preset_names, preset_spec, run_sweep)
 from becck.cli import main, row_to_csv
 from becck.sweep import (MAX_GRID_COUNT, _grid_params, _rows_for_points,
                          classify_points, resolve_workers)
+from criteria import bistable_window, ck_comparison_metrics
 
 KAPPA = paper_base_params().kappa
 

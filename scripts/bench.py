@@ -66,8 +66,10 @@ Recorded once per side, since they do not vary from run to run:
   of command-line runs (the side's ``cli.main`` in process): the CSV and
   the json-lines of each of the nine presets, ``steady`` at 30 seeded
   random points, ``verify`` at its default seed and at
-  ``--seed 7 --perturb-drift 1e-3``, and the refusals of REFUSALS (their
-  exit codes and stderr lines).
+  ``--seed 7 --perturb-drift 1e-3``, the refusals of REFUSALS (their
+  exit codes and stderr lines) and the runs of ARGPARSE_RUNS, which
+  argparse reads (help, usage and error texts, and the ``SystemExit``
+  code where argparse exits).
 
 With ``--before``, ``differing_outputs`` maps each output that differs
 between the sides (none when every output is byte-identical) to what
@@ -221,6 +223,20 @@ REFUSALS = {
     # a sweep grid outside eta's domain, exit 2
     "steady-eta-below-0": (["steady"], ETA_BELOW_0),
     "dump-config-eta-below-0": (["sweep", "--dump-config"], ETA_BELOW_0),
+}
+
+
+# name: argv of the command-line runs that argparse reads (help, a bad
+# choice, an extra word, an abbreviation, ``--name=value``, a value that
+# starts with '-'), with ``<cfg>`` standing for the path of the ``steady``
+# config of COMMANDS; their outputs hold no temporary path
+ARGPARSE_RUNS = {
+    "steady-help": ["steady", "--help"],
+    "sweep-preset-fig9": ["sweep", "--preset", "fig9"],
+    "steady-extra": ["steady", "extra"],
+    "steady-conf": ["steady", "--conf", "<cfg>"],
+    "steady-config-equals": ["steady", "--config=<cfg>"],
+    "verify-pe-negative": ["verify", "--pe", "-1e-3", "--seed", "7"],
 }
 
 
@@ -419,7 +435,10 @@ def outputs(becck) -> dict:
     def run(argv):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's help, usage and errors
+                code = exc.code
         return {"exit": code, "stdout": out.getvalue(),
                 "stderr": err.getvalue()}
 
@@ -443,6 +462,11 @@ def outputs(becck) -> dict:
         for name, (argv, config) in REFUSALS.items():
             records[f"refusal/{name}"] = run(
                 argv + _write_config(tmp, name, config))
+        config = _write_config(tmp, "argparse", COMMANDS["steady"][1])[1]
+        for name, argv in ARGPARSE_RUNS.items():
+            records[f"argparse/{name}"] = run(
+                [config if word == "<cfg>" else word.replace("<cfg>", config)
+                 for word in argv])
     records["verify/default"] = run(["verify"])
     records["verify/seed7-perturb1e-3"] = run(
         ["verify", "--seed", "7", "--perturb-drift", "1e-3"])

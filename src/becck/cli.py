@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import re
 import sys
 from dataclasses import dataclass
@@ -69,6 +70,7 @@ _SPEC_FIELDS = {"sweep_var": "var", "sweep_min": "start", "sweep_max": "stop",
                 "branch_policy": "branch_policy"}
 SWEEP_KEYS = tuple(_SPEC_FIELDS)
 OTHER_KEYS = ("preset", "out", "format", "workers")
+_CONFIG_KEYS = frozenset(PARAM_KEYS + SWEEP_KEYS + OTHER_KEYS)
 
 
 def parse_quantity(raw, kappa: Optional[float] = None,
@@ -86,13 +88,13 @@ def parse_quantity(raw, kappa: Optional[float] = None,
         value = float(raw) if abs(raw) <= sys.float_info.max else math.inf
     elif not isinstance(raw, str):
         raise ConfigError(f"{key}: expected a number or unit string")
-    elif m := _RE_2PI.match(raw):
-        value = 2.0 * math.pi * float(m.group(1)) * _HZ_MULT[m.group(2)]
-    elif m := _RE_UNIT.match(raw):
+    elif m := _RE_UNIT.match(raw):  # the forms are disjoint
         unit = {"kappa": kappa, "omegaR": omega_R}[m.group(2)]
         if unit is None:
             raise ConfigError(f"{key}: '*{m.group(2)}' form cannot be used here")
         value = float(m.group(1)) * unit
+    elif m := _RE_2PI.match(raw):
+        value = 2.0 * math.pi * float(m.group(1)) * _HZ_MULT[m.group(2)]
     else:
         raise ConfigError(f"{key}: cannot parse quantity {raw!r}")
     if not math.isfinite(value):
@@ -122,8 +124,8 @@ def _config_value(data: dict, key: str, kappa: float, omega_R: float):
 def build_config(data: dict) -> RunConfig:
     """Validate a flat mapping over its preset's keys into a RunConfig, its
     sweep keys into one SweepSpec (None without any)."""
-    unknown = sorted(set(data) - set(PARAM_KEYS + SWEEP_KEYS + OTHER_KEYS))
-    if unknown:
+    if not _CONFIG_KEYS.issuperset(data):
+        unknown = sorted(set(data) - _CONFIG_KEYS)
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     if "preset" in data:
         if data["preset"] not in preset_names():
@@ -204,16 +206,17 @@ def _row_cells(row: SweepRow, flags: dict) -> tuple:
     """The 19 column values of a row, in CSV_HEADER order, with its three
     flags spelled as ``flags`` maps them; a float cell that is not finite
     raises InternalConsistencyError."""
-    cells = (row.sweep_var, row.sweep_value, "on" if row.ck_enabled else "off",
-             row.branch_index, row.n_photon, row.alpha.real, row.alpha.imag,
-             row.beta.real, row.beta.imag, row.Delta, row.omega_B,
-             row.omega_B_ratio, flags[row.stable], row.E_N, row.S_Q, row.S_P,
-             row.n_incoherent, flags[row.lattice_ok], flags[row.bogoliubov_ok])
+    (var, value, ck, index, _, n, alpha, beta, Delta, omega_B, ratio, stable,
+     E_N, S_Q, S_P, n_incoherent, lattice_ok, bogoliubov_ok, _, _, _) = row
+    cells = (var, value, "on" if ck else "off", index, n, alpha.real,
+             alpha.imag, beta.real, beta.imag, Delta, omega_B, ratio,
+             flags[stable], E_N, S_Q, S_P, n_incoherent, flags[lattice_ok],
+             flags[bogoliubov_ok])
     for name, x in zip(CSV_COLUMNS, cells):
         if isinstance(x, float) and not math.isfinite(x):
             raise InternalConsistencyError(
-                f"sweep row {row.sweep_var}={row.sweep_value!r} ck={cells[2]} "
-                f"branch {row.branch_index}: {name} = {x!r} is not finite")
+                f"sweep row {var}={value!r} ck={cells[2]} "
+                f"branch {index}: {name} = {x!r} is not finite")
     return cells
 
 
@@ -344,6 +347,30 @@ def cmd_verify(cfg: RunConfig, seed: int,
 
 # ---------------------------------------------------------------------------
 
+# each subcommand's help and the add_argument keywords of its options:
+# build_parser declares them, and _read_exact reads the exact forms by them
+_COMMANDS = {"steady": "solve a single parameter point, report JSON",
+             "sweep": "run a parameter sweep, write CSV",
+             "verify": "run the independent-oracle verification suites"}
+_OPTIONS = {
+    "--config": {"help": "path to a JSON config file"},
+    "--preset": {"choices": preset_names(), "help": "figure preset name"},
+    "--out": {"help": "output path (default stdout)"},
+    "--dump-config": {"action": "store_true", "default": False,
+                      "help": "print the canonical config and exit"}}
+_COMMAND_OPTIONS = {**dict.fromkeys(_COMMANDS, _OPTIONS), "verify": {
+    **_OPTIONS,
+    "--seed": {"type": int, "default": DEFAULT_SEED,
+               "help": "seed for randomized verification draws"},
+    "--perturb-drift": {"type": float, "default": 0.0, "metavar": "EPS",
+                        "help": "fault injection: scale the analytic drift "
+                                "matrix by (1+EPS)"}}}
+# each option's attribute and its default, per subcommand
+_DEFAULTS = {name: {flag[2:].replace("-", "_"): spec.get("default")
+                    for flag, spec in options.items()}
+             for name, options in _COMMAND_OPTIONS.items()}
+
+
 @functools.cache
 def build_parser() -> tuple:
     """The command-line parser and its subcommand parsers by name, built
@@ -354,24 +381,36 @@ def build_parser() -> tuple:
                     "cavity coupled to an interacting condensate")
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {}
-    for name, help_text in (
-            ("steady", "solve a single parameter point, report JSON"),
-            ("sweep", "run a parameter sweep, write CSV"),
-            ("verify", "run the independent-oracle verification suites")):
+    for name, help_text in _COMMANDS.items():
         s = commands[name] = sub.add_parser(name, help=help_text)
-        s.add_argument("--config", help="path to a JSON config file")
-        s.add_argument("--preset", choices=preset_names(),
-                       help="figure preset name")
-        s.add_argument("--out", help="output path (default stdout)")
-        s.add_argument("--dump-config", action="store_true",
-                       help="print the canonical config and exit")
-        if name == "verify":
-            s.add_argument("--seed", type=int, default=DEFAULT_SEED,
-                           help="seed for randomized verification draws")
-            s.add_argument("--perturb-drift", type=float, default=0.0,
-                           metavar="EPS", help="fault injection: scale the "
-                           "analytic drift matrix by (1+EPS)")
+        for flag, spec in _COMMAND_OPTIONS[name].items():
+            s.add_argument(flag, **spec)
     return parser, commands
+
+
+def _read_exact(argv):
+    """The options argparse gives an ``argv`` of the form ``<command>
+    (--option value | --dump-config)*``, each option in full and each value
+    passing its type and choices, not starting with ``-``; else None."""
+    if not argv or (options := _COMMAND_OPTIONS.get(argv[0])) is None:
+        return None
+    values, words = dict(_DEFAULTS[argv[0]]), iter(argv[1:])
+    for flag in words:
+        if (spec := options.get(flag)) is None:
+            return None
+        if "action" in spec:  # store_true
+            value = True
+        elif (word := next(words, "-")).startswith("-"):
+            return None
+        else:
+            try:
+                value = spec.get("type", str)(word)
+            except ValueError:
+                return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+        values[flag[2:].replace("-", "_")] = value
+    return argparse.Namespace(**values)
 
 
 def _glue_perturb_drift(args) -> list:
@@ -392,8 +431,10 @@ def _glue_perturb_drift(args) -> list:
 
 
 def parse_command_line(argv) -> tuple:
-    """(command, options) of ``argv``, with the help, usage and error texts
-    of ``build_parser()[0].parse_args``."""
+    """(command, options) of ``argv``, an exact form read by the option
+    table, with the help, usage and error texts of argparse's parse_args."""
+    if (args := _read_exact(argv)) is not None:
+        return argv[0], args
     parser, commands = build_parser()
     if not argv or argv[0] not in commands:  # help, no or an unknown command
         args = parser.parse_args(argv)
@@ -409,8 +450,14 @@ def _load_config_data(path: Optional[str]) -> dict:
     if path is None:
         return {}
     try:
-        with open(path, "rb", buffering=0) as fh:
-            data = json.loads(fh.read().decode("utf-8"))
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            raw = b"".join(iter(functools.partial(os.read, fd, 1 << 16), b""))
+        finally:
+            os.close(fd)
+        data = json.loads(raw.decode("utf-8"))
+    except IsADirectoryError as exc:  # from read: name the path as open does
+        raise ConfigError(f"cannot read config: {exc}: {path!r}") from exc
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except ValueError as exc:  # not JSON, not UTF-8, or an over-long number

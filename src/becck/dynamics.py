@@ -76,29 +76,29 @@ def drift_diffusion_stacks(pairs) -> DriftDiffusion:
     """
     entries = []
     for i, (d, b) in enumerate(pairs):
-        aR, aI = b.alpha.real, b.alpha.imag
-        bR, bI = b.beta.real, b.beta.imag
-        G_R = 2.0 * aR * (d.zeta + d.g * bR)
-        G_I = 2.0 * aI * (d.zeta + d.g * bR)
-        F_R = 2.0 * d.g * aR * bI
-        F_I = 2.0 * d.g * aI * bI
-        if not (product := b.Omega_minus * b.Omega_plus) > 0.0:
+        _, _, zeta, g, _, _, k, gm, _, _, T, _, _ = d
+        _, alpha, beta, Delta, Omega_plus, Omega_minus, _, _ = b
+        aR, aI = alpha.real, alpha.imag
+        bR, bI = beta.real, beta.imag
+        G_R = 2.0 * aR * (zeta + g * bR)
+        G_I = 2.0 * aI * (zeta + g * bR)
+        F_R = 2.0 * g * aR * bI
+        F_I = 2.0 * g * aI * bI
+        if not (product := Omega_minus * Omega_plus) > 0.0:
             raise InternalConsistencyError(
                 "the dressed Bogoliubov frequency is not real and positive "
                 f"(Omega_minus*Omega_plus = {product:.6e} rad^2/s^2)", i)
-        if b.Omega_minus <= 0.0:  # and Omega_plus < 0, as the product is > 0
+        if Omega_minus <= 0.0:  # and Omega_plus < 0, as the product is > 0
             raise InternalConsistencyError(
                 "the dressed Bogoliubov mode is inverted (Omega_minus = "
-                f"{b.Omega_minus:.6e}, Omega_plus = {b.Omega_plus:.6e} rad/s)",
-                i)
+                f"{Omega_minus:.6e}, Omega_plus = {Omega_plus:.6e} rad/s)", i)
         omega_B = math.sqrt(product)
-        n_c = thermal_occupation(omega_B, d.T)
-        therm = d.gamma * (2.0 * n_c + 1.0)
-        k, gm = d.kappa, d.gamma
+        n_c = thermal_occupation(omega_B, T)
+        therm = gm * (2.0 * n_c + 1.0)
         # A and D row by row (the layout of drift_matrix), then the scalars
-        entries.append((-k, b.Delta, G_I, F_I, -b.Delta, -k, -G_R, -F_R,
-                        F_R, F_I, -gm, b.Omega_minus,
-                        -G_R, -G_I, -b.Omega_plus, -gm,
+        entries.append((-k, Delta, G_I, F_I, -Delta, -k, -G_R, -F_R,
+                        F_R, F_I, -gm, Omega_minus,
+                        -G_R, -G_I, -Omega_plus, -gm,
                         k, 0.0, 0.0, 0.0, 0.0, k, 0.0, 0.0,
                         0.0, 0.0, therm, 0.0, 0.0, 0.0, 0.0, therm,
                         k, omega_B, n_c))

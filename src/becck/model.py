@@ -79,10 +79,13 @@ class SystemParams:
     ck_enabled: bool = True
 
     def __post_init__(self):
-        for name in ("g0", "delta_a", "omega_R", "omega_sw", "kappa",
-                     "gamma", "delta_c", "eta", "T"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite")
+        values = (self.g0, self.delta_a, self.omega_R, self.omega_sw,
+                  self.kappa, self.gamma, self.delta_c, self.eta, self.T)
+        if not all(map(math.isfinite, values)):
+            name = next(k for k in ("g0", "delta_a", "omega_R", "omega_sw",
+                                    "kappa", "gamma", "delta_c", "eta", "T")
+                        if not math.isfinite(getattr(self, k)))
+            raise DomainError(f"{name} must be finite")
         if self.delta_a == 0.0:
             raise DomainError("delta_a must be nonzero")
         if self.kappa <= 0.0:

@@ -60,7 +60,7 @@ class SweepSpec:
         span = float(self.stop) - float(self.start)
         for value in (self.start if math.isfinite(span) else math.nan,
                       self.stop):
-            replace(self.base, **{self.var: float(value)})
+            SystemParams(**{**vars(self.base), self.var: float(value)})
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.start, self.stop, self.count)

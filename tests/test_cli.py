@@ -361,6 +361,32 @@ def test_undecodable_config_is_config_error(tmp_path, capsys, raw):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("make,line", [
+    (lambda path: path.mkdir(),
+     "cannot read config: [Errno 21] Is a directory: {path!r}"),
+    (lambda path: None,
+     "cannot read config: [Errno 2] No such file or directory: {path!r}"),
+    (lambda path: path.write_bytes(b'{"eta": "\xff"}'),
+     "config is not valid JSON: 'utf-8' codec can't decode byte 0xff in "
+     "position 9: invalid start byte"),
+    (lambda path: path.write_bytes(b'\xef\xbb\xbf{}'),
+     "config is not valid JSON: Unexpected UTF-8 BOM (decode using "
+     "utf-8-sig): line 1 column 1 (char 0)"),
+    (lambda path: path.write_bytes(b'{"eta": }'),
+     "config is not valid JSON: Expecting value: line 1 column 9 (char 8)"),
+    (lambda path: path.write_bytes(b'[{"eta": 1}]'),
+     "config must be a JSON object"),
+], ids=["directory", "missing", "not-utf8", "utf8-bom", "invalid-json",
+        "json-array"])
+def test_config_read_refusals_keep_their_lines(tmp_path, capsys, make, line):
+    path = tmp_path / "config.json"
+    make(path)
+    assert main(["steady", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "config error: "
+                          + line.format(path=str(path)) + "\n")
+
+
 def test_crlf_config_parses_as_its_lf_twin(tmp_path, capsys):
     text = json.dumps({"eta": "2*kappa", "delta_c": "5*kappa",
                        "preset": "fig4", "ck_enabled": False}, indent=2)
@@ -688,6 +714,87 @@ def test_dispatch_matches_the_full_parser(argv):
         command, args = parse_command_line(argv)
         return command, vars(args)
     assert _parse_outcome(direct, argv) == _parse_outcome(_full_parse, argv)
+
+
+def _argv_strategy(st):
+    """argv of the three commands and a bogus one, each followed by words:
+    an option (in full, abbreviated or with ``=value``) with or without a
+    value, a value alone, ``--dump-config``, ``-h`` or ``--``; half of them
+    take only options in full, each with a value of the kind it takes."""
+    full = ["--config", "--preset", "--out", "--seed", "--perturb-drift"]
+    flags = st.sampled_from(full + [
+        "--conf", "--pe", "--p", "--perturb", "--dump-config", "--dump"])
+    values = st.one_of(
+        st.sampled_from(["", "x", "-5", "-1e-3", "--", "nan", "-inf", "fig9",
+                         " 7", "1_0", *becck.preset_names()]),
+        st.integers(-10 ** 20, 10 ** 20).map(str),
+        st.floats(allow_nan=True).map(repr), st.text(max_size=4))
+    words = st.one_of(
+        st.tuples(flags, values).map(list), flags.map(lambda f: [f]),
+        st.tuples(flags, values).map(lambda fv: ["=".join(fv)]),
+        values.map(lambda v: [v]), st.sampled_from([["-h"], ["--"]]))
+    exact = st.one_of(
+        st.tuples(st.sampled_from(full[:3]), st.sampled_from(
+            ["x", "", "a b", *becck.preset_names()])).map(list),
+        st.tuples(st.sampled_from(full[3:]), st.one_of(
+            st.integers(0, 99).map(str), st.floats(0.0).map(repr),
+            st.sampled_from(["nan", "inf", "x"]))).map(list),
+        st.just(["--dump-config"]))
+    return st.tuples(
+        st.sampled_from(["steady", "sweep", "verify", "bogus"]),
+        st.one_of(st.lists(exact, max_size=4), st.lists(words, max_size=4)),
+    ).map(lambda cw: [cw[0], *(w for ws in cw[1] for w in ws)])
+
+
+def test_the_exact_form_reader_agrees_with_argparse():
+    hypothesis = pytest.importorskip("hypothesis")
+    from becck.cli import _glue_perturb_drift
+
+    def direct(argv):
+        command, args = parse_command_line(argv)
+        return command, vars(args)
+
+    def outcome(parse, argv):  # options by repr: a NaN equals its repr
+        code, options, out, err = _parse_outcome(parse, argv)
+        return code, repr(options), out, err
+
+    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.given(_argv_strategy(hypothesis.strategies))
+    @hypothesis.example(["steady", "--config"])
+    @hypothesis.example(["steady", "--config", "", "--dump-config"])
+    @hypothesis.example(["sweep", "--preset", "fig9"])
+    @hypothesis.example(["verify", "--seed", "x", "--seed", "7"])
+    @hypothesis.example(["verify", "--perturb-drift", "-1e-3"])
+    def agrees(argv):
+        # argparse's path joins a spaced --perturb-drift value for verify
+        full = argv if argv[0] != "verify" else [
+            "verify", *_glue_perturb_drift(argv[1:])]
+        assert outcome(direct, argv) == outcome(_full_parse, full)
+
+    agrees()
+
+
+def test_exact_forms_are_read_without_argparse(monkeypatch, tmp_path):
+    from becck import cli
+
+    def no_parser():
+        raise AssertionError("build_parser called")
+
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    p = _write(tmp_path, {})
+    command, args = parse_command_line(["steady", "--config", p])
+    assert (command, vars(args)) == ("steady", {
+        "config": p, "preset": None, "out": None, "dump_config": False})
+    command, args = parse_command_line(
+        ["sweep", "--preset", "fig2b", "--config", p])
+    assert (command, vars(args)) == ("sweep", {
+        "config": p, "preset": "fig2b", "out": None, "dump_config": False})
+    command, args = parse_command_line(["verify", "--seed", "7"])
+    assert (command, vars(args)) == ("verify", {
+        "config": None, "preset": None, "out": None, "dump_config": False,
+        "seed": 7, "perturb_drift": 0.0})
+    with pytest.raises(AssertionError, match="build_parser called"):
+        parse_command_line(["steady", "--conf", p])
 
 
 def test_spaced_negative_perturbation_reaches_verify():

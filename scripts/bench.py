@@ -465,8 +465,7 @@ def outputs(becck) -> dict:
         config = _write_config(tmp, "argparse", COMMANDS["steady"][1])[1]
         for name, argv in ARGPARSE_RUNS.items():
             records[f"argparse/{name}"] = run(
-                [config if word == "<cfg>" else word.replace("<cfg>", config)
-                 for word in argv])
+                [word.replace("<cfg>", config) for word in argv])
     records["verify/default"] = run(["verify"])
     records["verify/seed7-perturb1e-3"] = run(
         ["verify", "--seed", "7", "--perturb-drift", "1e-3"])

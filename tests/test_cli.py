@@ -758,7 +758,7 @@ def test_the_exact_form_reader_agrees_with_argparse():
         code, options, out, err = _parse_outcome(parse, argv)
         return code, repr(options), out, err
 
-    @hypothesis.settings(max_examples=400, deadline=None)
+    @hypothesis.settings(max_examples=400, deadline=None, derandomize=True)
     @hypothesis.given(_argv_strategy(hypothesis.strategies))
     @hypothesis.example(["steady", "--config"])
     @hypothesis.example(["steady", "--config", "", "--dump-config"])

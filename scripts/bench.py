@@ -1,4 +1,4 @@
-"""Per-layer, per-preset and command timings of becck, in one JSON file.
+"""Stack-stage, per-preset and command timings of becck, in one JSON file.
 
     python scripts/bench.py --out REPORT.json [--before CHECKOUT]
                             [--repeats N]
@@ -14,43 +14,32 @@ call is the median of its repeats; each is reported per side as the
 median and the quartiles (``q1``, ``q3``) over the ``--repeats`` rounds.
 Recorded per side:
 
-* per-layer medians at three fixed points (monostable, bistable, and the
-  strong drive eta = 7 kappa), each in microseconds per call:
-  ``enumerate_branches``; ``build_drift_diffusion`` and
-  ``classify_stability`` per branch; ``solve_lyapunov`` and
-  ``observable_set`` per stable branch; ``row_to_csv``/``row_to_json`` per
-  row; a two-point paired sweep at the point; and ``classify_points`` on
-  batches of 1, 4 and 8 points near it (one point with cross-Kerr on, or
-  2 and 4 grid values with both settings, as a paired sweep builds them);
-  and, per call on the branches of the 8-point batch, building their drift
-  and diffusion matrices (``build_8_us``), the downstream of enumeration
-  (build, classify, and ``gaussian_states`` on the strictly stable ones:
-  ``downstream_8_us``) and ``gaussian_states`` alone
-  (``gaussian_states_8_us``, with the stable count in
-  ``gaussian_states_8_branches``);
+* per-stage figures at three fixed points (monostable, bistable, and the
+  strong drive eta = 7 kappa), through the functions that ``steady`` and
+  ``sweep`` run, in microseconds per call: at a paired delta_c grid of 4
+  values from the point in steps of 0.01 kappa, ``classify_points`` on
+  batches of 1, 4 and 8 of its points (one point with cross-Kerr on, or 2
+  and 4 grid values with both settings, as a paired sweep builds them)
+  and ``enumerate_branches`` at the point; on the branches of the 8-point
+  batch (``branches_8``), ``drift_diffusion_stacks`` (``build_8_us``) and
+  ``classify_batch`` (``classify_8_us``), and on its strictly stable ones
+  (``stable_8``) ``lyapunov_batch`` (``lyapunov_8_us``) and
+  ``observables_batch`` (``observables_8_us``); ``run_sweep`` of the grid
+  (``sweep_8_points_us``), and ``row_to_csv``/``row_to_json`` per row of
+  it;
 * the serial wall time of each of the nine presets (one run per round, in
   seconds);
-* the row path of the 4-point fig6 json-lines slice (``row_path``), per
-  row in microseconds: the derivation of its points (``derive_us``),
-  ``_rows_for_points`` with ``evaluate_points`` served from a memo
-  (``rows_us``: derivation and row records) and
-  ``row_to_json`` (``write_us``);
 * the command path around the stacks, per command (a bistable ``steady``
   point, a 2-point fig2b CSV slice, a 4-point fig6 json-lines slice, and
   ``verify --seed 7 --perturb-drift 1e-3``), in microseconds per call:
-  parsing its argv (``parse_us``, ``cli.parse_command_line``), reading its
-  config file (``config_load_us``) and ``build_config`` on what was read
-  (``build_config_us``); for the ``steady`` point also writing its report
-  (``steady_report_us``, ``cli.steady_report``);
+  parsing its argv (``parse_us``, ``cli.parse_command_line``) and
+  ``build_config`` on its config (``build_config_us``); for the ``steady``
+  point also writing its report (``steady_report_us``,
+  ``cli.steady_report``);
 * end to end through the command line (``becck.cli.main`` in process,
   stdout discarded): one ``steady`` point (bistable, in milliseconds), the
-  4-point fig6 json-lines slice (in milliseconds), one ``verify`` run at
-  its default seed (in seconds), and per workload that perfbench gates
-  (WORKLOADS) one pass of its seed-0 commands with perfbench's
-  ``speed_probe`` before each, as perfbench runs them
-  (``<workload>_pass_ms``, the commands' time alone, in milliseconds): a
-  command timed in a hot loop finds its caches warm, and one after a probe
-  finds them as cold as perfbench does;
+  4-point fig6 json-lines slice (in milliseconds) and one ``verify`` run at
+  its default seed (in seconds);
 * the wall time of one run of the checkout's tier-1 tests (the command in
   ROADMAP.md, run from the checkout's root) and pytest's summary line.
 
@@ -121,14 +110,11 @@ POINTS = {"monostable": (-5.0, 2.0), "bistable": (5.0, 2.0),
 
 class Timed(NamedTuple):
     """``fn`` run ``number`` times per repeat: a round's figure is the median
-    over ``repeat`` repeats of the time per run, times ``unit``. With
-    ``own_clock`` ``fn`` runs once per repeat and returns its own time in
-    seconds."""
+    over ``repeat`` repeats of the time per run, times ``unit``."""
     fn: Callable
     number: int = 200
     unit: float = 1e6
     repeat: int = 7
-    own_clock: bool = False
 
 
 def _per_item(fn, items):
@@ -147,49 +133,52 @@ def load_package(name: str, checkout: Path):
     return package
 
 
-def _batch_points(becck, base, dc, eta, size):
-    """``size`` points for ``classify_points`` from delta_c =
-    dc*kappa in steps of 0.01 kappa, both cross-Kerr settings unless
-    ``size`` is 1, as a paired sweep builds them."""
-    k = base.kappa
+def _batch_points(becck, spec, size):
+    """``size`` points for ``classify_points`` at the first values of the
+    grid of ``spec``, both cross-Kerr settings unless ``size`` is 1, as a
+    paired sweep builds them."""
     cks = (True,) if size == 1 else (False, True)
     return [becck.derive_params(dataclasses.replace(
-        base, delta_c=(dc + 0.01 * j) * k, eta=eta * k, ck_enabled=ck))
-        for j in range(size // len(cks)) for ck in cks]
+        spec.base, delta_c=x, ck_enabled=ck))
+        for x in spec.grid()[:size // len(cks)].tolist() for ck in cks]
 
 
-def _downstream(becck, base, dc, eta, size=8):
-    """Timed calls on the branches of the ``classify_points`` batch of the
-    arguments: building their drift and diffusion matrices; that, their
-    classification and ``gaussian_states`` on the strictly stable ones;
-    and ``gaussian_states`` alone; with the count of stable branches."""
-    import numpy as np
-
+def stages(becck, spec) -> dict:
+    """Timed stages of the stacked pipeline at the paired delta_c grid
+    ``spec``, through the functions that ``steady`` and ``sweep`` run, with
+    the counts of branches and of strictly stable ones they work on."""
     dynamics, steadystate = becck.dynamics, becck.steadystate
-    gaussian_states = steadystate.gaussian_states
-    ds = _batch_points(becck, base, dc, eta, size)
-    _, branches, stacks, verdicts, *_ = becck.sweep.classify_points(ds)
+    classify_points = becck.sweep.classify_points
+    batches = {size: _batch_points(becck, spec, size) for size in (1, 4, 8)}
+    ds = batches[8]
+    _, branches, dd, report = classify_points(ds)
     pairs = [(ds[p], b) for p, b in branches]
-    keep = np.flatnonzero(steadystate.strictly_stable(verdicts))
+    keep = steadystate.strictly_stable(report).nonzero()[0]
+    stable_dd, stable_report = (r._make(x[keep] for x in r)
+                                for r in (dd, report))
+    cov = steadystate.lyapunov_batch(stable_dd, stable_report)
+    rows = becck.run_sweep(spec)
+    cli = becck.cli
+    return {
+        "branches_8": len(branches), "stable_8": len(keep),
+        **{f"classify_points_{size}_us": Timed(
+            lambda batch=batch: classify_points(batch), 20)
+           for size, batch in batches.items()},
+        "enumerate_us": Timed(
+            lambda: becck.enumerate_branches(batches[1][0]), 50),
+        "build_8_us": Timed(lambda: dynamics.drift_diffusion_stacks(pairs),
+                            50),
+        "classify_8_us": Timed(
+            lambda: dynamics.classify_batch(dd.A, dd.kappa), 50),
+        "lyapunov_8_us": Timed(lambda: steadystate.lyapunov_batch(
+            stable_dd, stable_report), 50),
+        "observables_8_us": Timed(
+            lambda: steadystate.observables_batch(stable_dd, cov), 50),
+        "sweep_8_points_us": Timed(lambda: becck.run_sweep(spec), 20),
+        "row_to_csv_us": _per_item(cli.row_to_csv, [(r,) for r in rows]),
+        "row_to_json_us": _per_item(cli.row_to_json, [(r,) for r in rows]),
+    }
 
-    def build():
-        return dynamics.drift_diffusion_stacks(pairs)
-
-    def downstream():
-        dd = build()
-        return gaussian_states(dd, dynamics.classify_batch(dd.A, dd.kappa))
-
-    args = [r._make(x[keep] for x in r) for r in (stacks, verdicts)]
-    return {f"build_{size}_us": Timed(build, 50),
-            f"downstream_{size}_us": Timed(downstream, 50),
-            f"gaussian_states_{size}_us": Timed(
-                lambda: gaussian_states(*args), 50),
-            f"gaussian_states_{size}_branches": len(keep)}
-
-
-# the workloads that perfbench gates, each timed by one pass of its seed-0
-# commands
-WORKLOADS = ("sweep-bistable", "sweep-strong-pool", "steady-points")
 
 # argv and config of the commands whose path around the stacks is timed
 COMMANDS = {
@@ -250,19 +239,16 @@ def _write_config(tmp: str, name: str, config) -> list:
 
 
 def command_path(becck, tmp: str) -> dict:
-    """Per command of COMMANDS: parse, config read and ``build_config``,
-    and for ``steady`` writing its report."""
+    """Per command of COMMANDS: parse and ``build_config``, and for
+    ``steady`` writing its report."""
     cli = becck.cli
     calls = {}
     for name, (argv, config) in COMMANDS.items():
         argv = argv + _write_config(tmp, name, config)
-        path = argv[-1] if config is not None else None
-        data = cli._load_config_data(path)
         calls[name] = {
             "parse_us": Timed(lambda argv=argv: cli.parse_command_line(argv)),
-            "config_load_us": Timed(
-                lambda path=path: cli._load_config_data(path)),
-            "build_config_us": Timed(lambda data=data: cli.build_config(data)),
+            "build_config_us": Timed(
+                lambda data=config or {}: cli.build_config(data)),
         }
     # the report writer as cmd_steady calls it, on the point's records
     cfg = cli.build_config(dict(COMMANDS["steady"][1]))
@@ -274,89 +260,22 @@ def command_path(becck, tmp: str) -> dict:
     return calls
 
 
-def row_path(becck) -> dict:
-    """Per row of the 4-point fig6 json-lines slice, in microseconds: the
-    derivation of its points as its sweep makes them (``derive_us``),
-    ``_rows_for_points`` with ``evaluate_points`` served from a memo
-    (``rows_us``: derivation and row records around the stacks)
-    and ``row_to_json`` (``write_us``); ``rows`` is the row count."""
-    cli, sweep = becck.cli, becck.sweep
-    spec = cli.sweep_spec_from_config(cli.build_config(
-        dict(COMMANDS["sweep_fig6_jsonl"][1])))
-    grid, cks = spec.grid(), (False, True)
-    rows = becck.run_sweep(spec)
-
-    def derive():
-        return [sweep._grid_params(spec, grid, ck) for ck in cks]
-
-    evaluate = sweep.evaluate_points
-    memo = {}
-
-    def served(ds, pick=None):
-        if pick not in memo:
-            memo[pick] = evaluate(ds, pick)
-        return memo[pick]
-
-    def rows_only():
-        sweep.evaluate_points = served
-        try:
-            return sweep._rows_for_points(spec, grid)
-        finally:
-            sweep.evaluate_points = evaluate
-
-    unit = 1e6 / len(rows)
-    return {"rows": len(rows), "derive_us": Timed(derive, unit=unit),
-            "rows_us": Timed(rows_only, unit=unit),
-            "write_us": _per_item(cli.row_to_json, [(r,) for r in rows])}
-
-
 def timed_calls(becck, tmp: str) -> dict:
     """The table of timed calls of the package ``becck``, nested as the
     report; a leaf that is no Timed is recorded as it is."""
     import numpy
 
-    row_to_csv, row_to_json = becck.cli.row_to_csv, becck.cli.row_to_json
     base = becck.paper_base_params()
     k = base.kappa
-    layers = {}
-    for name, (dc, eta) in POINTS.items():
-        d = becck.derive_params(dataclasses.replace(base, delta_c=dc * k,
-                                                    eta=eta * k))
-        branches = list(becck.enumerate_branches(d))
-        dds = [becck.build_drift_diffusion(d, b) for b in branches]
-        reps = [becck.classify_stability(dd) for dd in dds]
-        stable = [(dd, r) for dd, r in zip(dds, reps)
-                  if r.stable and not r.marginal]
-        covs = [(dd, becck.solve_lyapunov(dd, r)) for dd, r in stable]
-        spec = becck.SweepSpec(var="delta_c", start=dc * k,
-                               stop=(dc + 0.01) * k, count=2,
-                               base=dataclasses.replace(base, eta=eta * k))
-        rows = becck.run_sweep(spec)
-        layers[name] = {
-            "branches": len(branches), "stable": len(stable),
-            "enumerate_us": Timed(lambda d=d: becck.enumerate_branches(d),
-                                  50),
-            "build_us": _per_item(becck.build_drift_diffusion,
-                                  [(d, b) for b in branches]),
-            "classify_us": _per_item(becck.classify_stability,
-                                     [(dd,) for dd in dds]),
-            "lyapunov_us": _per_item(becck.solve_lyapunov, stable),
-            "observables_us": _per_item(becck.observable_set, covs),
-            "row_to_csv_us": _per_item(row_to_csv, [(r,) for r in rows]),
-            "row_to_json_us": _per_item(row_to_json, [(r,) for r in rows]),
-            "sweep_2_points_us": Timed(
-                lambda spec=spec: becck.run_sweep(spec), 20),
-            **{f"classify_points_{size}_us": Timed(
-                lambda ds=_batch_points(becck, base, dc, eta, size):
-                becck.sweep.classify_points(ds), 20) for size in (1, 4, 8)},
-            **_downstream(becck, base, dc, eta),
-        }
+    layers = {name: stages(becck, becck.SweepSpec(
+        var="delta_c", start=dc * k, stop=(dc + 0.03) * k, count=4,
+        base=dataclasses.replace(base, eta=eta * k)))
+        for name, (dc, eta) in POINTS.items()}
     presets = {name: Timed(lambda spec=becck.preset_spec(name):
                            becck.run_sweep(spec), 1, 1.0, 1)
                for name in becck.preset_names()}
     return {"python": platform.python_version(), "numpy": numpy.__version__,
-            "per_layer": layers, "row_path": row_path(becck),
-            "command_path": command_path(becck, tmp),
+            "per_layer": layers, "command_path": command_path(becck, tmp),
             "preset_wall_s": presets, "end_to_end": end_to_end(becck, tmp)}
 
 
@@ -376,34 +295,7 @@ def end_to_end(becck, tmp: str) -> dict:
     return {"steady_point_ms": Timed(lambda: run(["steady", *point]), 20,
                                      1e3),
             "sweep_fig6_4_jsonl_ms": Timed(lambda: run(fig6), 20, 1e3),
-            "verify_s": Timed(lambda: run(["verify"]), 1, 1.0, 1),
-            **workload_passes(becck, tmp)}
-
-
-def workload_passes(becck, tmp: str) -> dict:
-    """Per gated workload of perfbench, one pass of its seed-0 commands as
-    perfbench runs them, with ``speed_probe`` before each command (the
-    probe leaves the caches as cold as perfbench leaves them); the figure
-    is the commands' time alone, in milliseconds per pass."""
-    sys.path.insert(0, str(ROOT))
-    from perfbench.workloads import make_inputs, speed_probe
-
-    main = becck.cli.main
-
-    def one_pass(argvs):
-        seconds = 0.0
-        for argv in argvs:
-            speed_probe()
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                start = time.perf_counter()
-                main(argv)
-                seconds += time.perf_counter() - start
-        return seconds
-
-    return {f"{name}_pass_ms": Timed(
-        lambda argvs=make_inputs(name, 0).write(Path(tmp) / name):
-        one_pass(argvs), 1, 1e3, 5, own_clock=True) for name in WORKLOADS}
+            "verify_s": Timed(lambda: run(["verify"]), 1, 1.0, 1)}
 
 
 def one_round(tables: list, turns) -> list:
@@ -419,10 +311,8 @@ def one_round(tables: list, turns) -> list:
     for _ in range(max((tables[i].repeat for i in timed), default=0)):
         first = next(turns) % len(timed)
         for i in timed[first:] + timed[:first]:
-            fn, number, unit, _, own_clock = tables[i]
-            seconds = (fn() if own_clock
-                       else timeit.Timer(fn).timeit(number) / number)
-            times[i].append(seconds * unit)
+            fn, number, unit, _ = tables[i]
+            times[i].append(timeit.Timer(fn).timeit(number) / number * unit)
     return [statistics.median(times[i]) if i in times else t
             for i, t in enumerate(tables)]
 

@@ -455,11 +455,12 @@ def _load_config_data(path: Optional[str]) -> dict:
             raw = b"".join(iter(functools.partial(os.read, fd, 1 << 16), b""))
         finally:
             os.close(fd)
-        data = json.loads(raw.decode("utf-8"))
     except IsADirectoryError as exc:  # from read: name the path as open does
         raise ConfigError(f"cannot read config: {exc}: {path!r}") from exc
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot read config: {exc}") from exc
+    try:
+        data = json.loads(raw.decode("utf-8"))
     except ValueError as exc:  # not JSON, not UTF-8, or an over-long number
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

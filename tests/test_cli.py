@@ -387,6 +387,13 @@ def test_config_read_refusals_keep_their_lines(tmp_path, capsys, make, line):
                           + line.format(path=str(path)) + "\n")
 
 
+def test_a_config_path_with_a_nul_cannot_be_read(capsys):
+    # os.open raises ValueError here, which is no verdict on the JSON
+    assert main(["steady", "--config", "a\x00b"]) == 2
+    assert capsys.readouterr() == (
+        "", "config error: cannot read config: embedded null byte\n")
+
+
 def test_crlf_config_parses_as_its_lf_twin(tmp_path, capsys):
     text = json.dumps({"eta": "2*kappa", "delta_c": "5*kappa",
                        "preset": "fig4", "ck_enabled": False}, indent=2)

@@ -265,22 +265,3 @@ def observable_set(dd: DriftDiffusion, cov: CovarianceMatrix) -> ObservableSet:
     """All Gaussian observables for one stable branch."""
     return record_items(
         observables_batch(record_stack(dd), record_stack(cov)))[0]
-
-
-def gaussian_states(dd, report, among=None) -> tuple:
-    """Positions, CovarianceMatrix stacks and ObservableSet stacks of the
-    strictly stable items among the positions ``among`` (default all) of the
-    DriftDiffusion stacks ``dd`` with their ``classify_batch`` report; a
-    failing item's error carries its position in ``dd`` as ``item``."""
-    grade = strictly_stable(report).tolist()
-    every = list(range(len(grade)))
-    solved = [i for i in (every if among is None else among) if grade[i]]
-    if solved != every:
-        dd = dd._make(x[solved] for x in dd)
-        report = report._make(x[solved] for x in report)
-    try:
-        cov = lyapunov_batch(dd, report)
-        return np.array(solved, np.intp), cov, observables_batch(dd, cov)
-    except InternalConsistencyError as exc:
-        exc.item = solved[exc.item]
-        raise

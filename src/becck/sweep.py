@@ -21,7 +21,8 @@ from .dynamics import (InternalConsistencyError, classify_batch,
 from .meanfield import branch_candidates, enumerate_branches
 from .model import (DerivedParams, SystemParams, bogoliubov_frequency,
                     derive_params, validity_flags)
-from .steadystate import ObservableSet, gaussian_states, strictly_stable
+from .steadystate import (ObservableSet, lyapunov_batch, observables_batch,
+                          strictly_stable)
 
 SWEEP_VARS = ("delta_c", "eta", "omega_sw")
 CK_MODES = ("on", "off", "paired")
@@ -178,7 +179,8 @@ def classify_points(ds) -> tuple:
 def evaluate_points(ds, pick=None) -> tuple:
     """``classify_points`` of ``ds``; at each point every branch (``pick``
     None), else its ``pick``-th strictly stable one (0 lowest, -1 highest)
-    or its first, solved in one ``gaussian_states`` call (a failing branch
+    or its first; the strictly stable ones among them are solved in one
+    ``lyapunov_batch`` and one ``observables_batch`` call (a failing branch
     is named in the error). Returns the BranchSets, the DriftDiffusion and
     StabilityReport stacks, and per selected branch (stack position, point
     index, branch, (V, ObservableSet) or None): None exactly where it is
@@ -193,11 +195,18 @@ def evaluate_points(ds, pick=None) -> tuple:
         first += len(ids)
         stable_ids = [i for i in ids if grade[i]] or ids[:1]
         selected += ids if pick is None else [stable_ids[pick]]
+    solved = [i for i in selected if grade[i]]
+    solved_dd, solved_report = dd, report
+    if solved != list(range(len(grade))):
+        solved_dd, solved_report = (x._make(y[solved] for y in x)
+                                    for x in (dd, report))
     try:
-        solved, cov, obs = gaussian_states(dd, report, selected)
+        cov = lyapunov_batch(solved_dd, solved_report)
+        obs = observables_batch(solved_dd, cov)
     except InternalConsistencyError as exc:
+        exc.item = solved[exc.item]
         raise _branch_failure(exc, ds, branches) from exc
-    states = dict(zip(solved.tolist(), zip(cov.V, record_items(obs))))
+    states = dict(zip(solved, zip(cov.V, record_items(obs))))
     return bsets, dd, report, [(i, *branches[i], states.get(i))
                                for i in selected]
 

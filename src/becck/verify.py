@@ -24,6 +24,8 @@ from .steadystate import integrate_moment_ode, logarithmic_negativity
 from .sweep import evaluate_points
 
 DEFAULT_SEED = 20260813  # of ``becck verify`` without ``--seed``
+# the default base keeps about one strictly stable branch per draw
+MAX_DRAWS_PER_BRANCH = 100
 
 
 def _random_point(rng, base: SystemParams, eta_min: float):
@@ -45,10 +47,17 @@ def _random_stable_points(rng, count, base: SystemParams) -> list:
 
     Points are drawn and evaluated in blocks of as many points as branches
     are still missing; the draws past the last kept branch are discarded.
+    A base whose draws keep too few branches within ``MAX_DRAWS_PER_BRANCH``
+    times ``count`` draws raises InternalConsistencyError.
     """
-    kept = []
+    kept, drawn = [], 0
     while len(kept) < count:
+        if drawn >= MAX_DRAWS_PER_BRANCH * count:
+            raise InternalConsistencyError(
+                f"{len(kept)} of {count} strictly stable branches found in "
+                f"{drawn} draws")
         ds = [_random_point(rng, base, 0.1) for _ in range(count - len(kept))]
+        drawn += len(ds)
         _, dd, report, evaluated = evaluate_points(ds)
         kept += [(ds[p], b, dd._make(x[i] for x in dd),
                   report.max_real_part[i], state[0])

@@ -650,6 +650,23 @@ def test_verify_detects_injected_drift_fault(capsys):
     assert "delta_c=" in out  # failing case parameters echoed
 
 
+def test_verify_fails_a_base_without_strictly_stable_branches(tmp_path):
+    # with gamma = 0 no draw gives a strictly stable branch: the suites that
+    # need such branches give up after a bounded number of draws (the run is
+    # a subprocess with a timeout, so a hang fails the test)
+    proc = _becck(tmp_path, "verify", {"gamma": 0, "g0": 1})
+    assert proc.returncode == 5
+    lines = proc.stdout.splitlines()
+    assert lines[:2] == [
+        "jacobian: FAIL (0 of 100 strictly stable branches found in 10000 "
+        "draws)",
+        "lyapunov_ode: FAIL (0 of 12 strictly stable branches found in 1200 "
+        "draws)"]
+    assert sum(" FAIL " in ln for ln in lines) == 2
+    assert lines[-1] == "verify: FAIL"
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize("argv", [
     ["--perturb-drift", "nan"], ["--perturb-drift", "inf"],
     ["--perturb-drift=-inf"], ["--perturb-drift", "-inf"], ["--seed", "-1"],
@@ -860,12 +877,12 @@ def test_verify_checks_the_covariances_the_commands_report(monkeypatch,
     # the moment-ODE suite reads the covariance of the command path, so a
     # fault there fails it
     import becck.sweep
-    solve = becck.sweep.gaussian_states
+    solve = becck.sweep.lyapunov_batch
 
     def skewed(*args):
-        solved, cov, obs = solve(*args)
-        return solved, cov._replace(V=cov.V * (1.0 + 1e-3)), obs
-    monkeypatch.setattr(becck.sweep, "gaussian_states", skewed)
+        cov = solve(*args)
+        return cov._replace(V=cov.V * (1.0 + 1e-3))
+    monkeypatch.setattr(becck.sweep, "lyapunov_batch", skewed)
     assert main(["verify"]) == 5
     lines = capsys.readouterr().out.splitlines()
     assert any(ln.startswith("lyapunov_ode: FAIL") for ln in lines)

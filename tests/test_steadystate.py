@@ -18,8 +18,9 @@ from becck import (CovarianceMatrix, DriftDiffusion,
 from becck.cli import main
 from becck.dynamics import classify_batch, drift_diffusion_stacks
 from becck.steadystate import (PHYSICALITY_SLACK, RESIDUAL_BOUND,
-                               _require_physical, gaussian_states,
-                               lyapunov_batch, observables_batch)
+                               _require_physical, lyapunov_batch,
+                               observables_batch)
+from becck.sweep import evaluate_points
 
 KAPPA = paper_base_params().kappa
 
@@ -398,10 +399,8 @@ def test_batch_of_k_is_bitwise_k_batches_of_one():
         assert np.array_equal(single.V, covs.V[i])
         assert single.residual == covs.residual[i]
         assert observable_set(dd, single) == _observables(obs, i)
-    # the batch pipeline and a loop of single-branch calls agree too
-    solved, covs, obs = gaussian_states(stacks, report)
-    assert (type(covs), type(obs)) == (CovarianceMatrix, ObservableSet)
-    assert solved.tolist() == list(range(len(dds)))
+    # the batch pipeline and a loop of single-branch calls that classify
+    # each branch themselves agree too
     for i, dd in enumerate(dds):
         cov = solve_lyapunov(dd)
         assert np.array_equal(covs.V[i], cov.V)
@@ -545,10 +544,20 @@ def test_batch_failure_raises_the_loop_exception_naming_the_branch(
     # ValueError
     assert isinstance(batch_exc.value, InternalConsistencyError)
     assert isinstance(batch_exc.value, ValueError)
-    # gaussian_states solves the strictly stable items among those it is given
-    assert gaussian_states(stacks, report)[0].tolist() == [0, 2]
-    assert gaussian_states(stacks, report, [1, 2])[0].tolist() == [2]
-    assert gaussian_states(stacks, report, [1])[0].size == 0
+    # evaluate_points solves the strictly stable branches among those it
+    # selects: of the bistable point's three, of its highest stable one, and
+    # of none where no branch is stable and the first is selected
+    d = derive_params(paper_base_params(delta_c=5.0 * KAPPA, eta=2.0 * KAPPA))
+
+    def solved(pick):
+        return [(i, state is not None)
+                for i, _, _, state in evaluate_points([d], pick)[3]]
+    assert solved(None) == [(0, True), (1, False), (2, True)]
+    assert solved(-1) == [(2, True)]
+    with monkeypatch.context() as m:
+        m.setattr("becck.sweep.classify_batch", lambda A, kappa: classify_batch(
+            A, kappa)._replace(stable=np.zeros(len(A), bool)))
+        assert solved(0) == [(0, False)]
 
     pair = _stacks([low, high])
     covs = lyapunov_batch(pair, classify_batch(pair.A, pair.kappa))
@@ -656,27 +665,19 @@ def test_logarithmic_negativity_refusals_name_the_last_of_three(x, y, c,
     assert (str(exc.value), exc.value.item) == (message, 2)
 
 
-def test_gaussian_states_of_the_whole_stack_equal_a_copying_selection():
-    stacks = _stacks([dd for dd, _ in _random_stable_dds(13, 6)])
-    report = classify_batch(stacks.A, stacks.kappa)
-    solved, covs, obs = gaussian_states(stacks, report)
-    every = np.arange(6)
+def test_evaluate_points_of_a_wholly_stable_stack_equal_a_copying_selection():
+    # every branch of these points is strictly stable, so evaluate_points
+    # solves its stacks without copying them
+    ds = [derive_params(paper_base_params(delta_c=x * KAPPA, eta=2.0 * KAPPA,
+                                          ck_enabled=ck))
+          for x in (-3.0, 0.0, 12.0) for ck in (False, True)]
+    _, stacks, report, evaluated = evaluate_points(ds)
+    every = np.arange(len(report.stable))
+    assert [(i, state is not None) for i, _, _, state in evaluated] \
+        == [(i, True) for i in every]
     copied = stacks._make(x[every] for x in stacks)
     want_covs = lyapunov_batch(copied, report._make(x[every] for x in report))
     want_obs = observables_batch(copied, want_covs)
-    assert solved.tolist() == every.tolist()
-    for got, want in zip((*covs, *obs), (*want_covs, *want_obs)):
-        assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("among", [[2, 1, 0], [2, 0, 0], [1, 1, 2]])
-def test_gaussian_states_solves_a_reordered_or_repeated_selection(among):
-    # as many positions as the stack, but not the stack in order
-    stacks = _stacks([dd for dd, _ in _random_stable_dds(14, 3)])
-    report = classify_batch(stacks.A, stacks.kappa)
-    _, full_covs, full_obs = gaussian_states(stacks, report)
-    solved, covs, obs = gaussian_states(stacks, report, among)
-    assert solved.tolist() == among
-    for k, i in enumerate(among):
-        assert np.array_equal(covs.V[k], full_covs.V[i])
-        assert _observables(obs, k) == _observables(full_obs, i)
+    for i, _, _, (V, obs) in evaluated:
+        assert np.array_equal(V, want_covs.V[i])
+        assert obs == _observables(want_obs, i)

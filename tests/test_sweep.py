@@ -279,8 +279,8 @@ def test_a_failure_past_the_first_solved_branch_names_its_own_branch(
         monkeypatch, tmp_path, capsys, kind):
     # only the second solved branch fails: at a bistable point that is
     # branch 2, position 1 of the solved items but 2 of the branch stack
-    import becck.steadystate
-    honest = becck.steadystate.lyapunov_batch
+    import becck.sweep
+    honest = becck.sweep.lyapunov_batch
 
     def spoiled(dd, report):
         if kind == "residual":
@@ -290,7 +290,7 @@ def test_a_failure_past_the_first_solved_branch_names_its_own_branch(
             cov.V[1] = 0.1 * np.eye(4)
         return cov
 
-    monkeypatch.setattr(becck.steadystate, "lyapunov_batch", spoiled)
+    monkeypatch.setattr(becck.sweep, "lyapunov_batch", spoiled)
     with pytest.raises(InternalConsistencyError) as exc:
         run_sweep(_spec(4.9, 5.1, 3))
     assert str(exc.value).startswith(

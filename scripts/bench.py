@@ -215,17 +215,26 @@ REFUSALS = {
 }
 
 
-# name: argv of the command-line runs that argparse reads (help, a bad
-# choice, an extra word, an abbreviation, ``--name=value``, a value that
+# name: argv of the command-line runs that argparse reads (help, no or an
+# unknown command, a bad choice, an unknown option, an extra word, an option
+# without its value, ``--``, an abbreviation, ``--name=value``, a value that
 # starts with '-'), with ``<cfg>`` standing for the path of the ``steady``
 # config of COMMANDS; their outputs hold no temporary path
 ARGPARSE_RUNS = {
+    "no-arguments": [],
+    "help": ["--help"],
+    "bogus-command": ["bogus"],
     "steady-help": ["steady", "--help"],
     "sweep-preset-fig9": ["sweep", "--preset", "fig9"],
     "steady-extra": ["steady", "extra"],
     "steady-conf": ["steady", "--conf", "<cfg>"],
     "steady-config-equals": ["steady", "--config=<cfg>"],
     "verify-pe-negative": ["verify", "--pe", "-1e-3", "--seed", "7"],
+    "sweep-bogus-option": ["sweep", "--preset", "fig2b", "--bogus"],
+    "steady-config-no-value": ["steady", "--config"],
+    "steady-double-dash": ["steady", "--", "x"],
+    "verify-perturb-extra": ["verify", "--perturb-drift", "-1e-3", "extra"],
+    "verify-pe-help": ["verify", "--pe", "-1e-3", "-h"],
 }
 
 

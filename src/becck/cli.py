@@ -372,20 +372,18 @@ _DEFAULTS = {name: {flag[2:].replace("-", "_"): spec.get("default")
 
 
 @functools.cache
-def build_parser() -> tuple:
-    """The command-line parser and its subcommand parsers by name, built
-    once per process (they are only read)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (it is only read)."""
     parser = argparse.ArgumentParser(
         prog="becck",
         description="Steady states and Gaussian fluctuations of a driven "
                     "cavity coupled to an interacting condensate")
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {}
     for name, help_text in _COMMANDS.items():
-        s = commands[name] = sub.add_parser(name, help=help_text)
+        s = sub.add_parser(name, help=help_text)
         for flag, spec in _COMMAND_OPTIONS[name].items():
             s.add_argument(flag, **spec)
-    return parser, commands
+    return parser
 
 
 def _read_exact(argv):
@@ -432,18 +430,13 @@ def _glue_perturb_drift(args) -> list:
 
 def parse_command_line(argv) -> tuple:
     """(command, options) of ``argv``, an exact form read by the option
-    table, with the help, usage and error texts of argparse's parse_args."""
+    table, any other by argparse's parse_args, with its help and errors."""
     if (args := _read_exact(argv)) is not None:
         return argv[0], args
-    parser, commands = build_parser()
-    if not argv or argv[0] not in commands:  # help, no or an unknown command
-        args = parser.parse_args(argv)
-        return args.command, args
-    rest = argv[1:] if argv[0] != "verify" else _glue_perturb_drift(argv[1:])
-    args, extra = commands[argv[0]].parse_known_args(rest)
-    if extra:
-        parser.error("unrecognized arguments: " + " ".join(extra))
-    return argv[0], args
+    if argv[:1] == ["verify"]:
+        argv = ["verify", *_glue_perturb_drift(argv[1:])]
+    args = build_parser().parse_args(argv)
+    return args.command, args
 
 
 def _load_config_data(path: Optional[str]) -> dict:
@@ -461,7 +454,8 @@ def _load_config_data(path: Optional[str]) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
         data = json.loads(raw.decode("utf-8"))
-    except ValueError as exc:  # not JSON, not UTF-8, or an over-long number
+    # not JSON, not UTF-8, an over-long number, or nested past the limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
@@ -475,13 +469,8 @@ def main(argv=None) -> int:
         data.update((k, getattr(args, k)) for k in ("preset", "out")
                     if getattr(args, k) is not None)
         cfg = build_config(data)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    # NumPy warns of no overflow: the checks on each result (finite branch
-    # polynomial, residual bounds, strict JSON) report it instead
-    try:
+        # NumPy warns of no overflow: the checks on each result (finite
+        # branch polynomial, residual bounds, strict JSON) report it instead
         with np.errstate(all="ignore"):
             if args.dump_config:
                 code, text = EXIT_OK, dump_config(cfg) + "\n"
@@ -506,6 +495,8 @@ def main(argv=None) -> int:
         if cfg.out and not args.dump_config:
             with open(cfg.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
+        elif sys.stdout is None:  # started with file descriptor 1 closed
+            raise OSError("stdout is closed")
         else:
             sys.stdout.write(text)
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path

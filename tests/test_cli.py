@@ -376,8 +376,14 @@ def test_undecodable_config_is_config_error(tmp_path, capsys, raw):
      "config is not valid JSON: Expecting value: line 1 column 9 (char 8)"),
     (lambda path: path.write_bytes(b'[{"eta": 1}]'),
      "config must be a JSON object"),
+    (lambda path: path.write_bytes(b"[" * 100000 + b"]" * 100000),
+     "config is not valid JSON: maximum recursion depth exceeded while "
+     "decoding a JSON array from a unicode string"),
+    (lambda path: path.write_bytes(b'{"a": ' * 100000 + b"}" * 100000),
+     "config is not valid JSON: maximum recursion depth exceeded while "
+     "decoding a JSON object from a unicode string"),
 ], ids=["directory", "missing", "not-utf8", "utf8-bom", "invalid-json",
-        "json-array"])
+        "json-array", "nested-arrays", "nested-objects"])
 def test_config_read_refusals_keep_their_lines(tmp_path, capsys, make, line):
     path = tmp_path / "config.json"
     make(path)
@@ -632,6 +638,17 @@ def test_a_failed_dump_config_write_exits_4(tmp_path, monkeypatch, capsys,
     assert not (tmp_path / "report.json").exists()
 
 
+def test_a_closed_stdout_is_an_output_error():
+    # a process started with file descriptor 1 closed has sys.stdout None
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(becck.__file__)))
+    proc = subprocess.run([sys.executable, "-m", "becck", "sweep", "--preset",
+                           "fig2b"], stderr=subprocess.PIPE, text=True,
+                          env=env, timeout=60, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 4
+    assert proc.stderr == "output error: stdout is closed\n"
+
+
 def test_verify_passes_and_is_seed_deterministic(capsys):
     assert main(["verify", "--seed", "99"]) == 0
     first = capsys.readouterr().out
@@ -717,10 +734,14 @@ def _parse_outcome(parse, argv):
     return code, options, out.getvalue(), err.getvalue()
 
 
+def _options(args):
+    """The options of a parsed namespace, without its command."""
+    return {k: v for k, v in vars(args).items() if k != "command"}
+
+
 def _full_parse(argv):
-    args = build_parser()[0].parse_args(argv)
-    return args.command, {k: v for k, v in vars(args).items()
-                          if k != "command"}
+    args = build_parser().parse_args(argv)
+    return args.command, _options(args)
 
 
 @pytest.mark.parametrize("argv", [
@@ -736,7 +757,7 @@ def _full_parse(argv):
 def test_dispatch_matches_the_full_parser(argv):
     def direct(argv):
         command, args = parse_command_line(argv)
-        return command, vars(args)
+        return command, _options(args)
     assert _parse_outcome(direct, argv) == _parse_outcome(_full_parse, argv)
 
 
@@ -776,7 +797,7 @@ def test_the_exact_form_reader_agrees_with_argparse():
 
     def direct(argv):
         command, args = parse_command_line(argv)
-        return command, vars(args)
+        return command, _options(args)
 
     def outcome(parse, argv):  # options by repr: a NaN equals its repr
         code, options, out, err = _parse_outcome(parse, argv)

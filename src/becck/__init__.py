@@ -17,10 +17,9 @@ from .meanfield import (BranchSet, MeanFieldBranch, consistency_residual,
                         enumerate_branches, upper_bound_photons)
 from .dynamics import (DriftDiffusion, InternalConsistencyError,
                        StabilityReport, build_drift_diffusion,
-                       characteristic_coefficients, classify_stability,
-                       drift_matrix, finite_difference_jacobian,
-                       langevin_drift_field, quadrature_fixed_point,
-                       routh_hurwitz_quartic)
+                       characteristic_coefficients, drift_matrix,
+                       finite_difference_jacobian, langevin_drift_field,
+                       quadrature_fixed_point, routh_hurwitz_quartic)
 from .steadystate import (CovarianceMatrix, ObservableSet,
                           UnstableDriftError, integrate_moment_ode,
                           logarithmic_negativity, observable_set,
@@ -42,7 +41,6 @@ __all__ = [
     "drift_matrix", "build_drift_diffusion", "langevin_drift_field",
     "quadrature_fixed_point", "finite_difference_jacobian",
     "characteristic_coefficients", "routh_hurwitz_quartic",
-    "classify_stability",
     "CovarianceMatrix", "ObservableSet", "UnstableDriftError",
     "solve_lyapunov", "integrate_moment_ode", "symplectic_eigenvalues",
     "logarithmic_negativity", "squeezing_and_excitation", "observable_set",

@@ -33,6 +33,7 @@ EXIT_CONFIG = 2
 EXIT_INTERNAL = 3
 EXIT_IO = 4
 EXIT_VERIFY = 5
+MAX_CONFIG_BYTES = 1 << 20  # a longer config is refused
 
 CSV_HEADER = ("sweep_var,sweep_value,ck,branch,n_photon,alpha_re,alpha_im,"
               "beta_re,beta_im,delta_eff,omega_b,omega_b_ratio,stable,"
@@ -445,7 +446,10 @@ def _load_config_data(path: Optional[str]) -> dict:
     try:
         fd = os.open(path, os.O_RDONLY)
         try:
-            raw = b"".join(iter(functools.partial(os.read, fd, 1 << 16), b""))
+            raw = b""
+            while chunk := os.read(fd, 1 << 16):
+                if len(raw := raw + chunk) > MAX_CONFIG_BYTES:
+                    raise OSError(f"more than {MAX_CONFIG_BYTES} bytes")
         finally:
             os.close(fd)
     except IsADirectoryError as exc:  # from read: name the path as open does
@@ -492,7 +496,7 @@ def main(argv=None) -> int:
     # only a command that ran to the end opens its output; the canonical
     # config goes to stdout
     try:
-        if cfg.out and not args.dump_config:
+        if cfg.out is not None and not args.dump_config:
             with open(cfg.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         elif sys.stdout is None:  # started with file descriptor 1 closed

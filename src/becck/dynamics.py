@@ -196,11 +196,11 @@ def routh_hurwitz_quartic(a3, a2, a1, a0):
 
 
 def classify_batch(A, kappa) -> StabilityReport:
-    """The StabilityReport stacks of ``classify_stability`` of every drift
-    matrix of the (N,4,4) stack ``A`` at once, with ``kappa`` the (N,)
-    cavity decay rates. A drift matrix that is not finite or is zero, or
-    whose verdicts disagree, raises InternalConsistencyError with its
-    position as ``item``."""
+    """Eigenvalue and Routh-Hurwitz stability verdicts (StabilityReport
+    stacks) of each drift matrix of the (N,4,4) stack ``A``, with ``kappa``
+    the (N,) cavity decay rates. A drift matrix that is not finite or is
+    zero, or whose verdicts disagree outside the 1e-6*kappa marginal band,
+    raises InternalConsistencyError with its position as ``item``."""
     # scale out the rate magnitude so the quartic coefficients stay O(1)
     scale = np.abs(A).max(axis=(1, 2))
     if True in (bad := ((scale == 0.0) | ~np.isfinite(scale)).tolist()):
@@ -223,13 +223,3 @@ def classify_batch(A, kappa) -> StabilityReport:
             + lost * ("; the scaled characteristic coefficients (%.3e, %.3e, "
                       "%.3e, %.3e) leave the float range" % c), i)
     return StabilityReport(eigs, max_real, rh, stable, marginal)
-
-
-def classify_stability(dd: DriftDiffusion) -> StabilityReport:
-    """Eigenvalue and Routh-Hurwitz stability verdicts for the drift matrix.
-
-    The two verdicts must agree whenever the spectrum is bounded away from
-    the imaginary axis by more than 1e-6*kappa; a disagreement outside that
-    band raises InternalConsistencyError.
-    """
-    return record_items(classify_batch(dd.A[None], np.array([dd.kappa])))[0]

@@ -10,13 +10,12 @@ an independent time-domain oracle for the same fixed point.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .dynamics import (DriftDiffusion, InternalConsistencyError,
-                       StabilityReport, classify_stability, record_items,
-                       record_stack)
+                       classify_batch, record_items, record_stack)
 
 RESIDUAL_BOUND = 1e-10      # times ||D||_max
 PHYSICALITY_SLACK = 1e-9    # allowed dip of symplectic eigenvalues below 1/2
@@ -110,20 +109,16 @@ def lyapunov_batch(dd, report) -> CovarianceMatrix:
     return CovarianceMatrix(V, resid)
 
 
-def solve_lyapunov(dd: DriftDiffusion,
-                   report: Optional[StabilityReport] = None) -> CovarianceMatrix:
+def solve_lyapunov(dd: DriftDiffusion) -> CovarianceMatrix:
     """Unique symmetric solution of A V + V A^T = -D for a stable drift.
 
-    Refuses unstable or marginal drift matrices, judged by ``report`` (the
-    caller's ``classify_stability(dd)``) or, when it is None, by classifying
-    ``dd`` here. The system is scaled by ||A||_max before solving and one
+    Refuses unstable or marginal drift matrices, judged by classifying
+    ``dd`` itself. The system is scaled by ||A||_max before solving and one
     iterative-refinement pass is applied, keeping the residual well under
     1e-10*||D||_max.
     """
-    if report is None:
-        report = classify_stability(dd)
-    return record_items(
-        lyapunov_batch(record_stack(dd), record_stack(report)))[0]
+    s = record_stack(dd)
+    return record_items(lyapunov_batch(s, classify_batch(s.A, s.kappa)))[0]
 
 
 def integrate_moment_ode(dd: DriftDiffusion, V0: np.ndarray,

@@ -382,8 +382,11 @@ def test_undecodable_config_is_config_error(tmp_path, capsys, raw):
     (lambda path: path.write_bytes(b'{"a": ' * 100000 + b"}" * 100000),
      "config is not valid JSON: maximum recursion depth exceeded while "
      "decoding a JSON object from a unicode string"),
+    # valid JSON one byte over the 1 MiB cap
+    (lambda path: path.write_bytes(b" " * ((1 << 20) - 1) + b"{}"),
+     "cannot read config: more than 1048576 bytes"),
 ], ids=["directory", "missing", "not-utf8", "utf8-bom", "invalid-json",
-        "json-array", "nested-arrays", "nested-objects"])
+        "json-array", "nested-arrays", "nested-objects", "over-the-cap"])
 def test_config_read_refusals_keep_their_lines(tmp_path, capsys, make, line):
     path = tmp_path / "config.json"
     make(path)
@@ -398,6 +401,21 @@ def test_a_config_path_with_a_nul_cannot_be_read(capsys):
     assert main(["steady", "--config", "a\x00b"]) == 2
     assert capsys.readouterr() == (
         "", "config error: cannot read config: embedded null byte\n")
+
+
+def test_a_config_up_to_the_size_cap_is_read(tmp_path, monkeypatch):
+    # a small config takes two reads (its bytes, then the end of the file),
+    # and one of exactly the 1 MiB cap is still read whole
+    reads = []
+    read = os.read
+    monkeypatch.setattr(os, "read",
+                        lambda fd, n: reads.append(n) or read(fd, n))
+    cfg = _write(tmp_path, {"eta": "2*kappa"})
+    assert main(["steady", "--config", cfg, "--dump-config"]) == 0
+    assert len(reads) == 2
+    (tmp_path / "cap.json").write_bytes(b" " * ((1 << 20) - 2) + b"{}")
+    assert main(["steady", "--config", str(tmp_path / "cap.json"),
+                 "--dump-config"]) == 0
 
 
 def test_crlf_config_parses_as_its_lf_twin(tmp_path, capsys):
@@ -578,6 +596,19 @@ def test_sweep_output_io_failure(tmp_path):
     cfg = _write(tmp_path, {"preset": "fig2a", "sweep_count": 2})
     missing = tmp_path / "no" / "such" / "dir" / "x.csv"
     assert main(["sweep", "--config", cfg, "--out", str(missing)]) == 4
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+def test_an_empty_out_path_is_an_output_error(tmp_path, capsys, via):
+    # an empty path names no file; the report does not go to stdout instead
+    argv = ["steady", "--out", ""] if via == "flag" else [
+        "steady", "--config", _write(tmp_path, {"out": ""})]
+    assert main(argv) == 4
+    assert capsys.readouterr() == (
+        "", "output error: [Errno 2] No such file or directory: ''\n")
+    # the canonical config still goes to stdout
+    assert main(argv + ["--dump-config"]) == 0
+    assert json.loads(capsys.readouterr().out)["out"] == ""
 
 
 @pytest.mark.parametrize("command,data,code", [

@@ -4,16 +4,21 @@ import numpy as np
 import pytest
 
 from becck import (DriftDiffusion, InternalConsistencyError,
-                   build_drift_diffusion,
-                   characteristic_coefficients, classify_stability,
+                   build_drift_diffusion, characteristic_coefficients,
                    derive_params, drift_matrix, enumerate_branches,
                    finite_difference_jacobian, langevin_drift_field,
                    paper_base_params, quadrature_fixed_point,
                    routh_hurwitz_quartic, thermal_occupation)
 from becck.dynamics import (MARGINAL_BAND, classify_batch,
-                            drift_diffusion_stacks)
+                            drift_diffusion_stacks, record_items)
 
 KAPPA = paper_base_params().kappa
+
+
+def _classify(dd):
+    """The StabilityReport of one DriftDiffusion, classified as a stack of
+    one."""
+    return record_items(classify_batch(dd.A[None], np.array([dd.kappa])))[0]
 
 
 def _branch_dd(delta_c_mult, eta_mult, ck=True, index=0):
@@ -166,7 +171,7 @@ def test_routh_hurwitz_near_the_marginal_band():
 
 def test_classify_stable_branch():
     _, _, dd = _branch_dd(5.0, 2.0, index=0)
-    rep = classify_stability(dd)
+    rep = _classify(dd)
     assert rep.stable is True
     assert rep.marginal is False
     assert rep.routh_hurwitz_pass is True
@@ -178,7 +183,7 @@ def test_classify_stable_branch():
 
 def test_classify_middle_branch_unstable():
     _, _, dd = _branch_dd(5.0, 2.0, index=1)
-    rep = classify_stability(dd)
+    rep = _classify(dd)
     assert rep.stable is False
     assert rep.routh_hurwitz_pass is False
     assert rep.max_real_part > 0.0
@@ -188,14 +193,14 @@ def test_classify_marginal_band():
     slow = 0.5 * MARGINAL_BAND * KAPPA
     A = np.diag([-slow, -KAPPA, -KAPPA, -KAPPA])
     dd = DriftDiffusion(A=A, D=np.eye(4), kappa=KAPPA, omega_B=1.0, n_c=0.0)
-    rep = classify_stability(dd)
+    rep = _classify(dd)
     assert rep.marginal is True
     assert rep.stable is True
 
 
 def test_eigenvalues_conjugate_pairs_weak_drive():
     d, _, dd = _branch_dd(-3.0, 0.01)
-    rep = classify_stability(dd)
+    rep = _classify(dd)
     reals = sorted(z.real for z in rep.eigenvalues)
     # weakly driven: two cavity-like and two condensate-like decay rates
     assert reals[0] == pytest.approx(-d.kappa, rel=1e-3)
@@ -212,7 +217,7 @@ def test_classify_rejects_nonfinite():
     dd = DriftDiffusion(A=A, D=np.eye(4), kappa=KAPPA, omega_B=1.0, n_c=0.0)
     with pytest.raises(InternalConsistencyError,
                        match="^drift matrix must be finite and nonzero$"):
-        classify_stability(dd)
+        _classify(dd)
     stack = np.stack([-KAPPA * np.eye(4), A, np.zeros((4, 4))])
     with pytest.raises(InternalConsistencyError) as exc:
         classify_batch(stack, np.full(3, KAPPA))

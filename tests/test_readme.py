@@ -1,0 +1,25 @@
+"""Every ```python block of README.md runs as written."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import pytest
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README.read_text("utf-8"),
+                    re.MULTILINE | re.DOTALL)
+
+
+def test_the_readme_has_python_blocks():
+    assert BLOCKS
+
+
+@pytest.mark.parametrize("block", BLOCKS,
+                         ids=[f"block{i}" for i in range(len(BLOCKS))])
+def test_a_readme_block_runs(block):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+    assert out.getvalue().endswith("\n")

@@ -10,19 +10,26 @@ import becck.steadystate
 from becck import (CovarianceMatrix, DriftDiffusion,
                    InternalConsistencyError, ObservableSet, StabilityReport,
                    UnstableDriftError, bogoliubov_frequency,
-                   build_drift_diffusion, classify_stability,
-                   derive_params, enumerate_branches, integrate_moment_ode,
-                   logarithmic_negativity, observable_set, omega_pm,
-                   paper_base_params, preset_spec, run_sweep, solve_lyapunov,
-                   squeezing_and_excitation, symplectic_eigenvalues)
+                   build_drift_diffusion, derive_params, enumerate_branches,
+                   integrate_moment_ode, logarithmic_negativity,
+                   observable_set, omega_pm, paper_base_params, preset_spec,
+                   run_sweep, solve_lyapunov, squeezing_and_excitation,
+                   symplectic_eigenvalues)
 from becck.cli import main
-from becck.dynamics import classify_batch, drift_diffusion_stacks
+from becck.dynamics import (classify_batch, drift_diffusion_stacks,
+                            record_items)
 from becck.steadystate import (PHYSICALITY_SLACK, RESIDUAL_BOUND,
                                _require_physical, lyapunov_batch,
                                observables_batch)
 from becck.sweep import evaluate_points
 
 KAPPA = paper_base_params().kappa
+
+
+def _classify(dd):
+    """The StabilityReport of one DriftDiffusion, classified as a stack of
+    one."""
+    return record_items(classify_batch(dd.A[None], np.array([dd.kappa])))[0]
 
 
 def _stable_dd(delta_c_mult=5.0, eta_mult=2.0, index=0, **over):
@@ -74,13 +81,10 @@ def test_lyapunov_refuses_marginal():
         solve_lyapunov(dd)
 
 
-def test_lyapunov_uses_the_callers_report():
-    _, _, dd = _stable_dd()
-    rep = classify_stability(dd)
-    assert np.array_equal(solve_lyapunov(dd, rep).V, solve_lyapunov(dd).V)
+def test_lyapunov_judges_the_middle_branch_by_its_own_drift():
     _, _, middle = _stable_dd(index=1)
     with pytest.raises(UnstableDriftError, match="unstable"):
-        solve_lyapunov(middle, classify_stability(middle))
+        solve_lyapunov(middle)
 
 
 def _rk4_literal(dd: DriftDiffusion, V0: np.ndarray, t_final: float,
@@ -119,7 +123,7 @@ def test_composed_rk4_equals_literal_recursion(steps):
 
 def test_moment_ode_converges_from_any_start():
     _, _, dd = _stable_dd()
-    rep = classify_stability(dd)
+    rep = _classify(dd)
     t_final = 50.0 / abs(rep.max_real_part)
     V = solve_lyapunov(dd).V
     for V0 in (np.zeros((4, 4)), 10.0 * np.eye(4), 0.5 * np.eye(4)):
@@ -345,7 +349,7 @@ def _random_stable_dds(seed, count):
         d = derive_params(p)
         for b in enumerate_branches(d):
             dd = build_drift_diffusion(d, b)
-            rep = classify_stability(dd)
+            rep = _classify(dd)
             if rep.stable and not rep.marginal:
                 out.append((dd, rep))
     return out[:count]
@@ -394,17 +398,11 @@ def test_batch_of_k_is_bitwise_k_batches_of_one():
     assert np.array_equal(built.A[0], single_dd.A)
     for i, dd in enumerate(dds):
         rep = _report(report, i)
-        assert classify_stability(dd) == rep
-        single = solve_lyapunov(dd, rep)
+        assert _classify(dd) == rep
+        single = solve_lyapunov(dd)
         assert np.array_equal(single.V, covs.V[i])
         assert single.residual == covs.residual[i]
         assert observable_set(dd, single) == _observables(obs, i)
-    # the batch pipeline and a loop of single-branch calls that classify
-    # each branch themselves agree too
-    for i, dd in enumerate(dds):
-        cov = solve_lyapunov(dd)
-        assert np.array_equal(covs.V[i], cov.V)
-        assert _observables(obs, i) == observable_set(dd, cov)
 
 
 def _single_branch_chain(d, index):
@@ -413,10 +411,10 @@ def _single_branch_chain(d, index):
     branch, its CovarianceMatrix and ObservableSet (else None, None)."""
     b = enumerate_branches(d)[index]
     dd = build_drift_diffusion(d, b)
-    rep = classify_stability(dd)
+    rep = _classify(dd)
     if not rep.stable or rep.marginal:
         return b, dd, rep, None, None
-    cov = solve_lyapunov(dd, rep)
+    cov = solve_lyapunov(dd)
     return b, dd, rep, cov, observable_set(dd, cov)
 
 
@@ -494,7 +492,7 @@ def test_table_lyapunov_operator_equals_the_unit_matrix_product(monkeypatch):
 
     # the moment-ODE oracle gives the same array with either operator
     _, _, dd = _stable_dd()
-    t_final = 50.0 / abs(classify_stability(dd).max_real_part)
+    t_final = 50.0 / abs(_classify(dd).max_real_part)
     W = integrate_moment_ode(dd, 0.5 * np.eye(4), t_final)
     monkeypatch.setattr(becck.steadystate, "_lyapunov_operator",
                         _unit_matrix_operator)
@@ -530,9 +528,8 @@ def test_batch_failure_raises_the_loop_exception_naming_the_branch(
     _, _, middle = _stable_dd(index=1)  # unstable saddle
     _, _, high = _stable_dd(index=2)
     dds = [low, middle, high]
-    reports = [classify_stability(dd) for dd in dds]
     with pytest.raises(UnstableDriftError) as loop_exc:
-        solve_lyapunov(middle, reports[1])
+        solve_lyapunov(middle)
     assert loop_exc.value.item == 0
     stacks = _stacks(dds)
     report = classify_batch(stacks.A, stacks.kappa)
@@ -580,7 +577,7 @@ def test_batch_failure_raises_the_loop_exception_naming_the_branch(
 
     monkeypatch.setattr(becck.dynamics, "routh_hurwitz_quartic", flipped)
     with pytest.raises(InternalConsistencyError) as loop_exc:
-        classify_stability(high)
+        _classify(high)
     with pytest.raises(InternalConsistencyError,
                        match="^Routh-Hurwitz verdict") as batch_exc:
         classify_batch(stacks.A, stacks.kappa)

@@ -52,13 +52,13 @@ Recorded once per side, since they do not vary from run to run:
   and maximum, with the root count), and all root-function calls there
   (``f_calls``);
 * ``outputs``: the exit code and the SHA-256 digests of stdout and stderr
-  of command-line runs (the side's ``cli.main`` in process): the CSV and
-  the json-lines of each of the nine presets, ``steady`` at 30 seeded
-  random points, ``verify`` at its default seed and at
-  ``--seed 7 --perturb-drift 1e-3``, the refusals of REFUSALS (their
-  exit codes and stderr lines) and the runs of ARGPARSE_RUNS, which
-  argparse reads (help, usage and error texts, and the ``SystemExit``
-  code where argparse exits).
+  of command-line runs (the side's ``cli.main`` in process): the CSV, the
+  json-lines and the ``--dump-config`` of each of the nine presets,
+  ``steady`` at 30 seeded random points, ``verify`` at its default seed
+  and at ``--seed 7 --perturb-drift 1e-3``, the refusals of REFUSALS
+  (their exit codes and stderr lines) and the runs of ARGPARSE_RUNS,
+  which argparse reads (help, usage and error texts, and the
+  ``SystemExit`` code where argparse exits).
 
 With ``--before``, ``differing_outputs`` maps each output that differs
 between the sides (none when every output is byte-identical) to what
@@ -124,12 +124,14 @@ def _per_item(fn, items):
 
 
 def load_package(name: str, checkout: Path):
-    """The package ``src/becck`` of ``checkout``, imported as ``name``."""
+    """The package ``src/becck`` of ``checkout``, imported as ``name``, with
+    its command line ``name.cli``, which the package itself need not load."""
     src = checkout / "src" / "becck"
     spec = importlib.util.spec_from_file_location(
         name, src / "__init__.py", submodule_search_locations=[str(src)])
     package = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(package)
+    importlib.import_module(f"{name}.cli")
     return package
 
 
@@ -280,9 +282,9 @@ def timed_calls(becck, tmp: str) -> dict:
         var="delta_c", start=dc * k, stop=(dc + 0.03) * k, count=4,
         base=dataclasses.replace(base, eta=eta * k)))
         for name, (dc, eta) in POINTS.items()}
-    presets = {name: Timed(lambda spec=becck.preset_spec(name):
+    presets = {name: Timed(lambda spec=becck.cli.preset_spec(name):
                            becck.run_sweep(spec), 1, 1.0, 1)
-               for name in becck.preset_names()}
+               for name in becck.cli.preset_names()}
     return {"python": platform.python_version(), "numpy": numpy.__version__,
             "per_layer": layers, "command_path": command_path(becck, tmp),
             "preset_wall_s": presets, "end_to_end": end_to_end(becck, tmp)}
@@ -341,11 +343,14 @@ def outputs(becck) -> dict:
         return {"exit": code, "stdout": out.getvalue(),
                 "stderr": err.getvalue()}
 
+    names = becck.cli.preset_names()
     records = {f"sweep/{name}.csv": run(["sweep", "--preset", name])
-               for name in becck.preset_names()}
+               for name in names}
+    records.update((f"dump-config/{name}", run(
+        ["sweep", "--preset", name, "--dump-config"])) for name in names)
     with tempfile.TemporaryDirectory() as tmp:
         jsonl = _write_config(tmp, "jsonl", {"format": "json-lines"})
-        for name in becck.preset_names():
+        for name in names:
             records[f"sweep/{name}.jsonl"] = run(
                 ["sweep", "--preset", name, *jsonl])
         rng = random.Random(8)
@@ -492,8 +497,8 @@ def polish_calls(becck) -> dict:
     meanfield._bisect = counted
     meanfield._root_function = counted_root_function
     try:
-        for name in becck.preset_names():
-            becck.run_sweep(becck.preset_spec(name))
+        for name in becck.cli.preset_names():
+            becck.run_sweep(becck.cli.preset_spec(name))
     finally:
         meanfield._bisect, meanfield._root_function = polish, root_function
     return {"roots": len(per_root), "mean": sum(per_root) / len(per_root),

@@ -25,9 +25,7 @@ from .steadystate import (CovarianceMatrix, ObservableSet,
                           logarithmic_negativity, observable_set,
                           solve_lyapunov, squeezing_and_excitation,
                           symplectic_eigenvalues)
-from .sweep import (SweepRow, SweepSpec, paper_base_params, preset_names,
-                    run_sweep)
-from .cli import preset_spec
+from .sweep import SweepRow, SweepSpec, paper_base_params, run_sweep
 
 __version__ = "0.1.0"
 
@@ -44,7 +42,6 @@ __all__ = [
     "CovarianceMatrix", "ObservableSet", "UnstableDriftError",
     "solve_lyapunov", "integrate_moment_ode", "symplectic_eigenvalues",
     "logarithmic_negativity", "squeezing_and_excitation", "observable_set",
-    "SweepSpec", "SweepRow", "paper_base_params", "preset_spec",
-    "preset_names", "run_sweep",
+    "SweepSpec", "SweepRow", "paper_base_params", "run_sweep",
     "__version__",
 ]

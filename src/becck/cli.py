@@ -24,8 +24,7 @@ from .dynamics import InternalConsistencyError
 from .model import (DerivedParams, DomainError, SystemParams, derive_params,
                     validity_flags)
 from .steadystate import ObservableSet
-from .sweep import (SWEEP_VARS, SweepSpec, SweepRow, evaluate_points,
-                    preset_config, preset_names, run_sweep)
+from .sweep import SWEEP_VARS, SweepSpec, SweepRow, evaluate_points, run_sweep
 from .verify import DEFAULT_SEED, run_suites
 
 EXIT_OK = 0
@@ -122,6 +121,40 @@ def _config_value(data: dict, key: str, kappa: float, omega_R: float):
     return float(raw) if key == "T" else raw
 
 
+# The figure presets: per name the sweep variable, start, stop, branch
+# policy and parameter keys, config keys beneath those of a config that
+# names it, in units of the run's own kappa and omega_R. Sweep ranges
+# are generous supersets of the plotted axes. The fig6, fig7 and fig8
+# presets mark multi-branch points explicitly through their branch rows;
+# fig6 additionally restricts its range to the region where both cross-Kerr
+# settings have a unique stable branch, since observables there are
+# compared pointwise between the two settings.
+_PRESETS = {
+    "fig2a": ("delta_c", "-10*kappa", "15*kappa", "lowest",
+              {"eta": "1*kappa", "omega_sw": "1*omegaR"}),
+    "fig2b": ("delta_c", "-10*kappa", "15*kappa", "all",
+              {"eta": "2*kappa", "omega_sw": "1*omegaR"}),
+    "fig3a": ("delta_c", "-10*kappa", "15*kappa", "lowest",
+              {"eta": "2*kappa", "omega_sw": "5*omegaR"}),
+    "fig3b": ("delta_c", "-10*kappa", "15*kappa", "lowest",
+              {"eta": "2*kappa", "omega_sw": "10*omegaR"}),
+    "fig4": ("delta_c", "-10*kappa", "15*kappa", "all",
+             {"eta": "2*kappa", "omega_sw": "1*omegaR"}),
+    "fig5": ("eta", "0*kappa", "3*kappa", "highest",
+             {"delta_c": "5*kappa", "eta": "1*kappa", "omega_sw": "1*omegaR"}),
+    "fig6": ("delta_c", "-10*kappa", "9*kappa", "lowest",
+             {"eta": "7*kappa", "omega_sw": "1*omegaR"}),
+    "fig7": ("delta_c", "-20*kappa", "20*kappa", "all",
+             {"eta": "2*kappa", "omega_sw": "1*omegaR"}),
+    "fig8": ("omega_sw", "0*omegaR", "40*omegaR", "lowest",
+             {"delta_c": "-15*kappa", "eta": "5*kappa"}),
+}
+
+
+def preset_names() -> tuple:
+    return tuple(_PRESETS)
+
+
 def build_config(data: dict) -> RunConfig:
     """Validate a flat mapping over its preset's keys into a RunConfig, its
     sweep keys into one SweepSpec (None without any)."""
@@ -129,14 +162,14 @@ def build_config(data: dict) -> RunConfig:
         unknown = sorted(set(data) - _CONFIG_KEYS)
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     if "preset" in data:
-        if data["preset"] not in preset_names():
+        if data["preset"] not in preset_names():  # a list is no dict key
             raise ConfigError(f"preset: unknown preset {data['preset']!r}; "
                               "expected one of " + ", ".join(preset_names()))
-        preset = preset_config(data["preset"])
-        var = data.get("sweep_var")  # SweepSpec judges an unknown one
-        if var != preset["sweep_var"] and var in SWEEP_VARS:
-            del preset["sweep_min"], preset["sweep_max"]  # not this variable's
-        data = {**preset, **data}
+        var, lo, hi, policy, keys = _PRESETS[data["preset"]]
+        other = data.get("sweep_var", var)  # SweepSpec judges an unknown one
+        if other == var or other not in SWEEP_VARS:  # else not its range
+            keys = {"sweep_min": lo, "sweep_max": hi, **keys}
+        data = {"sweep_var": var, "branch_policy": policy, **keys, **data}
 
     # kappa and omega_R resolve first so '*kappa'/'*omegaR' can reference them
     kappa = parse_quantity(data.get("kappa", _PARAM_DEFAULTS["kappa"]),
@@ -182,11 +215,8 @@ def dump_config(cfg: RunConfig) -> str:
     it reproduces the same RunConfig."""
     data = {**vars(cfg), **vars(cfg.params), **{
         k: getattr(cfg.sweep, f) for k, f in _SPEC_FIELDS.items() if cfg.sweep}}
-    # the report's scalar texts; SystemParams refuses floats not finite
-    return "{\n%s\n}" % ",\n".join('  "%s": %s' % (k, (
-        encode_basestring_ascii(v) if type(v) is str else _JSON_FLAGS[v]
-        if type(v) is bool else repr(v))) for k, v in sorted(data.items())
-        if k not in ("params", "sweep") and v is not None)
+    return json.dumps({k: v for k, v in sorted(data.items()) if k not in (
+        "params", "sweep") and v is not None}, indent=2, allow_nan=False)
 
 
 def sweep_spec_from_config(cfg: RunConfig) -> SweepSpec:

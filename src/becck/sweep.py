@@ -1,4 +1,4 @@
-"""Parameter-sweep engine with figure presets.
+"""Parameter-sweep engine.
 
 A sweep varies one of (delta_c, eta, omega_sw) over a uniform grid, optionally
 for both cross-Kerr settings (paired mode), enumerates every mean-field
@@ -103,49 +103,6 @@ def paper_base_params(**overrides) -> SystemParams:
     the drive eta = kappa."""
     base = SystemParams()
     return replace(base, **{"eta": base.kappa, **overrides})
-
-
-# name: (sweep variable, start, stop, branch policy, parameter keys), the
-# frequencies in units of the run's own kappa and omega_R
-_PRESETS = {
-    "fig2a": ("delta_c", "-10*kappa", "15*kappa", "lowest",
-              {"eta": "1*kappa", "omega_sw": "1*omegaR"}),
-    "fig2b": ("delta_c", "-10*kappa", "15*kappa", "all",
-              {"eta": "2*kappa", "omega_sw": "1*omegaR"}),
-    "fig3a": ("delta_c", "-10*kappa", "15*kappa", "lowest",
-              {"eta": "2*kappa", "omega_sw": "5*omegaR"}),
-    "fig3b": ("delta_c", "-10*kappa", "15*kappa", "lowest",
-              {"eta": "2*kappa", "omega_sw": "10*omegaR"}),
-    "fig4": ("delta_c", "-10*kappa", "15*kappa", "all",
-             {"eta": "2*kappa", "omega_sw": "1*omegaR"}),
-    "fig5": ("eta", "0*kappa", "3*kappa", "highest",
-             {"delta_c": "5*kappa", "eta": "1*kappa", "omega_sw": "1*omegaR"}),
-    "fig6": ("delta_c", "-10*kappa", "9*kappa", "lowest",
-             {"eta": "7*kappa", "omega_sw": "1*omegaR"}),
-    "fig7": ("delta_c", "-20*kappa", "20*kappa", "all",
-             {"eta": "2*kappa", "omega_sw": "1*omegaR"}),
-    "fig8": ("omega_sw", "0*omegaR", "40*omegaR", "lowest",
-             {"delta_c": "-15*kappa", "eta": "5*kappa"}),
-}
-
-
-def preset_config(name: str) -> dict:
-    """The config keys of figure preset ``name``, in units of kappa and
-    omega_R; the keys of a config that names the preset override them.
-
-    Sweep ranges are generous supersets of the plotted axes. The fig6, fig7
-    and fig8 presets mark multi-branch points explicitly through their branch
-    rows; fig6 additionally restricts its range to the region where both
-    cross-Kerr settings have a unique stable branch, since observables there
-    are compared pointwise between the two settings.
-    """
-    var, lo, hi, policy, params = _PRESETS[name]
-    return {"sweep_var": var, "sweep_min": lo, "sweep_max": hi,
-            "branch_policy": policy, **params}
-
-
-def preset_names() -> tuple:
-    return tuple(_PRESETS)
 
 
 def _branch_failure(exc, ds, branches) -> InternalConsistencyError:

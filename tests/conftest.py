@@ -1,6 +1,7 @@
 import pytest
 
-from becck import preset_spec, run_sweep
+from becck import run_sweep
+from becck.cli import preset_spec
 
 
 @pytest.fixture(scope="session")

@@ -14,9 +14,9 @@ import numpy as np
 from becck import (MeanFieldBranch, SweepSpec, bogoliubov_frequency,
                    build_drift_diffusion, derive_params,
                    integrate_moment_ode, logarithmic_negativity, omega_pm,
-                   paper_base_params, preset_names, preset_spec, run_sweep,
-                   solve_lyapunov, symplectic_eigenvalues,
-                   thermal_occupation)
+                   paper_base_params, run_sweep, solve_lyapunov,
+                   symplectic_eigenvalues, thermal_occupation)
+from becck.cli import preset_names, preset_spec
 from becck.verify import verify_jacobian
 from criteria import bistable_window, ck_comparison_metrics
 

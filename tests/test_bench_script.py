@@ -4,6 +4,7 @@ outputs, and that it reaches becck only through names the package offers
 
 import ast
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,21 @@ def bench():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_load_package_exposes_the_command_line(bench):
+    # the package no longer imports its cli, so load_package must
+    try:
+        package = bench.load_package("becck_loaded", ROOT)
+        assert package.cli.__name__ == "becck_loaded.cli"
+        assert package.cli.preset_names() == ("fig2a", "fig2b", "fig3a",
+                                              "fig3b", "fig4", "fig5",
+                                              "fig6", "fig7", "fig8")
+        assert package.cli.preset_spec("fig6").var == "delta_c"
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] ==
+                     "becck_loaded"]:
+            del sys.modules[name]
 
 
 CSV = "sweep_value,stable,e_n\n1.0,true,0.25\n2.0,false,\n"

@@ -14,8 +14,8 @@ import becck
 from becck import SweepSpec, paper_base_params, run_sweep
 from becck.cli import (CSV_HEADER, ConfigError, build_config, build_parser,
                        dump_config, main, parse_command_line, parse_quantity,
-                       row_to_csv, row_to_json, sweep_spec_from_config)
-from becck.sweep import preset_config
+                       preset_names, preset_spec, row_to_csv, row_to_json,
+                       sweep_spec_from_config)
 
 KAPPA = paper_base_params().kappa
 OMEGA_R = paper_base_params().omega_R
@@ -205,7 +205,7 @@ def test_sweep_var_other_than_the_presets_needs_its_own_range(
     assert err == (f"config error: sweep needs explicit {missing} for a "
                    f"sweep_var other than preset {preset}'s\n")
     # the preset's own variable keeps the preset's range
-    same = dict(data, sweep_var=preset_config(preset)["sweep_var"])
+    same = dict(data, sweep_var=preset_spec(preset).var)
     assert main(["sweep", "--config", _write(tmp_path, same)]) == 0
 
 
@@ -327,6 +327,7 @@ def _becck(tmp_path, command, data):
 @pytest.mark.parametrize("command,data", [
     ("sweep", {"preset": "nope"}),
     ("steady", {"preset": "nope"}),
+    ("sweep", {"preset": ["fig2a"]}),
     ("sweep", {"sweep_var": "eta", "sweep_min": "-1*kappa",
                "sweep_max": "1*kappa", "sweep_count": 3}),
     ("sweep", {"sweep_var": "omega_sw", "sweep_min": "-1*omegaR",
@@ -337,9 +338,9 @@ def _becck(tmp_path, command, data):
     ("steady", {"N": 10 ** 400}),
     ("steady", {"T": 10 ** 400}),
     ("steady", {"workers": 0}),
-], ids=["sweep-preset", "steady-preset", "eta-below-0", "omega_sw-below-0",
-        "nonfinite-grid", "eta-huge-int", "N-huge-int", "T-huge-int",
-        "steady-workers-0"])
+], ids=["sweep-preset", "steady-preset", "preset-list", "eta-below-0",
+        "omega_sw-below-0", "nonfinite-grid", "eta-huge-int", "N-huge-int",
+        "T-huge-int", "steady-workers-0"])
 def test_run_time_config_errors_exit_2(tmp_path, command, data):
     proc = _becck(tmp_path, command, data)
     assert proc.returncode == 2
@@ -680,6 +681,18 @@ def test_a_closed_stdout_is_an_output_error():
     assert proc.stderr == "output error: stdout is closed\n"
 
 
+def test_the_cli_module_runs_as_a_script_alike():
+    # ``import becck`` leaves becck.cli unloaded, so runpy runs it once
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(becck.__file__)))
+    procs = [subprocess.run([sys.executable, "-m", module, "steady",
+                             "--dump-config"], capture_output=True, text=True,
+                            env=env, timeout=60)
+             for module in ("becck.cli", "becck")]
+    assert [(p.returncode, p.stderr) for p in procs] == [(0, "")] * 2
+    assert procs[0].stdout == procs[1].stdout
+
+
 def test_verify_passes_and_is_seed_deterministic(capsys):
     assert main(["verify", "--seed", "99"]) == 0
     first = capsys.readouterr().out
@@ -802,7 +815,7 @@ def _argv_strategy(st):
         "--conf", "--pe", "--p", "--perturb", "--dump-config", "--dump"])
     values = st.one_of(
         st.sampled_from(["", "x", "-5", "-1e-3", "--", "nan", "-inf", "fig9",
-                         " 7", "1_0", *becck.preset_names()]),
+                         " 7", "1_0", *preset_names()]),
         st.integers(-10 ** 20, 10 ** 20).map(str),
         st.floats(allow_nan=True).map(repr), st.text(max_size=4))
     words = st.one_of(
@@ -811,7 +824,7 @@ def _argv_strategy(st):
         values.map(lambda v: [v]), st.sampled_from([["-h"], ["--"]]))
     exact = st.one_of(
         st.tuples(st.sampled_from(full[:3]), st.sampled_from(
-            ["x", "", "a b", *becck.preset_names()])).map(list),
+            ["x", "", "a b", *preset_names()])).map(list),
         st.tuples(st.sampled_from(full[3:]), st.one_of(
             st.integers(0, 99).map(str), st.floats(0.0).map(repr),
             st.sampled_from(["nan", "inf", "x"]))).map(list),

@@ -13,9 +13,9 @@ from hypothesis import HealthCheck, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from becck.cli import (OTHER_KEYS, PARAM_KEYS, SWEEP_KEYS,  # noqa: E402
-                       main)
+                       main, preset_names)
 from becck.sweep import (BRANCH_POLICIES, CK_MODES,  # noqa: E402
-                         MAX_GRID_COUNT, SWEEP_VARS, preset_names)
+                         MAX_GRID_COUNT, SWEEP_VARS)
 
 DOCUMENTED_EXITS = {0, 2, 3, 4}
 

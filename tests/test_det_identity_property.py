@@ -17,7 +17,8 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from becck import derive_params, preset_names, preset_spec  # noqa: E402
+from becck import derive_params  # noqa: E402
+from becck.cli import preset_names, preset_spec  # noqa: E402
 from becck.meanfield import _root_function  # noqa: E402
 from becck.model import SystemParams  # noqa: E402
 from becck.sweep import classify_points  # noqa: E402

@@ -8,8 +8,9 @@ import pytest
 from becck import (BranchSet, InternalConsistencyError, MeanFieldBranch,
                    SystemParams, consistency_residual, derive_params,
                    enumerate_branches, omega_pm, paper_base_params,
-                   preset_names, preset_spec, upper_bound_photons)
+                   upper_bound_photons)
 from becck import meanfield
+from becck.cli import preset_names, preset_spec
 from becck.meanfield import (BISECT_RTOL, _branch_polynomial,
                              _companion_roots, _root_function,
                              branch_candidates)

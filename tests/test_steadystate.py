@@ -12,10 +12,10 @@ from becck import (CovarianceMatrix, DriftDiffusion,
                    UnstableDriftError, bogoliubov_frequency,
                    build_drift_diffusion, derive_params, enumerate_branches,
                    integrate_moment_ode, logarithmic_negativity,
-                   observable_set, omega_pm, paper_base_params, preset_spec,
-                   run_sweep, solve_lyapunov, squeezing_and_excitation,
+                   observable_set, omega_pm, paper_base_params, run_sweep,
+                   solve_lyapunov, squeezing_and_excitation,
                    symplectic_eigenvalues)
-from becck.cli import main
+from becck.cli import main, preset_spec
 from becck.dynamics import (classify_batch, drift_diffusion_stacks,
                             record_items)
 from becck.steadystate import (PHYSICALITY_SLACK, RESIDUAL_BOUND,

@@ -9,8 +9,8 @@ import pytest
 
 from becck import (DerivedParams, DomainError, InternalConsistencyError,
                    StabilityReport, SweepSpec, derive_params,
-                   paper_base_params, preset_names, preset_spec, run_sweep)
-from becck.cli import main, row_to_csv
+                   paper_base_params, run_sweep)
+from becck.cli import main, preset_names, preset_spec, row_to_csv
 from becck.sweep import (MAX_GRID_COUNT, _grid_params, _rows_for_points,
                          classify_points, resolve_workers)
 from criteria import bistable_window, ck_comparison_metrics

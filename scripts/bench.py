@@ -214,6 +214,8 @@ REFUSALS = {
     # a sweep grid outside eta's domain, exit 2
     "steady-eta-below-0": (["steady"], ETA_BELOW_0),
     "dump-config-eta-below-0": (["sweep", "--dump-config"], ETA_BELOW_0),
+    # a key given twice, written as its text, exit 2
+    "steady-duplicate-key": (["steady"], '{"eta": "2*kappa", "eta": 0}'),
 }
 
 
@@ -241,11 +243,13 @@ ARGPARSE_RUNS = {
 
 
 def _write_config(tmp: str, name: str, config) -> list:
-    """The ``--config`` arguments of ``config``, written below ``tmp``."""
+    """The ``--config`` arguments of ``config`` (a str is its text),
+    written below ``tmp``."""
     if config is None:
         return []
     path = Path(tmp) / f"{name}.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
+    text = config if isinstance(config, str) else json.dumps(config)
+    path.write_text(text, encoding="utf-8")
     return ["--config", str(path)]
 
 

@@ -62,8 +62,13 @@ class RunConfig:
 PARAM_KEYS = tuple(f.name for f in dataclasses.fields(SystemParams))
 # every default is an immutable scalar, so a shallow dict of them suffices
 _PARAM_DEFAULTS = {f.name: f.default for f in dataclasses.fields(SystemParams)}
-# every parameter but these three is a frequency in rad/s
-FREQ_KEYS = tuple(k for k in PARAM_KEYS if k not in ("N", "T", "ck_enabled"))
+# (JSON types, description) of the keys that take neither a frequency
+# nor a string
+_KINDS = dict.fromkeys(("N", "sweep_count", "workers"), ((int,), "an integer"))
+_KINDS.update(T=((int, float), "a number in kelvin"),
+              ck_enabled=((bool,), "true or false"))
+# every other parameter is a frequency in rad/s
+FREQ_KEYS = tuple(k for k in PARAM_KEYS if k not in _KINDS)
 # the SweepSpec field of each sweep key, the range first
 _SPEC_FIELDS = {"sweep_var": "var", "sweep_min": "start", "sweep_max": "stop",
                 "sweep_count": "count", "ck_mode": "ck_mode",
@@ -100,13 +105,6 @@ def parse_quantity(raw, kappa: Optional[float] = None,
     if not math.isfinite(value):
         raise ConfigError(f"{key}: value must be finite, got {raw!r}")
     return value
-
-
-# (JSON types, description) of the keys that take neither a frequency
-# nor a string
-_KINDS = dict.fromkeys(("N", "sweep_count", "workers"), ((int,), "an integer"))
-_KINDS.update(T=((int, float), "a number in kelvin"),
-              ck_enabled=((bool,), "true or false"))
 
 
 def _config_value(data: dict, key: str, kappa: float, omega_R: float):
@@ -328,15 +326,13 @@ def steady_report(d, warnings, stability, evaluated) -> str:
     for i, _, b, state in evaluated:
         eig_re, eig_im, max_real, *verdicts = rows[i]
         obs = state and state[1]  # the ObservableSet, or None
-        flags = validity_flags(d, b.n_photon, obs and obs.n_incoherent)
         x = _finite((b.branch_index, b.n_photon, b.alpha.real, b.alpha.imag,
                      b.beta.real, b.beta.imag, b.Delta, b.Omega_plus,
                      b.Omega_minus, b.residual, *eig_re, *eig_im, max_real,
                      *(obs or ())))
         branches.append(_BRANCH_TEMPLATES[obs is None] % (
-            *x[:19], *map(_JSON_FLAGS.get, verdicts),
-            _JSON_FLAGS[flags["lattice_depth_ok"]],
-            _JSON_FLAGS[flags["bogoliubov_ok"]], *x[19:]))
+            *x[:19], *map(_JSON_FLAGS.get, (*verdicts, *validity_flags(
+                d, b.n_photon, obs and obs.n_incoherent))), *x[19:]))
     warned = ",\n    ".join(map(encode_basestring_ascii, warnings))
     return _REPORT_TEMPLATE % (
         *params, _JSON_FLAGS[d.ck_enabled],
@@ -470,6 +466,16 @@ def parse_command_line(argv) -> tuple:
     return args.command, args
 
 
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of ``pairs``; a key given twice in it is refused."""
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ConfigError(f"duplicate config key {key!r}")
+        data[key] = value
+    return data
+
+
 def _load_config_data(path: Optional[str]) -> dict:
     if path is None:
         return {}
@@ -487,7 +493,9 @@ def _load_config_data(path: Optional[str]) -> dict:
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ConfigError(f"cannot read config: {exc}") from exc
     try:
-        data = json.loads(raw.decode("utf-8"))
+        data = json.loads(raw.decode("utf-8"), object_pairs_hook=_unique_keys)
+    except ConfigError:  # a duplicate key
+        raise
     # not JSON, not UTF-8, an over-long number, or nested past the limit
     except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc

@@ -47,7 +47,6 @@ import numpy as np
 
 from .model import DerivedParams, InternalConsistencyError
 
-BISECT_RTOL = 1e-12  # residual reached at the paper's parameters, not a bound
 # companion-matrix roots kept as candidates: |Im x| <= IMAG_TOL*max(1, |x|)
 IMAG_TOL = 1e-6
 # relative half-width of the bracket tried around each companion root, a few

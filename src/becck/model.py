@@ -79,13 +79,10 @@ class SystemParams:
     ck_enabled: bool = True
 
     def __post_init__(self):
-        values = (self.g0, self.delta_a, self.omega_R, self.omega_sw,
-                  self.kappa, self.gamma, self.delta_c, self.eta, self.T)
-        if not all(map(math.isfinite, values)):
-            name = next(k for k in ("g0", "delta_a", "omega_R", "omega_sw",
-                                    "kappa", "gamma", "delta_c", "eta", "T")
-                        if not math.isfinite(getattr(self, k)))
-            raise DomainError(f"{name} must be finite")
+        for name in ("g0", "delta_a", "omega_R", "omega_sw", "kappa", "gamma",
+                     "delta_c", "eta", "T"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite")
         if self.delta_a == 0.0:
             raise DomainError("delta_a must be nonzero")
         if self.kappa <= 0.0:
@@ -180,16 +177,13 @@ def thermal_occupation(omega: float, T: float) -> float:
 
 
 def validity_flags(d: DerivedParams, n_photon: float,
-                   n_incoherent: float | None) -> dict:
-    """Advisory validity flags; they never abort a computation.
+                   n_incoherent: float | None) -> tuple:
+    """Advisory validity flags (lattice_depth_ok, bogoliubov_ok); they never
+    abort a computation.
 
     lattice_depth_ok: the per-photon lattice stays shallow, U0*n <= 10 omega_R.
     bogoliubov_ok: the excitation stays small against the condensate,
     n_incoherent <= 0.01*N (None when n_incoherent is unavailable).
     """
-    flags = {"lattice_depth_ok": bool(d.U0 * n_photon <= 10.0 * d.omega_R)}
-    if n_incoherent is None:
-        flags["bogoliubov_ok"] = None
-    else:
-        flags["bogoliubov_ok"] = bool(n_incoherent <= 0.01 * d.N)
-    return flags
+    return (bool(d.U0 * n_photon <= 10.0 * d.omega_R),
+            None if n_incoherent is None else bool(n_incoherent <= 0.01 * d.N))

@@ -25,8 +25,10 @@ from .steadystate import (ObservableSet, lyapunov_batch, observables_batch,
                           strictly_stable)
 
 SWEEP_VARS = ("delta_c", "eta", "omega_sw")
-CK_MODES = ("on", "off", "paired")
-BRANCH_POLICIES = ("all", "lowest", "highest")
+# per ck_mode its cross-Kerr settings; per branch_policy the evaluate_points
+# pick (None every branch, else 0 the lowest or -1 the highest stable one)
+CK_MODES = {"on": (True,), "off": (False,), "paired": (False, True)}
+BRANCH_POLICIES = {"all": None, "lowest": 0, "highest": -1}
 DEFAULT_GRID_COUNT = 501
 # a sweep holds all its rows in memory, about 3.4 kB each at peak (measured
 # on a 20001-point paired fig2a sweep), so the largest grid stays near 1 GB
@@ -186,23 +188,22 @@ def _rows_for_points(spec: SweepSpec, values) -> list:
     """Rows of the grid ``values`` in grid order, from one evaluation of
     all points (value, ck setting)."""
     grid = np.asarray(values, dtype=float)
-    cks = {"on": (True,), "off": (False,), "paired": (False, True)}[spec.ck_mode]
+    cks = CK_MODES[spec.ck_mode]
     ds = [d for ck_ds in zip(*(_grid_params(spec, grid, ck) for ck in cks))
           for d in ck_ds]
-    pick = {"lowest": 0, "highest": -1}.get(spec.branch_policy)
+    pick = BRANCH_POLICIES[spec.branch_policy]
     bsets, dd, report, evaluated = evaluate_points(ds, pick)
     keyed = []
     omega_B, max_real = dd.omega_B.tolist(), report.max_real_part.tolist()
     for i, p, b, state in evaluated:
         d, bset = ds[p], bsets[p]
         V, obs = state or _UNSOLVED
-        flags = validity_flags(d, b.n_photon, obs.n_incoherent)
         keyed.append(((p // len(cks), b.branch_index, d.ck_enabled), SweepRow(
             spec.var, getattr(d, spec.var), d.ck_enabled, b.branch_index,
             len(bset), b.n_photon, b.alpha, b.beta, b.Delta, omega_B[i],
             omega_B[i] / bogoliubov_frequency(d, 0.0), state is not None,
             obs.E_N, obs.S_Q, obs.S_P, obs.n_incoherent,
-            flags["lattice_depth_ok"], flags["bogoliubov_ok"],
+            *validity_flags(d, b.n_photon, obs.n_incoherent),
             # where no branch is stable, the first is picked and flagged
             bset.warnings + ("no-stable-branch",) * (
                 pick is not None and state is None), V, max_real[i])))
@@ -211,17 +212,8 @@ def _rows_for_points(spec: SweepSpec, values) -> list:
     return [row for _, row in keyed]
 
 
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """Validated worker count, default 1: every sweep runs in one process
-    (with ``run_sweep``'s ``workers``, to go in ROADMAP item 1, step 2)."""
-    workers = 1 if workers is None else workers
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    return workers
-
-
 def run_sweep(spec: SweepSpec, workers: Optional[int] = None) -> list:
     """Evaluate the sweep and return rows in deterministic grid order;
-    ``workers`` is ignored (see ``resolve_workers``)."""
+    ``workers`` is ignored, since every sweep runs in one process."""
     return _rows_for_points(spec, spec.grid())
 

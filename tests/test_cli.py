@@ -386,8 +386,12 @@ def test_undecodable_config_is_config_error(tmp_path, capsys, raw):
     # valid JSON one byte over the 1 MiB cap
     (lambda path: path.write_bytes(b" " * ((1 << 20) - 1) + b"{}"),
      "cannot read config: more than 1048576 bytes"),
+    # strict keys: a second value would silently replace the first
+    (lambda path: path.write_bytes(b'{"eta": "2*kappa", "eta": 0}'),
+     "duplicate config key 'eta'"),
 ], ids=["directory", "missing", "not-utf8", "utf8-bom", "invalid-json",
-        "json-array", "nested-arrays", "nested-objects", "over-the-cap"])
+        "json-array", "nested-arrays", "nested-objects", "over-the-cap",
+        "duplicate-key"])
 def test_config_read_refusals_keep_their_lines(tmp_path, capsys, make, line):
     path = tmp_path / "config.json"
     make(path)

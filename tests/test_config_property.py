@@ -41,8 +41,8 @@ VALID.update(
     sweep_var=st.sampled_from(SWEEP_VARS),
     sweep_min=frequencies,
     sweep_max=frequencies,
-    ck_mode=st.sampled_from(CK_MODES),
-    branch_policy=st.sampled_from(BRANCH_POLICIES),
+    ck_mode=st.sampled_from(tuple(CK_MODES)),
+    branch_policy=st.sampled_from(tuple(BRANCH_POLICIES)),
     preset=st.sampled_from(preset_names()),
     out=st.sampled_from(OUTS),
     format=st.sampled_from(["csv", "json-lines"]),

@@ -31,8 +31,10 @@ def test_star_import_binds_exactly_the_exported_names():
 def test_removed_names_are_gone():
     assert [name for name in REMOVED if hasattr(becck, name)] == []
     assert not hasattr(becck.SystemParams, "with_ck")
-    assert [name for name in ("_PRESETS", "preset_config", "preset_names")
+    assert [name for name in ("_PRESETS", "preset_config", "preset_names",
+                              "resolve_workers")
             if hasattr(becck.sweep, name)] == []
+    assert not hasattr(becck.meanfield, "BISECT_RTOL")
 
 
 def test_the_library_loads_no_command_line():

@@ -85,8 +85,8 @@ def _report(d, warnings, stability, evaluated) -> dict:
     branches = []
     for i, _, b, state in evaluated:
         obs = None if state is None else state[1]
-        flags = validity_flags(d, b.n_photon,
-                               None if obs is None else obs.n_incoherent)
+        lattice_ok, bogoliubov_ok = validity_flags(
+            d, b.n_photon, None if obs is None else obs.n_incoherent)
         eigs = stability.eigenvalues[i].tolist()
         branches.append({
             "branch_index": b.branch_index, "n_photon": b.n_photon,
@@ -101,8 +101,7 @@ def _report(d, warnings, stability, evaluated) -> dict:
                 "routh_hurwitz_pass": bool(stability.routh_hurwitz_pass[i]),
                 "stable": bool(stability.stable[i]),
                 "marginal": bool(stability.marginal[i])},
-            "lattice_depth_ok": flags["lattice_depth_ok"],
-            "bogoliubov_ok": flags["bogoliubov_ok"],
+            "lattice_depth_ok": lattice_ok, "bogoliubov_ok": bogoliubov_ok,
             "observables": None if obs is None else {
                 k.lower(): v for k, v in obs._asdict().items()}})
     return {"params": d._asdict(), "warnings": list(warnings),
@@ -158,8 +157,8 @@ def run_configs(draw):
     if draw(st.booleans()) and start < stop and math.isfinite(stop - start):
         sweep = SweepSpec(SWEEP_VARS[0], start, stop, params,
                           draw(st.integers(2, 100_000)),
-                          draw(st.sampled_from(CK_MODES)),
-                          draw(st.sampled_from(BRANCH_POLICIES)))
+                          draw(st.sampled_from(tuple(CK_MODES))),
+                          draw(st.sampled_from(tuple(BRANCH_POLICIES))))
     optional = st.one_of(st.none(), text)
     return cli.RunConfig(params, sweep, draw(optional), draw(optional),
                          draw(text), draw(st.one_of(

@@ -11,14 +11,15 @@ from becck import (BranchSet, InternalConsistencyError, MeanFieldBranch,
                    upper_bound_photons)
 from becck import meanfield
 from becck.cli import preset_names, preset_spec
-from becck.meanfield import (BISECT_RTOL, _branch_polynomial,
-                             _companion_roots, _root_function,
-                             branch_candidates)
+from becck.meanfield import (_branch_polynomial, _companion_roots,
+                             _root_function, branch_candidates)
 from polynomial_oracle import branch_count, branch_polynomial, reference_f
 from scan_oracle import scan_roots
 
 KAPPA = paper_base_params().kappa
 OMEGA_R = paper_base_params().omega_R
+# the scaled root residual reached at the paper's parameters, not a bound
+BISECT_RTOL = 1e-12
 # delta_a < 0 (g < 0): five self-consistent photon numbers
 FIVE_BRANCH = dict(delta_c=12.2 * KAPPA, eta=8.0 * KAPPA,
                    omega_sw=1.57 * OMEGA_R, delta_a=-7.5e11)

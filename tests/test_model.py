@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -107,10 +108,27 @@ def test_thermal_occupation_monotone_in_temperature():
 def test_validity_flags():
     d = derive_params(paper_base_params())
     threshold = 10.0 * d.omega_R / d.U0
-    ok = validity_flags(d, 0.9 * threshold, None)
-    assert ok == {"lattice_depth_ok": True, "bogoliubov_ok": None}
-    deep = validity_flags(d, 1.1 * threshold, 0.02 * d.N)
-    assert deep == {"lattice_depth_ok": False, "bogoliubov_ok": False}
-    flags = validity_flags(d, 0.0, 0.005 * d.N)
-    assert flags["bogoliubov_ok"] is True
-    assert isinstance(flags["lattice_depth_ok"], bool)
+    # (lattice_depth_ok, bogoliubov_ok)
+    assert validity_flags(d, 0.9 * threshold, None) == (True, None)
+    assert validity_flags(d, 1.1 * threshold, 0.02 * d.N) == (False, False)
+    lattice_ok, bogoliubov_ok = validity_flags(d, 0.0, 0.005 * d.N)
+    assert bogoliubov_ok is True
+    assert lattice_ok is True
+
+
+def test_derive_params_refuses_a_zero_delta_a_of_a_stand_in():
+    # SystemParams refuses delta_a = 0 itself; a sweep's stand-in is no
+    # SystemParams, so derive_params checks again
+    stand_in = SimpleNamespace(**{**vars(SystemParams()), "delta_a": 0.0})
+    with pytest.raises(DomainError, match="^delta_a must be nonzero$"):
+        derive_params(stand_in)
+
+
+@pytest.mark.parametrize("omega,T,message", [
+    (0.0, 1e-7, "omega must be positive"),
+    (-1e5, 1e-7, "omega must be positive"),
+    (1e5, -1e-9, "T must be >= 0"),
+])
+def test_thermal_occupation_refuses_its_domain(omega, T, message):
+    with pytest.raises(DomainError, match=f"^{message}$"):
+        thermal_occupation(omega, T)

@@ -12,7 +12,7 @@ from becck import (DerivedParams, DomainError, InternalConsistencyError,
                    paper_base_params, run_sweep)
 from becck.cli import main, preset_names, preset_spec, row_to_csv
 from becck.sweep import (MAX_GRID_COUNT, _grid_params, _rows_for_points,
-                         classify_points, resolve_workers)
+                         classify_points)
 from criteria import bistable_window, ck_comparison_metrics
 
 KAPPA = paper_base_params().kappa
@@ -236,13 +236,6 @@ def test_no_stable_branch_marker(monkeypatch):
         assert "no-stable-branch" in r.warnings
         assert r.E_N is None
         assert r.covariance is None
-
-
-def test_resolve_workers():
-    assert resolve_workers(None) == 1
-    assert resolve_workers(4) == 4
-    with pytest.raises(ValueError):
-        resolve_workers(0)
 
 
 def test_one_batch_gives_the_rows_of_one_batch_per_point():

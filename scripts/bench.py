@@ -55,10 +55,10 @@ Recorded once per side, since they do not vary from run to run:
   of command-line runs (the side's ``cli.main`` in process): the CSV, the
   json-lines and the ``--dump-config`` of each of the nine presets,
   ``steady`` at 30 seeded random points, ``verify`` at its default seed
-  and at ``--seed 7 --perturb-drift 1e-3``, the refusals of REFUSALS
-  (their exit codes and stderr lines) and the runs of ARGPARSE_RUNS,
-  which argparse reads (help, usage and error texts, and the
-  ``SystemExit`` code where argparse exits).
+  and at ``--seed 7 --perturb-drift 1e-3``, the runs of REFUSALS (their
+  exit codes and stderr lines) and the runs of ARGPARSE_RUNS, which
+  argparse reads (help, usage and error texts, and the ``SystemExit`` code
+  where argparse exits).
 
 With ``--before``, ``differing_outputs`` maps each output that differs
 between the sides (none when every output is byte-identical) to what
@@ -198,7 +198,7 @@ COMMANDS = {
 
 ETA_BELOW_0 = {"sweep_var": "eta", "sweep_min": "-1*kappa",
                "sweep_max": "1*kappa", "sweep_count": 3}
-# name: (argv, config) of the command-line runs whose refusal is recorded
+# name: (argv, config) of the runs whose exit code and stderr are recorded
 REFUSALS = {
     # a report with a NaN: json's ValueError, exit 3
     "steady-report-nan": (["steady"], {"eta": "1e150*kappa",
@@ -216,6 +216,11 @@ REFUSALS = {
     "dump-config-eta-below-0": (["sweep", "--dump-config"], ETA_BELOW_0),
     # a key given twice, written as its text, exit 2
     "steady-duplicate-key": (["steady"], '{"eta": "2*kappa", "eta": 0}'),
+    # no drive with the rates 14 decades apart: a stable branch, exit 0
+    "steady-no-drive-kappa-1e-10": (["steady"], {"kappa": 1e-10}),
+    # a stable branch whose eigenvalues put a real part at +1.55e12 rad/s,
+    # which Routh-Hurwitz contradicts, exit 3
+    "steady-eta-1e40": (["steady"], {"eta": "1e40*kappa"}),
 }
 
 

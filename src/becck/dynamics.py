@@ -7,6 +7,7 @@ The fluctuation basis is u = (dX, dY, dQ, dP).
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -159,29 +160,22 @@ def finite_difference_jacobian(d: DerivedParams, state) -> np.ndarray:
     return J
 
 
-def _trace(M: np.ndarray) -> np.ndarray:
-    # elementwise, so a stacked trace is bitwise that of each matrix alone
-    return M[..., 0, 0] + M[..., 1, 1] + M[..., 2, 2] + M[..., 3, 3]
+# flat positions in a 4x4 matrix of its 2x2 and 3x3 principal submatrices
+_PAIRS, _TRIPLES = (np.array([[[4 * i + j for j in rows] for i in rows]
+                              for rows in itertools.combinations(range(4), n)])
+                    for n in (2, 3))
 
 
 def characteristic_coefficients(A: np.ndarray) -> tuple:
-    """Coefficients (a3, a2, a1, a0) of det(sI - A) via Faddeev-LeVerrier.
-
-    Uses traces of matrix powers only, keeping the result independent of any
-    eigensolver. A stack of matrices (..., 4, 4) gives arrays of coefficients.
-    """
-    p1 = _trace(A)
-    A2 = A @ A
-    p2 = _trace(A2)
-    A3 = A2 @ A
-    p3 = _trace(A3)
-    p4 = _trace(A3 @ A)
-    a3 = -p1
-    a2 = (p1 * p1 - p2) / 2.0
-    a1 = -(p1 ** 3 - 3.0 * p1 * p2 + 2.0 * p3) / 6.0
-    a0 = (p1 ** 4 - 6.0 * p1 * p1 * p2 + 3.0 * p2 * p2
-          + 8.0 * p1 * p3 - 6.0 * p4) / 24.0
-    return a3, a2, a1, a0
+    """Coefficients (a3, a2, a1, a0) of det(sI - A): -tr A, the sum of the
+    2x2 principal minors, minus that of the 3x3 ones, and det A (Horn &
+    Johnson, Matrix Analysis, 2nd ed., sec. 1.2). The determinants are LU
+    factorizations, not eigenvalues. A stack (..., 4, 4) gives arrays."""
+    flat = A.reshape(A.shape[:-2] + (16,))
+    p = flat.take(_PAIRS, axis=-1)
+    a2 = (p[..., 0, 0] * p[..., 1, 1] - p[..., 0, 1] * p[..., 1, 0]).sum(-1)
+    a1 = -np.linalg.det(flat.take(_TRIPLES, axis=-1)).sum(-1)
+    return -np.trace(A, axis1=-2, axis2=-1), a2, a1, np.linalg.det(A)
 
 
 def routh_hurwitz_quartic(a3, a2, a1, a0):

@@ -1009,6 +1009,45 @@ def test_a_verdict_lost_beyond_the_float_range_says_so(tmp_path, capsys):
         r"the float range\n", err)
 
 
+def test_no_drive_stays_stable_with_rates_decades_apart(tmp_path, capsys):
+    # with no drive the spectrum is -kappa +- i Delta and -gamma +- i omega_B;
+    # kappa from 1e-3 down to 1e-20 rad/s puts the rates up to 24 decades
+    # apart, as gamma stays 8168 rad/s
+    for k in range(3, 21):
+        kappa = 10 ** -k
+        assert main(["steady", "--config",
+                     _write(tmp_path, {"kappa": kappa})]) == 0
+        (branch,) = json.loads(capsys.readouterr().out)["branches"]
+        stability = branch["stability"]
+        assert stability["stable"] is True
+        assert stability["marginal"] is False
+        assert stability["routh_hurwitz_pass"] is True
+        assert stability["max_real_part"] == -kappa
+        assert branch["observables"] is not None
+
+
+def test_an_undetuned_drive_is_refused_or_not_called_unstable(tmp_path,
+                                                               capsys):
+    """At delta_c = 0 the branch is strictly stable at every drive: mpmath's
+    eig at 120 to 400 digits on the float drift matrices gives real parts
+    -kappa (twice) and -gamma (twice) from 1e8 to 1e78 kappa (ROADMAP.md,
+    item 2). So at eta = 10^k kappa, k = 0..76, with either cross-Kerr
+    setting, steady exits 3 or reports no branch that is neither stable nor
+    marginal."""
+    for ck in (True, False):
+        for k in range(77):
+            config = _write(tmp_path, {"delta_c": 0, "eta": f"1e{k}*kappa",
+                                       "ck_enabled": ck})
+            code = main(["steady", "--config", config])
+            out = capsys.readouterr().out
+            assert code in (0, 3), (ck, k, code)
+            if code == 0:
+                for branch in json.loads(out)["branches"]:
+                    stability = branch["stability"]
+                    assert stability["stable"] or stability["marginal"], (
+                        ck, k, stability["max_real_part"])
+
+
 # a red-detuned strong drive: delta_a < 0 makes the cross-Kerr coupling g
 # negative, so Omega_minus goes negative on upper branches
 RED_DETUNED = {"delta_a": -7.5e11, "eta": "1000*kappa",

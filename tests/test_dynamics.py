@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from becck import (DriftDiffusion, InternalConsistencyError,
+from becck import (DriftDiffusion, InternalConsistencyError, SystemParams,
                    build_drift_diffusion, characteristic_coefficients,
                    derive_params, drift_matrix, enumerate_branches,
                    finite_difference_jacobian, langevin_drift_field,
@@ -94,6 +94,21 @@ def test_characteristic_coefficients_match_eigensolver():
         a3, a2, a1, a0 = characteristic_coefficients(A)
         ref = np.poly(A)  # [1, a3, a2, a1, a0] via eigenvalues
         assert np.allclose([1.0, a3, a2, a1, a0], ref, rtol=1e-9, atol=1e-9)
+
+
+def test_characteristic_coefficients_of_rates_decades_apart():
+    # with no drive A is block diagonal, so det(sI - A) is the product of
+    # s^2 + 2 kappa s + kappa^2 + Delta^2 and s^2 + 2 gamma s + gamma^2
+    # + Omega_minus Omega_plus; kappa = 1e-20 rad/s puts the rates 24
+    # decades below gamma, where sums of powers of A cancel
+    d = derive_params(SystemParams(kappa=1e-20))
+    (b,) = enumerate_branches(d)
+    A = build_drift_diffusion(d, b).A
+    p, q = 2.0 * d.kappa, d.kappa ** 2 + b.Delta ** 2
+    r, t = 2.0 * d.gamma, d.gamma ** 2 + b.Omega_minus * b.Omega_plus
+    expected = (p + r, q + t + p * r, p * t + q * r, q * t)
+    for got, want in zip(characteristic_coefficients(A), expected):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_routh_hurwitz_known_polynomials():

@@ -502,8 +502,9 @@ def test_table_lyapunov_operator_equals_the_unit_matrix_product(monkeypatch):
 
 def test_a_sweep_makes_one_stacked_linalg_call_per_stage(monkeypatch):
     # a paired two-value fig2b sweep: two companion eigen-solves (degree 9
-    # and 3) and one classification, the Lyapunov solve and its refinement,
-    # the physicality factorization, and the block and full determinants
+    # and 3), one classification (the eigenvalues, the 3x3 principal minors
+    # and det A), the Lyapunov solve and its refinement, the physicality
+    # factorization, and the block and full determinants of the covariance
     calls = dict.fromkeys(("eigvals", "solve", "cholesky", "det"), 0)
 
     def counting(name, fn):
@@ -519,7 +520,7 @@ def test_a_sweep_makes_one_stacked_linalg_call_per_stage(monkeypatch):
                    count=2)
     rows = run_sweep(spec)
     assert sum(row.covariance is not None for row in rows) >= 4
-    assert calls == {"eigvals": 3, "solve": 2, "cholesky": 1, "det": 2}
+    assert calls == {"eigvals": 3, "solve": 2, "cholesky": 1, "det": 4}
 
 
 def test_batch_failure_raises_the_loop_exception_naming_the_branch(
